@@ -62,14 +62,32 @@ class _Runner:
         self.config = config
         self.records = family.generate(config.n_max)
         self._rootsets: dict = {}
+        self._root_failure = None
 
     def rootsets_up_to(self, n_max: int) -> dict:
+        """Root sets 0..n_max. A RootFindingError is kept and raised again
+        for every later request that needs its n."""
         for n in range(n_max + 1):
             if n not in self._rootsets:
-                self._rootsets[n] = rootsmod.roots_for_record(
-                    self.records[n], self.config.precision_bits,
-                    seed=self.config.seed)
+                if self._root_failure is not None:
+                    raise self._root_failure
+                try:
+                    self._rootsets[n] = rootsmod.roots_for_record(
+                        self.records[n], self.config.precision_bits,
+                        seed=self.config.seed)
+                except rootsmod.RootFindingError as exc:
+                    self._root_failure = exc
+                    raise
         return self._rootsets
+
+
+def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
+    rep = VerificationReport(suite=suite, n=n)
+    worst = exc.worst_residual
+    return rep.fail({
+        "check": "roots", "error": type(exc).__name__, "message": str(exc),
+        "roots_n": exc.n, "iterations": exc.iterations,
+        "worst_residual": None if worst is None else mp.nstr(worst, 8)})
 
 
 def _timed(fn, *args, **kwargs):
@@ -155,11 +173,21 @@ def _relation_suite(run: _Runner, verifier, suite_name: str):
         modes.append("exact")
     if config.mode in ("numeric", "both"):
         modes.append("numeric")
-    rootsets = run.rootsets_up_to(config.n_max) if "numeric" in modes else None
     for n in range(1, config.n_max + 1):
         for mode in modes:
+            rootsets = None
             if mode == "exact" and n > EXACT_MODE_N_CAP:
+                reason = f"exact route capped at n ≤ {EXACT_MODE_N_CAP}"
+                reports.append(VerificationReport(
+                    suite=suite_name, n=n, status=SKIPPED,
+                    details={"mode": "exact", "reason": reason}))
                 continue
+            if mode == "numeric":
+                try:
+                    rootsets = run.rootsets_up_to(n)
+                except rootsmod.RootFindingError as exc:
+                    reports.append(_root_failure_report(suite_name, n, exc))
+                    continue
             subs = verifier(run.records, n, mode=mode, rootsets=rootsets,
                             tolerance=config.tolerance)
             reports.append(combine(suite_name, n, subs))
@@ -180,9 +208,13 @@ def _suite_kudryashov(run: _Runner):
 
 def _suite_poleseries(run: _Runner):
     config = run.config
-    rootsets = run.rootsets_up_to(config.n_max)
     reports = []
     for n in range(2, config.n_max + 1):
+        try:
+            rootsets = run.rootsets_up_to(n)
+        except rootsmod.RootFindingError as exc:
+            reports.append(_root_failure_report("poleseries", n, exc))
+            continue
         count = len(rootsets[n - 1].roots)
         subs = [relations.pole_series_check(run.records, n, j, rootsets,
                                             tolerance=config.tolerance)
@@ -209,6 +241,12 @@ def _suite_series(run: _Runner):
 def _suite_remark(run: _Runner):
     reports = []
     for m in (12, 15):
+        need = series.remark_min_n_max(m)
+        if run.config.n_max < need:
+            reports.append(VerificationReport(
+                suite="remark", status=SKIPPED,
+                details={"m": m, "reason": f"needs n_max >= {need}"}))
+            continue
         try:
             reports.append(series.verify_remark_polynomiality(
                 run.records, m, run.config.n_max))
@@ -296,6 +334,16 @@ def cmd_verify(config: RunConfig, suites) -> int:
     return 1 if failed else 0
 
 
+def _finder_line(rs) -> str:
+    """How the root finder got rs, for stderr."""
+    last = "-" if rs.final_correction is None \
+        else mp.nstr(rs.final_correction, 3)
+    return (f"n={rs.n}: {rs.float_iterations} float sweeps, ladder "
+            f"{'>'.join(map(str, rs.ladder)) or '-'} bits, fallback "
+            f"{'yes' if rs.fallback else 'no'}, last step {last}, "
+            f"max residual {mp.nstr(rs.max_residual, 3)}")
+
+
 def cmd_roots(config: RunConfig) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -307,10 +355,11 @@ def cmd_roots(config: RunConfig) -> int:
         try:
             rs = rootsmod.roots_for_record(r, config.precision_bits,
                                            seed=config.seed)
-        except rootsmod.NoConvergence as exc:
-            print(f"n={r.n}: no convergence ({exc})", file=sys.stderr)
+        except rootsmod.RootFindingError as exc:
+            print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue
+        print(_finder_line(rs), file=sys.stderr)
         rep = rootsmod.certify(rs, r)
         rootsmod.export_csv(rs, out / f"roots_{r.n}.csv")
         rootsmod.export_svg(rs, out / f"roots_{r.n}.svg")

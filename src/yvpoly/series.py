@@ -288,6 +288,15 @@ def _poly_eval(coeffs, x):
     return acc
 
 
+def remark_min_n_max(m: int) -> int:
+    """The smallest n_max with enough samples for
+    verify_remark_polynomiality(m): the degree bound m/3 + 1, plus one
+    sample more than it needs to fit and one to hold out, in each residue
+    class of n. Class 2 (n = 2, 5, ...) is the last to fill."""
+    samples = m // 3 + 3
+    return 3 * (samples - 1) + 2
+
+
 def verify_remark_polynomiality(records: Sequence, m: int,
                                 n_max: int) -> VerificationReport:
     """Per residue class of n, the m-th inverse-root sum is polynomial in n.
@@ -298,14 +307,13 @@ def verify_remark_polynomiality(records: Sequence, m: int,
     """
     if m < 3 or m % 3 != 0:
         raise ValueError("m must be a positive multiple of 3")
+    if n_max < remark_min_n_max(m):
+        raise ValueError(f"m={m} needs n_max >= {remark_min_n_max(m)}")
     degree_bound = m // 3 + 1
     rep = VerificationReport(suite="remark", details={"m": m})
     for cls in range(3):
         samples = [(n, inverse_power_sums(records[n], m)[m])
                    for n in range(n_max + 1) if n % 3 == cls]
-        if len(samples) < degree_bound + 2:
-            raise ValueError(
-                f"need at least {degree_bound + 2} samples in class {cls}")
         fitted = None
         for d in range(degree_bound + 1):
             coeffs = _lagrange_interpolate(samples[:d + 1])

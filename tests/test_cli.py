@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from mpmath import mp
 
-from yvpoly import cli
+from yvpoly import cli, roots
 
 
 def run(argv):
@@ -79,6 +80,51 @@ class TestVerify:
         code = run(["verify", "--suites", "nonsense", "--out", str(tmp_path)])
         assert code != 0
 
+    def test_root_failure_is_a_fail_report(self, tmp_path, monkeypatch):
+        real = roots.roots_for_record
+
+        def failing(record, *args, **kwargs):
+            if record.n == 2:
+                raise roots.NoConvergence("Aberth did not converge for n=2",
+                                          iterations=400,
+                                          worst_residual=mp.mpf("1e-9"), n=2)
+            return real(record, *args, **kwargs)
+
+        monkeypatch.setattr(roots, "roots_for_record", failing)
+        code = run(["verify", "--n-max", "3", "--mode", "numeric",
+                    "--suites", "relations,poleseries",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        status = {(r["suite"], r["n"]): r["status"] for r in reports}
+        assert status == {("relations", 1): "pass", ("relations", 2): "fail",
+                          ("relations", 3): "fail", ("poleseries", 2): "fail",
+                          ("poleseries", 3): "fail"}
+        witness = reports[1]["witnesses"][0]
+        assert witness["error"] == "NoConvergence"
+        assert (witness["roots_n"], witness["iterations"]) == ("2", "400")
+        assert witness["worst_residual"] == "1.0e-9"
+
+    def test_remark_skipped_below_its_sample_size(self, tmp_path):
+        code = run(["verify", "--suites", "remark", "--out", str(tmp_path)])
+        assert code == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [r["status"] for r in reports] == ["skipped", "skipped"]
+        assert reports[1]["details"]["reason"] == "needs n_max >= 23"
+
+    def test_exact_cap_reported(self, tmp_path):
+        code = run(["verify", "--n-max", "9", "--mode", "both",
+                    "--suites", "kudryashov", "--out", str(tmp_path)])
+        assert code == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        skipped = [r for r in reports if r["status"] == "skipped"]
+        assert [(r["suite"], r["n"]) for r in skipped] == [("kudryashov", 9)]
+        assert skipped[0]["details"] == {
+            "mode": "exact", "reason": "exact route capped at n ≤ 8"}
+
 
 class TestRoots:
     def test_exports(self, tmp_path, capsys):
@@ -88,7 +134,31 @@ class TestRoots:
         for n in range(1, 5):
             assert (tmp_path / f"roots_{n}.csv").exists()
             assert (tmp_path / f"roots_{n}.svg").exists()
-        assert "certified" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "n=1: 1 roots, certified", "n=2: 3 roots, certified",
+            "n=3: 6 roots, certified", "n=4: 10 roots, certified"]
+        assert "n=4: 5 float sweeps, ladder 106>" in captured.err
+        assert "fallback no" in captured.err
+
+    def test_certification_failure_reported(self, tmp_path, capsys,
+                                            monkeypatch):
+        real = roots.roots_for_record
+
+        def failing(record, *args, **kwargs):
+            if record.n == 2:
+                raise roots.CertificationFailure(
+                    "residual 1e-9 above threshold at n=2")
+            return real(record, *args, **kwargs)
+
+        monkeypatch.setattr(roots, "roots_for_record", failing)
+        code = run(["roots", "--n-max", "3", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "n=1: 1 roots, certified", "n=3: 6 roots, certified"]
+        assert "n=2: CertificationFailure: residual 1e-9 above threshold" \
+            in captured.err
 
 
 class TestSums:

@@ -2,7 +2,7 @@ from mpmath import mp
 
 import pytest
 
-from yvpoly import roots
+from yvpoly import family, roots
 from yvpoly.family import expected_degree
 
 
@@ -48,9 +48,72 @@ class TestFindRoots:
             assert rootsets8[n].includes_zero == (n % 3 == 1)
 
     def test_deterministic_given_seed(self, records8):
-        a = roots.roots_for_record(records8[3], 128, seed=7)
-        b = roots.roots_for_record(records8[3], 128, seed=7)
-        assert a.roots == b.roots
+        for n in (3, 8):
+            a = roots.roots_for_record(records8[n], 128, seed=7)
+            b = roots.roots_for_record(records8[n], 128, seed=7)
+            assert a.roots == b.roots and a.ladder
+            assert (a.float_iterations, a.ladder, a.final_correction) == \
+                (b.float_iterations, b.ladder, b.final_correction)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_agrees_with_circle_started_aberth(self, records16, n):
+        rp = roots.cube_reduce(records16[n])
+        prec = roots.working_precision(
+            rp.degree, coeff_bits=roots._coeff_bits(rp.y_coeffs))
+        s = roots._scale_exponent(rp.y_coeffs)
+        circle = [mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
+                  for u in roots._circle(rp.y_coeffs, s, 0)]
+        reference, _ = roots._mp_aberth(rp, circle, prec)
+        diagnostics = {}
+        found = roots.find_roots(rp, seed=0, diagnostics=diagnostics)
+        assert type(found) is list
+        assert not diagnostics["fallback"]
+        assert diagnostics["ladder"][-1] == 2 * prec
+        with mp.workprec(2 * prec):
+            for y in found:
+                assert min(abs(y - r) for r in reference) \
+                    < mp.mpf(2) ** -prec * abs(y)
+
+    def test_colliding_seeds_fall_back_and_certify(self, records8,
+                                                   monkeypatch):
+        real = roots._float_seeds
+
+        def colliding(p, seed):
+            s, xs, sweeps = real(p, seed)
+            return s, [xs[0]] + xs[:-1], sweeps  # xs[0] twice, xs[-1] lost
+
+        monkeypatch.setattr(roots, "_float_seeds", colliding)
+        rs = roots.roots_for_record(records8[6], seed=0)
+        assert rs.fallback and len(rs.roots) == expected_degree(6)
+        assert roots.certify(rs, records8[6]).passed
+
+    @pytest.mark.parametrize("n", [25, 30])
+    def test_past_float_range_certifies(self, n):
+        records = family.generate(n)
+        assert roots._coeff_bits(roots.cube_reduce(records[n]).y_coeffs) > 900
+        rs = roots.roots_for_record(records[n])
+        assert len(rs.roots) == expected_degree(n)
+        assert roots.certify(rs, records[n]).passed
+
+
+class TestScreens:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_min_separation_equals_full_scan(self, rootsets8, n):
+        rs = rootsets8[n]
+        with mp.workprec(2 * rs.precision_bits):
+            brute = min(abs(a - b) for i, a in enumerate(rs.roots)
+                        for b in rs.roots[:i])
+        assert rs.min_separation == brute
+
+
+def _with_roots(rs, new_roots):
+    return roots.RootSet(
+        n=rs.n, roots=tuple(new_roots), precision_bits=rs.precision_bits,
+        residuals=rs.residuals[:len(new_roots)],
+        max_residual=rs.max_residual, min_separation=rs.min_separation,
+        includes_zero=rs.includes_zero)
 
 
 class TestCertify:
@@ -66,6 +129,22 @@ class TestCertify:
             min_separation=rs.min_separation, includes_zero=rs.includes_zero)
         rep = roots.certify(broken, records8[3])
         assert not rep.passed
+
+    def test_detects_perturbed_root(self, records8, rootsets8):
+        rs = rootsets8[7]
+        with mp.workprec(rs.precision_bits):
+            moved = list(rs.roots)
+            moved[5] *= 1 + mp.mpf(2) ** -80
+        rep = roots.certify(_with_roots(rs, moved), records8[7])
+        assert {"check": "omega_closure"} in rep.witnesses
+
+    def test_detects_duplicated_root(self, records8, rootsets8):
+        rs = rootsets8[7]
+        doubled = list(rs.roots)
+        doubled[4] = doubled[3]
+        rep = roots.certify(_with_roots(rs, doubled), records8[7])
+        assert {"check": "omega_closure"} in rep.witnesses
+        assert {"check": "conjugation_closure"} in rep.witnesses
 
 
 class TestExports:
