@@ -26,8 +26,6 @@ ALL_SUITES = [
     "remark",
 ]
 
-EXACT_MODE_N_CAP = 8  # quotient-ring route; configuration, not a hard limit
-
 
 @dataclass
 class RunConfig:
@@ -90,18 +88,6 @@ def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
         "worst_residual": None if worst is None else mp.nstr(worst, 8)})
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    elapsed = time.perf_counter() - t0
-    if isinstance(out, VerificationReport):
-        out.elapsed = elapsed
-    elif isinstance(out, list):
-        for r in out:
-            r.elapsed = elapsed / max(1, len(out))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -155,11 +141,14 @@ def _suite_backlund(run: _Runner):
     reports = []
     w = painleve.rational_solution(run.records, 0)
     for n in range(run.config.n_max):
-        nxt = painleve.backlund_next(w, n)
         want = painleve.rational_solution(run.records, n + 1)
         rep = VerificationReport(suite="backlund", n=n + 1)
-        if nxt != want:
-            rep.fail({"check": "mismatch", "n": n + 1})
+        try:
+            if painleve.backlund_next(w, n) != want:
+                rep.fail({"check": "mismatch", "n": n + 1})
+        except painleve.DegenerateDenominator as exc:
+            rep.fail({"check": "denominator", "error": type(exc).__name__,
+                      "message": str(exc)})
         reports.append(rep)
         w = want
     return reports
@@ -176,12 +165,6 @@ def _relation_suite(run: _Runner, verifier, suite_name: str):
     for n in range(1, config.n_max + 1):
         for mode in modes:
             rootsets = None
-            if mode == "exact" and n > EXACT_MODE_N_CAP:
-                reason = f"exact route capped at n ≤ {EXACT_MODE_N_CAP}"
-                reports.append(VerificationReport(
-                    suite=suite_name, n=n, status=SKIPPED,
-                    details={"mode": "exact", "reason": reason}))
-                continue
             if mode == "numeric":
                 try:
                     rootsets = run.rootsets_up_to(n)
@@ -297,13 +280,16 @@ def cmd_verify(config: RunConfig, suites) -> int:
     all_reports = []
     failed = False
     for suite in suites:
-        reps = _timed(SUITE_RUNNERS[suite], run)
+        t0 = time.perf_counter()
+        reps = SUITE_RUNNERS[suite](run)
+        elapsed = time.perf_counter() - t0
         n_fail = sum(1 for r in reps if r.status == FAIL)
         n_skip = sum(1 for r in reps if r.status == SKIPPED)
         n_pass = len(reps) - n_fail - n_skip
         status = "FAIL" if n_fail else "ok"
         print(f"suite {suite:<14} {status:>4}  "
               f"({n_pass} pass, {n_fail} fail, {n_skip} skipped)")
+        print(f"suite {suite}: {elapsed:.3f} s", file=sys.stderr)
         failed = failed or bool(n_fail)
         all_reports.extend(reps)
     config.output_dir.mkdir(parents=True, exist_ok=True)

@@ -1,74 +1,148 @@
 """Inter-root relations between consecutive family members.
 
-Each relation is verified by two independent routes:
+Every relation family and every checked Laurent coefficient is a linear
+combination of two power sums at a root w of a host polynomial, for
+p = 1..5: the self sum S_p(w) over the host's other roots r of
+1/(w - r)^p, and the cross sum C_p(w) over the roots t of the neighbouring
+member of 1/(w - t)^p. The families are one data table, FAMILIES, read by
+one evaluator per route from tables of these sums built once per host:
 
 * exact mode -- arithmetic in Q[a]/(host(a)), where a stands simultaneously
-  for every root of the host polynomial. A sum over the roots of the target
-  is the residue of derivatives of target'/target; a sum over the host's own
-  remaining roots comes from the Taylor expansion of host'/host - 1/(z - a)
-  at the generic root. A relation holds iff the assembled residue is zero.
+  for every root of the host. `cross_sum_residue` gives C_1..C_5 from
+  derivatives of target'/target with T(a) inverted once; `self_sum_residue`
+  gives S_1..S_5 from one series division of the Taylor expansion of
+  host'/host - 1/(z - a) at the generic root, with host'(a) inverted once.
+  A relation holds iff its assembled residue is zero.
 
-* numeric mode -- direct pairwise summation over certified high-precision
-  root sets, relation by relation and root by root.
+* numeric mode -- tables over certified high-precision root sets: one
+  reciprocal per unordered pair of a root set gives S_p at both ends, and
+  one per pair of consecutive root sets gives C_p in both directions. The
+  terms are fixed-point integers with guard bits past the working
+  precision, so the sums add exactly.
+
+Tables are shared across suites and n. They are keyed by the identity of
+the records or root sets (and, numerically, the precision) they were built
+from, and dropped when those objects are collected.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+import weakref
+from fractions import Fraction as F
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .intpoly import IntPoly
-from .quotient import QuotientContext, QuotientElement
+from .quotient import NotInvertible, QuotientContext
 from .ratpoly import RatPoly
-from .report import FAIL, PASS, SKIPPED, VerificationReport
+from .report import SKIPPED, VerificationReport
 
-MAX_SERIES_ORDER = 6  # host-side Taylor order; covers powers up to 5
+P_MAX = 5  # highest power any family or checked pole coefficient uses
+
+# (suite, family, host, p, coefficient of S_p, coefficient of C_p, rhs).
+# The host is Q_{n-1} ("prev") or Q_n ("cur"), the cross sums run over the
+# other of the two, and rhs(n) = (c, k) stands for c + k w at a host root w.
+FAMILIES = (
+    ("relations", "T1", "prev", 1, 1, -1, lambda n: (0, 0)),
+    ("relations", "T2", "prev", 2, 1, -1, lambda n: (0, F(1, 6))),
+    ("relations", "T3", "prev", 3, 1, -1, lambda n: (F(-(n + 1), 4), 0)),
+    ("relations", "T5", "prev", 5, 1, -1,
+     lambda n: (0, F(n + 1, 24) - F(1, 36))),
+    ("relations", "T6", "cur", 1, -1, 1, lambda n: (0, 0)),
+    ("relations", "T7", "cur", 2, -1, 1, lambda n: (0, F(-1, 6))),
+    ("relations", "T8", "cur", 3, -1, 1, lambda n: (F(-(n - 1), 4), 0)),
+    ("relations", "T10", "cur", 5, -1, 1,
+     lambda n: (0, F(n - 1, 24) + F(1, 36))),
+    ("corollary", "C2", "prev", 2, 0, 1, lambda n: (0, F(-1, 4))),
+    ("corollary", "C3", "prev", 3, 0, 1, lambda n: (F(n + 1, 4), 0)),
+    ("corollary", "C5", "prev", 5, 0, 1,
+     lambda n: (0, -(F(n + 1, 24) - F(1, 48)))),
+    ("corollary", "C6", "cur", 2, 0, 1, lambda n: (0, F(-1, 4))),
+    ("corollary", "C7", "cur", 3, 0, 1, lambda n: (F(-(n - 1), 4), 0)),
+    ("corollary", "C8", "cur", 5, 0, 1,
+     lambda n: (0, F(n - 1, 24) + F(1, 48))),
+    # Kudryashov-Demina: self sums over the roots of Q_n alone
+    ("kudryashov", "K2", "cur", 2, 1, 0, lambda n: (0, F(-1, 12))),
+    ("kudryashov", "K3", "cur", 3, 1, 0, lambda n: (0, 0)),
+    ("kudryashov", "K5", "cur", 5, 1, 0, lambda n: (0, F(-1, 144))),
+)
+
+
+class _Tables:
+    """Tables keyed by the identity of the objects they were built from and
+    dropped when one of those is collected; a NotInvertible raised while
+    building is kept and raised again on each request."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def get(self, sources, kind, build):
+        key = (kind, *map(id, sources))
+        if key not in self._entries:
+            try:
+                self._entries[key] = build()
+            except NotInvertible as exc:
+                self._entries[key] = exc
+            for obj in sources:
+                weakref.finalize(obj, self._entries.pop, key, None)
+        value = self._entries[key]
+        if isinstance(value, NotInvertible):
+            raise value
+        return value
+
+
+_TABLES = _Tables()
 
 
 # ---------------------------------------------------------------------------
 # Exact route
 
 def cross_sum_residue(host: IntPoly, target: IntPoly, p: int,
-                      ctx: QuotientContext | None = None) -> QuotientElement:
-    """Residue of sum over roots t of target of 1/(a - t)^p in Q[a]/(host).
+                      ctx: QuotientContext | None = None) -> tuple:
+    """Residues c_1..c_p of sum over roots t of target of 1/(a - t)^k.
 
     Realized through N_1 = target' and the recursion
-    N_{p+1} = -(1/p) (N_p' T - p N_p T'), giving the sum as N_p / T^p.
+    N_{k+1} = -(1/k) (N_k' T - k N_k T'), giving c_k = N_k / T^k; T(a) is
+    inverted once and its inverse powers are built one by one.
     """
     if ctx is None:
         ctx = QuotientContext(host)
     t = RatPoly.from_intpoly(target)
     if not t or t.degree == 0:
-        return ctx.zero()  # no roots to sum over
-    n_p = t.derivative()
-    for k in range(1, p):
-        n_p = (n_p.derivative() * t - k * n_p * t.derivative()) * Fraction(-1, k)
-    return ctx.element(n_p) * (ctx.element(t).inv() ** p)
+        return (ctx.zero(),) * p  # no roots to sum over
+    t_inv = ctx.element(t).inv()
+    n_k, t_inv_k, sums = t.derivative(), t_inv, []
+    for k in range(1, p + 1):
+        sums.append(ctx.element(n_k) * t_inv_k)
+        if k < p:
+            n_k = (n_k.derivative() * t - k * n_k * t.derivative()) * F(-1, k)
+            t_inv_k = t_inv_k * t_inv
+    return tuple(sums)
 
 
 def self_sum_residue(host: IntPoly, p: int,
-                     ctx: QuotientContext | None = None) -> QuotientElement:
-    """Residue of sum over the host's other roots of 1/(a - r)^p.
+                     ctx: QuotientContext | None = None) -> tuple:
+    """Residues s_1..s_p of sum over the host's other roots of 1/(a - r)^k.
 
-    Taylor coefficients of host at the generic root a feed a formal series
-    division; the inverted constant term is host'(a), whose invertibility is
-    exactly simplicity of the roots.
+    Taylor coefficients of host at the generic root a feed one formal
+    series division; its inverted constant term is host'(a), whose
+    invertibility is exactly simplicity of the roots.
     """
     if ctx is None:
         ctx = QuotientContext(host)
     if not host or host.degree < 1:
         raise ValueError("host must have degree >= 1")
     if host.degree == 1:
-        return ctx.zero()  # no other roots
-    order = max(p + 1, MAX_SERIES_ORDER)
+        return (ctx.zero(),) * p  # no other roots
     # c[i] = host^{(i)}(a) / i!
     c = []
     deriv = RatPoly.from_intpoly(host)
     fact = 1
-    for i in range(order + 2):
-        c.append(ctx.element(deriv * Fraction(1, fact)))
+    for i in range(p + 2):
+        c.append(ctx.element(deriv * F(1, fact)))
         deriv = deriv.derivative()
         fact *= i + 1
     a_series = [(m + 1) * c[m + 2] for m in range(p)]
@@ -80,114 +154,132 @@ def self_sum_residue(host: IntPoly, p: int,
         for i in range(1, m + 1):
             acc = acc - b_series[i] * g[m - i]
         g.append(acc * b0_inv)
-    return g[p - 1] * ((-1) ** (p - 1))
+    return tuple(g_m * (-1) ** m for m, g_m in enumerate(g))
+
+
+def _exact_report(fam, records, n):
+    _, _, host_key, p, cs, cc, rhs = fam
+    host, target = records[n - 1], records[n]
+    if host_key == "cur":
+        host, target = target, host
+    if (host.poly.degree or 0) < 1:
+        return _skipped(fam, n, "exact")
+    ctx = _TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
+    lhs = ctx.zero()
+    try:
+        if cs:
+            lhs += cs * _TABLES.get((host,), "S", lambda: self_sum_residue(
+                host.poly, P_MAX, ctx))[p - 1]
+        if cc:
+            lhs += cc * _TABLES.get((host, target), "C", lambda: (
+                cross_sum_residue(host.poly, target.poly, P_MAX, ctx)))[p - 1]
+    except NotInvertible as exc:
+        return _report(fam, n, "exact", False, {
+            "error": "NotInvertible", "message": str(exc), "gcd": exc.witness})
+    const, k = rhs(n)
+    residue = lhs - (ctx.element(F(const)) + ctx.generator() * F(k))
+    return _report(fam, n, "exact", residue.is_zero(),
+                   {"residue": residue.residue})
 
 
 # ---------------------------------------------------------------------------
-# Numeric route helpers
+# Numeric route
 
-def _pair_sums(z, others, powers, exclude_self: bool):
-    """sums[p] = sum over others of 1/(z - other)^p (skipping z itself once)."""
-    sums = {p: mp.mpc(0) for p in powers}
-    skipped = False
-    for other in others:
-        if exclude_self and not skipped and other == z:
-            skipped = True
-            continue
-        d = 1 / (z - other)
-        d2 = d * d
-        vals = {1: d, 2: d2, 3: d2 * d, 5: d2 * d2 * d}
-        for p in powers:
-            sums[p] += vals[p] if p in vals else d ** p
-    return sums
+def _fixed_bits(prec, *rootsets):
+    """Fractional bits of the fixed-point tables: prec plus guard bits.
 
-
-def _numeric_relation_deviation(host_roots, target_roots, rhs_of_root, p,
-                                cross_first: bool):
-    """Worst |LHS - RHS| / max(1, |RHS|) over all host roots.
-
-    LHS is (self - cross) or (cross - self) depending on the family group.
+    Every term 1/(x - y)^p is at least (2 max|root|)^-P_MAX in size, and
+    the guard bits keep each one, down to the smallest, accurate to more
+    than prec bits relative; the sums themselves add integers exactly.
     """
+    radius = max((abs(z) for rs in rootsets for z in rs.roots), default=1)
+    return prec + P_MAX * (int(2 * radius) + 1).bit_length() + 16
+
+
+def _to_fixed(roots, bits):
+    return [(to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits))
+            for z in roots]
+
+
+def _add_powers(near, far, dx, dy, bits):
+    """With d = 1/(x - y) and x - y = (dx + i dy) / 2^bits, add d^p to near
+    and (-d)^p = 1/(y - x)^p to far, p = 1..P_MAX, as fixed-point pairs
+    (real part at 2p - 2, imaginary part at 2p - 1)."""
+    norm = dx * dx + dy * dy
+    re = (dx << 2 * bits) // norm
+    im = (-dy << 2 * bits) // norm
+    p_re, p_im = re, im
+    for i in range(0, 2 * P_MAX, 2):
+        sign = 1 if i % 4 else -1  # (-1)^p for p = i/2 + 1
+        near[i] += p_re
+        near[i + 1] += p_im
+        far[i] += sign * p_re
+        far[i + 1] += sign * p_im
+        p_re, p_im = ((p_re * re - p_im * im) >> bits,
+                      (p_re * im + p_im * re) >> bits)
+
+
+def _rows(fixed_rows, bits, prec):
+    """Fixed-point rows as rows of mpc rounded to prec bits."""
+    with mp.workprec(prec):
+        return [[mp.mpc(mp.mpf((row[i], -bits)), mp.mpf((row[i + 1], -bits)))
+                 for i in range(0, 2 * P_MAX, 2)] for row in fixed_rows]
+
+
+def _self_table(rs, prec):
+    """Rows [S_1..S_5] at each root of rs: one reciprocal per root pair."""
+    def build():
+        bits = _fixed_bits(prec, rs)
+        roots = _to_fixed(rs.roots, bits)
+        rows = [[0] * (2 * P_MAX) for _ in roots]
+        for i, j in itertools.combinations(range(len(roots)), 2):
+            _add_powers(rows[i], rows[j], roots[i][0] - roots[j][0],
+                        roots[i][1] - roots[j][1], bits)
+        return _rows(rows, bits, prec)
+    return _TABLES.get((rs,), ("S", prec), build)
+
+
+def _cross_table(prev, cur, host_key, prec):
+    """Rows [C_1..C_5] at each root of the host, summed over the other set."""
+    if prev is None:  # no roots of Q_{n-1} to sum over
+        return [[mp.mpc(0)] * P_MAX for _ in cur.roots]
+
+    def build():
+        bits = _fixed_bits(prec, prev, cur)
+        ws, ts = _to_fixed(prev.roots, bits), _to_fixed(cur.roots, bits)
+        w_rows = [[0] * (2 * P_MAX) for _ in ws]
+        t_rows = [[0] * (2 * P_MAX) for _ in ts]
+        for (wx, wy), w_row in zip(ws, w_rows):
+            for (tx, ty), t_row in zip(ts, t_rows):
+                _add_powers(w_row, t_row, wx - tx, wy - ty, bits)
+        return _rows(w_rows, bits, prec), _rows(t_rows, bits, prec)
+    return _TABLES.get((prev, cur), ("C", prec), build)[host_key == "cur"]
+
+
+def _deviation(fam, n, w, s_row, c_row):
+    """|LHS - RHS| / max(1, |RHS|) of one family at one host root w."""
+    _, _, _, p, cs, cc, rhs = fam
+    const, k = (mp.mpf(x.numerator) / x.denominator for x in map(F, rhs(n)))
+    want = const + k * w
+    lhs = (cs * s_row[p - 1] if cs else 0) + (cc * c_row[p - 1] if cc else 0)
+    return abs(lhs - want) / max(1, abs(want))
+
+
+def _numeric_report(fam, rootsets, n, prec, tol):
+    _, _, host_key, _, cs, cc, _ = fam
+    prev, cur = rootsets.get(n - 1), rootsets[n]
+    host = prev if host_key == "prev" else cur
+    if host is None or not host.roots:
+        return _skipped(fam, n, "numeric")
+    s_rows = _self_table(host, prec) if cs else None
+    c_rows = _cross_table(prev, cur, host_key, prec) if cc else None
     worst = mp.mpf(0)
-    for z in host_roots:
-        self_sum = _pair_sums(z, host_roots, (p,), True)[p]
-        cross_sum = _pair_sums(z, target_roots, (p,), False)[p] \
-            if target_roots else mp.mpc(0)
-        lhs = cross_sum - self_sum if cross_first else self_sum - cross_sum
-        rhs = rhs_of_root(z)
-        dev = abs(lhs - rhs) / max(1, abs(rhs))
-        if dev > worst:
-            worst = dev
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Relation family tables
-
-def _theorem_families(n: int):
-    """(family id, host index, p, cross_first, exact rhs (const, alpha coeff))."""
-    # host 'prev' = Q_{n-1}: LHS = self - cross, rhs in terms of the host root
-    # host 'cur'  = Q_n:     LHS = cross - self
-    return [
-        ("T1", "prev", 1, False, (Fraction(0), Fraction(0))),
-        ("T2", "prev", 2, False, (Fraction(0), Fraction(1, 6))),
-        ("T3", "prev", 3, False, (Fraction(-(n + 1), 4), Fraction(0))),
-        ("T5", "prev", 5, False, (Fraction(0), Fraction(n + 1, 24) - Fraction(1, 36))),
-        ("T6", "cur", 1, True, (Fraction(0), Fraction(0))),
-        ("T7", "cur", 2, True, (Fraction(0), Fraction(-1, 6))),
-        ("T8", "cur", 3, True, (Fraction(-(n - 1), 4), Fraction(0))),
-        ("T10", "cur", 5, True, (Fraction(0), Fraction(n - 1, 24) + Fraction(1, 36))),
-    ]
-
-
-def _kudryashov_families():
-    # pure self sums over the roots of Q_n; coefficients do not involve n
-    return [
-        ("K2", 2, (Fraction(0), Fraction(-1, 12))),
-        ("K3", 3, (Fraction(0), Fraction(0))),
-        ("K5", 5, (Fraction(0), Fraction(-1, 144))),
-    ]
-
-
-def _corollary_families(n: int):
-    # pure cross sums; host 'prev' sums over Q_n roots and vice versa
-    return [
-        ("C2", "prev", 2, (Fraction(0), Fraction(-1, 4))),
-        ("C3", "prev", 3, (Fraction(n + 1, 4), Fraction(0))),
-        ("C5", "prev", 5, (Fraction(0), -(Fraction(n + 1, 24) - Fraction(1, 48)))),
-        ("C6", "cur", 2, (Fraction(0), Fraction(-1, 4))),
-        ("C7", "cur", 3, (Fraction(-(n - 1), 4), Fraction(0))),
-        ("C8", "cur", 5, (Fraction(0), Fraction(n - 1, 24) + Fraction(1, 48))),
-    ]
-
-
-def _rhs_element(ctx: QuotientContext, rhs) -> QuotientElement:
-    const, alpha_coeff = rhs
-    return ctx.element(const) + ctx.generator() * alpha_coeff
-
-
-def _rhs_numeric(rhs):
-    const, alpha_coeff = rhs
-    c = mp.mpf(const.numerator) / const.denominator
-    a = mp.mpf(alpha_coeff.numerator) / alpha_coeff.denominator
-    return lambda z: c + a * z
-
-
-def _report(family, n, mode, ok, witness=None, deviation=None):
-    rep = VerificationReport(suite="relations", n=n,
-                             status=PASS if ok else FAIL,
-                             details={"family": family, "mode": mode})
-    if deviation is not None:
-        rep.details["deviation"] = mp.nstr(deviation, 8)
-    if not ok and witness is not None:
-        rep.witnesses.append(witness)
-    return rep
-
-
-def _roots_pair(rootsets, n):
-    prev = rootsets[n - 1].roots if n - 1 in rootsets else ()
-    cur = rootsets[n].roots
-    return prev, cur
+    for i, w in enumerate(host.roots):
+        worst = max(worst, _deviation(fam, n, w, s_rows and s_rows[i],
+                                      c_rows and c_rows[i]))
+    dev = mp.nstr(worst, 8)
+    return _report(fam, n, "numeric", worst < tol, {"deviation": dev},
+                   deviation=dev)
 
 
 def _numeric_prec(rootsets, n) -> int:
@@ -197,136 +289,52 @@ def _numeric_prec(rootsets, n) -> int:
     return prec
 
 
+# ---------------------------------------------------------------------------
+# Reports over the family table
+
+def _report(fam, n, mode, ok, witness, **details):
+    rep = VerificationReport(suite=fam[0], n=n, details={
+        "family": fam[1], "mode": mode, **details})
+    return rep if ok else rep.fail(witness)
+
+
+def _skipped(fam, n, mode):
+    return VerificationReport(suite=fam[0], n=n, status=SKIPPED, details={
+        "family": fam[1], "mode": mode, "reason": "host has no roots"})
+
+
+def _verify(suite, records, n, mode, rootsets, tolerance):
+    families = [fam for fam in FAMILIES if fam[0] == suite]
+    if mode == "exact":
+        return [_exact_report(fam, records, n) for fam in families]
+    if mode != "numeric":
+        raise ValueError(f"unknown mode {mode!r}")
+    prec = _numeric_prec(rootsets, n)
+    with mp.workprec(prec):
+        tol = tolerance if tolerance is not None else mp.mpf(10) ** -30
+        return [_numeric_report(fam, rootsets, n, prec, tol)
+                for fam in families]
+
+
 def verify_theorem(records: Sequence, n: int, mode: str = "exact",
                    rootsets: dict | None = None,
                    tolerance=None) -> list:
     """The eight relation families tying roots of Q_{n-1} to roots of Q_n."""
-    prev_poly, cur_poly = records[n - 1].poly, records[n].poly
-    reports = []
-    if mode == "exact":
-        ctx_prev = QuotientContext(prev_poly) if (prev_poly.degree or 0) >= 1 else None
-        ctx_cur = QuotientContext(cur_poly)
-        for family, host_key, p, cross_first, rhs in _theorem_families(n):
-            if host_key == "prev":
-                if ctx_prev is None:
-                    reports.append(VerificationReport(
-                        suite="relations", n=n, status=SKIPPED,
-                        details={"family": family, "mode": mode,
-                                 "reason": "host has no roots"}))
-                    continue
-                ctx, host, target = ctx_prev, prev_poly, cur_poly
-            else:
-                ctx, host, target = ctx_cur, cur_poly, prev_poly
-            self_e = self_sum_residue(host, p, ctx)
-            cross_e = cross_sum_residue(host, target, p, ctx)
-            lhs = cross_e - self_e if cross_first else self_e - cross_e
-            residue = lhs - _rhs_element(ctx, rhs)
-            reports.append(_report(family, n, mode, residue.is_zero(),
-                                   witness={"residue": residue.residue}))
-    elif mode == "numeric":
-        prev_roots, cur_roots = _roots_pair(rootsets, n)
-        with mp.workprec(_numeric_prec(rootsets, n)):
-            tol = tolerance if tolerance is not None else mp.mpf(10) ** -30
-            for family, host_key, p, cross_first, rhs in _theorem_families(n):
-                host_roots, target_roots = (
-                    (prev_roots, cur_roots) if host_key == "prev"
-                    else (cur_roots, prev_roots))
-                if not host_roots:
-                    reports.append(VerificationReport(
-                        suite="relations", n=n, status=SKIPPED,
-                        details={"family": family, "mode": mode,
-                                 "reason": "host has no roots"}))
-                    continue
-                dev = _numeric_relation_deviation(
-                    host_roots, target_roots, _rhs_numeric(rhs), p, cross_first)
-                reports.append(_report(family, n, mode, dev < tol, deviation=dev,
-                                       witness={"deviation": mp.nstr(dev, 8)}))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return reports
+    return _verify("relations", records, n, mode, rootsets, tolerance)
 
 
 def verify_kudryashov(records: Sequence, n: int, mode: str = "exact",
                       rootsets: dict | None = None,
                       tolerance=None) -> list:
     """Self-sum identities over the roots of Q_n alone."""
-    cur_poly = records[n].poly
-    reports = []
-    if mode == "exact":
-        ctx = QuotientContext(cur_poly)
-        for family, p, rhs in _kudryashov_families():
-            lhs = self_sum_residue(cur_poly, p, ctx)
-            residue = lhs - _rhs_element(ctx, rhs)
-            reports.append(_report(family, n, mode, residue.is_zero(),
-                                   witness={"residue": residue.residue}))
-    elif mode == "numeric":
-        cur_roots = rootsets[n].roots
-        with mp.workprec(rootsets[n].precision_bits):
-            tol = tolerance if tolerance is not None else mp.mpf(10) ** -30
-            for family, p, rhs in _kudryashov_families():
-                rhs_f = _rhs_numeric(rhs)
-                worst = mp.mpf(0)
-                for z in cur_roots:
-                    s = _pair_sums(z, cur_roots, (p,), True)[p]
-                    dev = abs(s - rhs_f(z)) / max(1, abs(rhs_f(z)))
-                    worst = max(worst, dev)
-                reports.append(_report(family, n, mode, worst < tol,
-                                       deviation=worst,
-                                       witness={"deviation": mp.nstr(worst, 8)}))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return reports
+    return _verify("kudryashov", records, n, mode, rootsets, tolerance)
 
 
 def verify_corollary(records: Sequence, n: int, mode: str = "exact",
                      rootsets: dict | None = None,
                      tolerance=None) -> list:
     """Pure cross-sum identities between roots of Q_{n-1} and Q_n."""
-    prev_poly, cur_poly = records[n - 1].poly, records[n].poly
-    reports = []
-    if mode == "exact":
-        ctx_prev = QuotientContext(prev_poly) if (prev_poly.degree or 0) >= 1 else None
-        ctx_cur = QuotientContext(cur_poly)
-        for family, host_key, p, rhs in _corollary_families(n):
-            if host_key == "prev":
-                if ctx_prev is None:
-                    reports.append(VerificationReport(
-                        suite="corollary", n=n, status=SKIPPED,
-                        details={"family": family, "mode": mode}))
-                    continue
-                ctx, host, target = ctx_prev, prev_poly, cur_poly
-            else:
-                ctx, host, target = ctx_cur, cur_poly, prev_poly
-            lhs = cross_sum_residue(host, target, p, ctx)
-            residue = lhs - _rhs_element(ctx, rhs)
-            reports.append(_report(family, n, mode, residue.is_zero(),
-                                   witness={"residue": residue.residue}))
-    elif mode == "numeric":
-        prev_roots, cur_roots = _roots_pair(rootsets, n)
-        with mp.workprec(_numeric_prec(rootsets, n)):
-            tol = tolerance if tolerance is not None else mp.mpf(10) ** -30
-            for family, host_key, p, rhs in _corollary_families(n):
-                host_roots, target_roots = (
-                    (prev_roots, cur_roots) if host_key == "prev"
-                    else (cur_roots, prev_roots))
-                if not host_roots:
-                    reports.append(VerificationReport(
-                        suite="corollary", n=n, status=SKIPPED,
-                        details={"family": family, "mode": mode}))
-                    continue
-                rhs_f = _rhs_numeric(rhs)
-                worst = mp.mpf(0)
-                for z in host_roots:
-                    s = _pair_sums(z, target_roots, (p,), False)[p] \
-                        if target_roots else mp.mpc(0)
-                    dev = abs(s - rhs_f(z)) / max(1, abs(rhs_f(z)))
-                    worst = max(worst, dev)
-                reports.append(_report(family, n, mode, worst < tol,
-                                       deviation=worst,
-                                       witness={"deviation": mp.nstr(worst, 8)}))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return reports
+    return _verify("corollary", records, n, mode, rootsets, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +345,25 @@ def pole_series_check(records: Sequence, n: int, j: int,
                       tolerance=None) -> VerificationReport:
     """Coefficients of w_n - 1/(z - omega) at the j-th root omega of Q_{n-1}.
 
-    a_0, a_1, a_2 and a_4 are checked against their closed forms; a_3 is
-    reported only (it is not determined by the local recursion).
+    a_m = (-1)^m (S_{m+1} - C_{m+1}) at omega, so a_0, a_1, a_2 and a_4 are
+    checked against the closed forms of the theorem families T1, T2, T3 and
+    T5; a_3 is reported only (it is not determined by the local recursion).
     """
-    prev_roots = rootsets[n - 1].roots
-    cur_roots = rootsets[n].roots
-    with mp.workprec(_numeric_prec(rootsets, n)):
+    prec = _numeric_prec(rootsets, n)
+    with mp.workprec(prec):
         tol = tolerance if tolerance is not None else mp.mpf(10) ** -20
-        omega = prev_roots[j]
+        prev, cur = rootsets[n - 1], rootsets[n]
+        omega = prev.roots[j]
         rep = VerificationReport(suite="poleseries", n=n,
                                  details={"j": j, "omega": mp.nstr(omega, 20)})
-        coeffs = []
-        for m in range(M + 1):
-            p = m + 1
-            self_s = _pair_sums(omega, prev_roots, (p,), True)[p]
-            cross_s = _pair_sums(omega, cur_roots, (p,), False)[p]
-            coeffs.append((-1) ** m * (self_s - cross_s))
-        expected = {
-            0: mp.mpc(0),
-            1: -omega / 6,
-            2: mp.mpc(-(n + 1)) / 4,
-            4: omega * (mp.mpf(n + 1) / 24 - mp.mpf(1) / 36),
-        }
-        for m, want in expected.items():
-            if m > M:
-                continue
-            dev = abs(coeffs[m] - want) / max(1, abs(want))
-            if not dev < tol:
-                rep.fail({"m": m, "deviation": mp.nstr(dev, 8)})
-        if M >= 3:
-            rep.details["a_3"] = mp.nstr(coeffs[3], 20)  # reported, not asserted
+        s_row = _self_table(prev, prec)[j]
+        c_row = _cross_table(prev, cur, "prev", prec)[j]
+        for fam in FAMILIES:
+            m = fam[3] - 1
+            if fam[0] == "relations" and fam[2] == "prev" and m <= M:
+                dev = _deviation(fam, n, omega, s_row, c_row)
+                if not dev < tol:
+                    rep.fail({"m": m, "deviation": mp.nstr(dev, 8)})
+        if M >= 3:  # reported, not asserted
+            rep.details["a_3"] = mp.nstr(c_row[3] - s_row[3], 20)
     return rep

@@ -3,7 +3,7 @@ import json
 import pytest
 from mpmath import mp
 
-from yvpoly import cli, roots
+from yvpoly import cli, painleve, roots
 
 
 def run(argv):
@@ -114,16 +114,53 @@ class TestVerify:
         assert [r["status"] for r in reports] == ["skipped", "skipped"]
         assert reports[1]["details"]["reason"] == "needs n_max >= 23"
 
-    def test_exact_cap_reported(self, tmp_path):
+    def test_exact_route_covers_every_n(self, tmp_path):
         code = run(["verify", "--n-max", "9", "--mode", "both",
                     "--suites", "kudryashov", "--out", str(tmp_path)])
         assert code == 0
         reports = json.loads(
             (tmp_path / "verification_report.json").read_text())["reports"]
-        skipped = [r for r in reports if r["status"] == "skipped"]
-        assert [(r["suite"], r["n"]) for r in skipped] == [("kudryashov", 9)]
-        assert skipped[0]["details"] == {
-            "mode": "exact", "reason": "exact route capped at n ≤ 8"}
+        # per n, the exact route's report comes first, then the numeric one;
+        # the exact route runs at n = 9 too, and passes
+        assert [(r["n"], r["status"]) for r in reports] == [
+            (n, "pass") for n in range(1, 10) for _ in range(2)]
+
+    def test_degenerate_backlund_is_a_fail_report(self, tmp_path,
+                                                  monkeypatch):
+        real = painleve.backlund_next
+
+        def degenerate(w, n):
+            if n == 2:
+                raise painleve.DegenerateDenominator(
+                    f"Backlund denominator vanishes at n={n}")
+            return real(w, n)
+
+        monkeypatch.setattr(painleve, "backlund_next", degenerate)
+        code = run(["verify", "--n-max", "4", "--suites", "backlund",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [(r["n"], r["status"]) for r in reports] == [
+            (1, "pass"), (2, "pass"), (3, "fail"), (4, "pass")]
+        witness = reports[2]["witnesses"][0]
+        assert witness["error"] == "DegenerateDenominator"
+        assert witness["message"] == "Backlund denominator vanishes at n=2"
+
+    def test_suite_times_on_stderr(self, tmp_path, capsys):
+        code = run(["verify", "--n-max", "3", "--mode", "exact",
+                    "--suites", "structure,relations", "--out", str(tmp_path)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == [
+            "suite structure        ok  (4 pass, 0 fail, 0 skipped)",
+            "suite relations        ok  (3 pass, 0 fail, 0 skipped)"]
+        err = captured.err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            "suite structure", "suite relations"]
+        assert all(line.endswith(" s") for line in err)
+        payload = (tmp_path / "verification_report.json").read_text()
+        assert "elapsed" not in payload
 
 
 class TestRoots:

@@ -1,9 +1,10 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from yvpoly import relations
+from yvpoly import family, relations, roots
 from yvpoly.intpoly import IntPoly
 from yvpoly.quotient import QuotientContext
 from yvpoly.ratpoly import RatPoly
@@ -14,6 +15,21 @@ def _statuses(reports):
     return {r.details.get("family"): r.status for r in reports}
 
 
+def _hosts(records, rootsets, n):
+    """(host key, host record, target record, host root set) at n."""
+    for key, host, target in (("prev", n - 1, n), ("cur", n, n - 1)):
+        if rootsets[host].roots:
+            yield key, records[host], records[target], rootsets[host]
+
+
+def _at(residue, w):
+    """The residue polynomial evaluated at w, at the working precision."""
+    acc = mp.mpc(0)
+    for c in reversed(residue.residue.coeffs):
+        acc = acc * w + mp.mpf(c.numerator) / c.denominator
+    return acc
+
+
 class TestResidues:
     def test_cross_sum_first_order(self, records8):
         # sum over roots beta of Q_2 of 1/(alpha - beta), as an element of
@@ -22,14 +38,70 @@ class TestResidues:
         got = relations.cross_sum_residue(records8[1].poly,
                                           records8[2].poly, 1, ctx)
         # modulo alpha: 0 / 4 = 0
-        assert got.residue == RatPoly([0])
+        assert len(got) == 1
+        assert got[0].residue == RatPoly([0])
 
     def test_self_sum_quadratic_host(self, records8):
         # host z^2 - c style sanity: use Q_2 = z^3 + 4, p = 1;
         # S_1(alpha) = Q_2''(alpha) / (2 Q_2'(alpha)) = alpha^2 * (-1/4) ...
         ctx = QuotientContext(records8[2].poly)
         got = relations.self_sum_residue(records8[2].poly, 1, ctx)
-        assert got.residue == RatPoly([0, 0, Fraction(-1, 4)])
+        assert len(got) == 1
+        assert got[0].residue == RatPoly([0, 0, Fraction(-1, 4)])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernels_agree_at_every_power(self, records8, rootsets8, n):
+        # every exact residue s_p, c_p (p = 1..5, including the unused
+        # p = 4) evaluated at each certified root equals the numeric table
+        prec = relations._numeric_prec(rootsets8, n)
+        with mp.workprec(prec):
+            tol = mp.mpf(2) ** -(prec // 2)  # room for cancellation in _at
+            for key, host, target, rs in _hosts(records8, rootsets8, n):
+                s = relations.self_sum_residue(host.poly, 5)
+                c = relations.cross_sum_residue(host.poly, target.poly, 5)
+                assert len(s) == len(c) == 5
+                s_rows = relations._self_table(rs, prec)
+                c_rows = relations._cross_table(rootsets8[n - 1],
+                                                rootsets8[n], key, prec)
+                for i, w in enumerate(rs.roots):
+                    for p in range(5):
+                        for residue, row in ((s[p], s_rows[i]),
+                                             (c[p], c_rows[i])):
+                            want = _at(residue, w)
+                            scale = max(1, abs(want))
+                            assert abs(row[p] - want) <= tol * scale
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tables_equal_direct_sums(self, records8, rootsets8, n):
+        prec = relations._numeric_prec(rootsets8, n)
+        with mp.workprec(prec):
+            tol = mp.mpf(2) ** -(prec - 16)
+            for key, host, target, rs in _hosts(records8, rootsets8, n):
+                others = rootsets8[target.n].roots
+                s_rows = relations._self_table(rs, prec)
+                c_rows = relations._cross_table(rootsets8[n - 1],
+                                                rootsets8[n], key, prec)
+                for i, w in enumerate(rs.roots):
+                    for p in range(1, 6):
+                        self_sum = mp.fsum(1 / (w - r) ** p for k, r in
+                                           enumerate(rs.roots) if k != i)
+                        cross_sum = mp.fsum(1 / (w - t) ** p for t in others)
+                        for got, want in ((s_rows[i][p - 1], self_sum),
+                                          (c_rows[i][p - 1], cross_sum)):
+                            assert abs(got - want) <= tol * max(1, abs(want))
+
+    def test_tables_live_with_their_sources(self):
+        records = family.generate(4)
+        rootsets = {n: roots.roots_for_record(records[n]) for n in range(5)}
+        before = len(relations._TABLES._entries)
+        for n in range(1, 5):
+            relations.verify_theorem(records, n, mode="exact")
+            relations.verify_theorem(records, n, mode="numeric",
+                                     rootsets=rootsets)
+        assert len(relations._TABLES._entries) > before
+        del records, rootsets
+        gc.collect()
+        assert len(relations._TABLES._entries) == before
 
 
 class TestExactMode:
@@ -61,6 +133,21 @@ class TestExactMode:
             n=2, poly=IntPoly([5, 0, 0, 1]), compressed=(1, 5), x_n=5, p_n=0)
         reports = relations.verify_theorem(bad, 3, mode="exact")
         assert any(r.status == FAIL for r in reports)
+
+    def test_repeated_root_host_is_a_fail_report(self, records8):
+        # Q_2 replaced by (z - 1)^2 (z + 2): host'(a) is not invertible
+        bad = list(records8)
+        bad[2] = type(records8[2])(
+            n=2, poly=IntPoly([2, -3, 0, 1]), compressed=(1, 0, -3, 2),
+            x_n=2, p_n=0)
+        reports = relations.verify_theorem(bad, 3, mode="exact")
+        by_family = {r.details["family"]: r for r in reports}
+        for family_id in ("T1", "T2", "T3", "T5"):  # hosted by bad[2]
+            rep = by_family[family_id]
+            assert rep.status == FAIL
+            witness = rep.witnesses[0]
+            assert witness["error"] == "NotInvertible"
+            assert witness["gcd"] == RatPoly([-1, 1])
 
 
 class TestNumericMode:
