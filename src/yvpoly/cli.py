@@ -164,16 +164,16 @@ def _relation_suite(run: _Runner, verifier, suite_name: str):
         modes.append("numeric")
     for n in range(1, config.n_max + 1):
         for mode in modes:
-            rootsets = None
-            if mode == "numeric":
-                try:
-                    rootsets = run.rootsets_up_to(n)
-                except rootsmod.RootFindingError as exc:
-                    reports.append(_root_failure_report(suite_name, n, exc))
-                    continue
-            subs = verifier(run.records, n, mode=mode, rootsets=rootsets,
-                            tolerance=config.tolerance)
-            reports.append(combine(suite_name, n, subs))
+            try:
+                rootsets = run.rootsets_up_to(n) if mode == "numeric" else None
+            except rootsmod.RootFindingError as exc:
+                rep = _root_failure_report(suite_name, n, exc)
+            else:
+                rep = combine(suite_name, n, verifier(
+                    run.records, n, mode=mode, rootsets=rootsets,
+                    tolerance=config.tolerance))
+            rep.details["mode"] = mode
+            reports.append(rep)
     return reports
 
 

@@ -113,20 +113,11 @@ def _step(prev: IntPoly, cur: IntPoly, z: IntPoly) -> IntPoly:
 
 def generate(n_max: int) -> list:
     """Records for n = 0..n_max, invariants checked at construction."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    z = IntPoly.z()
-    records = [make_record(0, IntPoly.one())]
-    if n_max >= 1:
-        records.append(make_record(1, z))
-    for n in range(1, n_max):
-        nxt = _step(records[n - 1].poly, records[n].poly, z)
-        records.append(make_record(n + 1, nxt))
-    return records
+    return list(generate_stream(n_max))
 
 
 def generate_stream(n_max: int) -> Iterator[YvRecord]:
-    """Streaming variant keeping only a two-polynomial window in memory."""
+    """Records one at a time, keeping only a two-polynomial window."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     z = IntPoly.z()

@@ -2,10 +2,11 @@
 
 Coefficients are plain Python ints (arbitrary precision); ``coeffs[i]`` holds
 the coefficient of z**i and the zero polynomial has an empty tuple.
-Multiplication switches from schoolbook to Karatsuba above a size threshold,
-and polynomials whose support lives in a single residue class mod 3 (the
-common case in this project) are multiplied through their compressed
-coefficient sequences.
+Multiplication switches from schoolbook to Karatsuba above a size threshold;
+a product of a polynomial with itself takes a squaring path that forms
+about half the leaf products. Polynomials whose support lives in a single
+residue class mod 3 (the common case in this project) are multiplied
+through their compressed coefficient sequences.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-KARATSUBA_THRESHOLD = 32
+# Leaf products of kbit coefficients are dear, so Karatsuba pays from few
+# terms on: 4 and 8 tied best on generate(36) in a sweep over 4, 8, 16, 32.
+KARATSUBA_THRESHOLD = 8
 
 
 class NonZeroRemainder(ArithmeticError):
@@ -56,22 +59,29 @@ def _school_mul(a: Sequence[int], b: Sequence[int]) -> list:
     return out
 
 
-def _mul_seq(a: Sequence[int], b: Sequence[int]) -> list:
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return _school_mul(a, b)
-    h = min(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_seq(a0, b0)
-    z2 = _mul_seq(a1, b1)
-    z1 = _mul_seq(_add_seq(a0, a1), _add_seq(b0, b1))
+def _school_sqr(a: Sequence[int]) -> list:
+    """a * a forming each cross term a_i a_j (i < j) once, then doubling."""
+    out = [0] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, aj in enumerate(a[i + 1:], i + 1):
+            if aj:
+                out[i + j] += ai * aj
+    out = [c << 1 for c in out]
+    for i, ai in enumerate(a):
+        out[2 * i] += ai * ai
+    return out
+
+
+def _karatsuba_join(z0: list, z1: list, z2: list, h: int, length: int) -> list:
+    """a0 b0 + z**h (a0 b1 + a1 b0) + z**(2h) a1 b1 from the three products
+    z0 = a0 b0, z1 = (a0 + a1)(b0 + b1), z2 = a1 b1."""
     for i, c in enumerate(z0):
         z1[i] -= c
     for i, c in enumerate(z2):
         z1[i] -= c
-    out = [0] * (len(a) + len(b) - 1)
+    out = [0] * length
     for i, c in enumerate(z0):
         out[i] += c
     for i, c in enumerate(z1):
@@ -81,6 +91,31 @@ def _mul_seq(a: Sequence[int], b: Sequence[int]) -> list:
         if c:
             out[i + 2 * h] += c
     return out
+
+
+def _mul_seq(a: Sequence[int], b: Sequence[int]) -> list:
+    if not a or not b:
+        return []
+    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
+        return _school_mul(a, b)
+    h = min(len(a), len(b)) // 2
+    a0, a1 = a[:h], a[h:]
+    b0, b1 = b[:h], b[h:]
+    return _karatsuba_join(_mul_seq(a0, b0),
+                           _mul_seq(_add_seq(a0, a1), _add_seq(b0, b1)),
+                           _mul_seq(a1, b1), h, len(a) + len(b) - 1)
+
+
+def _sqr_seq(a: Sequence[int]) -> list:
+    """_mul_seq(a, a) by three half-size squarings."""
+    if not a:
+        return []
+    if len(a) <= KARATSUBA_THRESHOLD:
+        return _school_sqr(a)
+    h = len(a) // 2
+    a0, a1 = a[:h], a[h:]
+    return _karatsuba_join(_sqr_seq(a0), _sqr_seq(_add_seq(a0, a1)),
+                           _sqr_seq(a1), h, 2 * len(a) - 1)
 
 
 def _stride3_class(coeffs: Sequence[int]):
@@ -162,16 +197,18 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
+        square = self is other
         ra, rb = _stride3_class(a), _stride3_class(b)
         if ra is not None and rb is not None and (len(a) > 6 or len(b) > 6):
-            prod = _mul_seq(a[ra::3], b[rb::3])
+            prod = (_sqr_seq(a[ra::3]) if square
+                    else _mul_seq(a[ra::3], b[rb::3]))
             out = [0] * (len(a) + len(b) - 1)
             base = ra + rb
             for i, c in enumerate(prod):
                 if c:
                     out[base + 3 * i] = c
             return IntPoly(out)
-        return IntPoly(_mul_seq(a, b))
+        return IntPoly(_sqr_seq(a) if square else _mul_seq(a, b))
 
     __rmul__ = __mul__
 
@@ -243,19 +280,6 @@ class IntPoly:
         if not self.coeffs or self.coeffs[0] == 0:
             raise ZeroConstantTerm("constant term must be nonzero")
         return IntPoly(list(reversed(self.coeffs)))
-
-    def content(self) -> int:
-        from math import gcd
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self) -> "IntPoly":
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return IntPoly([c // g for c in self.coeffs])
 
 
 def newton_power_sums(a: IntPoly, max_m: int) -> list:

@@ -1,23 +1,30 @@
 """Rational solutions of the second Painleve equation w'' = 2w^3 + zw + n.
 
-w_n is kept as an explicit reduced numerator/denominator pair of integer
-polynomials. Identity checks (the P_II residual, the Backlund recurrence)
-are exact polynomial computations; no partial fractions, no floating point.
+w_n is kept as a numerator/denominator pair of integer polynomials, the
+denominator Q_{n-1} Q_n. Identity checks (the P_II residual, the Backlund
+recurrence) are exact polynomial computations; no floating point.
+
+The pair is in lowest terms since consecutive Q_n are coprime with simple
+roots (Fukutani-Okamoto-Umemura); `rational_solution` proves it for each n
+by one Euclid run over GF(p). The denominator is monic, so mod p any common
+factor over Q keeps its degree and the gcd can only grow: a constant gcd mod
+p is a proof (Brown, JACM 1971). The Backlund step stays unreduced, N/(D E),
+and is compared with the direct w_{n+1} by cross-multiplication, no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
-
-import sympy
 
 from .intpoly import IntPoly
 from .report import VerificationReport
 
 
 class UnexpectedCommonFactor(Exception):
-    """gcd(Q_{n-1}, Q_n) turned out nontrivial: integrity failure."""
+    """Coprimality of w_n's numerator and denominator could not be
+    certified: integrity failure."""
 
 
 class DegenerateDenominator(Exception):
@@ -42,48 +49,35 @@ class RationalSolution:
                 == other.numerator * self.denominator)
 
 
-_X = sympy.Symbol("_yv_x")
+def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
+    """Prove gcd(num, den) = 1 over Q, or raise UnexpectedCommonFactor.
 
-
-def _to_sympy(p: IntPoly):
-    return sympy.Poly(list(reversed(p.coeffs)) or [0], _X, domain="ZZ")
-
-
-def _from_sympy(sp) -> IntPoly:
-    return IntPoly(list(reversed([int(c) for c in sp.all_coeffs()])))
-
-
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers (modular algorithms underneath)."""
-    if not a:
-        return b.primitive()
-    if not b:
-        return a.primitive()
-    return _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)))
-
-
-def reduce_fraction(num: IntPoly, den: IntPoly):
-    """Lowest terms with primitive, positively-led denominator."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return IntPoly.zero(), IntPoly.one()
-    g = poly_gcd(num, den)
-    if g.degree and g.degree > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    from math import gcd as int_gcd
-    c = int_gcd(num.content(), den.content())
-    if den.leading < 0:
-        c = -c
-    if c != 1:
-        num = IntPoly([x // c for x in num.coeffs])
-        den = IntPoly([x // c for x in den.coeffs])
-    return num, den
+    Euclid over GF(p), p = 2**61 - 1. Sound only if p does not divide den's
+    leading coefficient, which is checked: a common factor over Q then keeps
+    its degree mod p, so a constant gcd mod p proves there is none.
+    """
+    p = (1 << 61) - 1
+    if den.leading % p == 0:
+        raise UnexpectedCommonFactor(f"{what}: {p} divides the leading "
+                                     "coefficient, no certificate")
+    a, b = [c % p for c in den.coeffs], [c % p for c in num.coeffs]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            q, s = a[-1] * inv % p, len(a) - len(b)
+            for k, bk in enumerate(b):
+                a[s + k] = (a[s + k] - q * bk) % p
+            a.pop()
+        a, b = b, a
+    if len(a) > 1:
+        raise UnexpectedCommonFactor(
+            f"{what}: gcd mod {p} has degree {len(a) - 1}")
 
 
 def rational_solution(records: Sequence, n: int) -> RationalSolution:
-    """w_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n as a reduced fraction."""
+    """w_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n, certified in lowest terms."""
     if n == 0:
         return RationalSolution(0, IntPoly.zero(), IntPoly.one())
     if n < 1 or n >= len(records):
@@ -91,10 +85,7 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
     p, q = records[n - 1].poly, records[n].poly
     num = p.derivative() * q - p * q.derivative()
     den = p * q
-    g = poly_gcd(num, den)
-    if g.degree and g.degree > 0:
-        raise UnexpectedCommonFactor(
-            f"gcd of w_{n} numerator/denominator has degree {g.degree}")
+    certify_coprime(num, den, f"w_{n}")
     return RationalSolution(n, num, den)
 
 
@@ -120,10 +111,12 @@ def pII_residual(w: RationalSolution) -> VerificationReport:
 
 
 def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
-    """w_{n+1} = -w_n - (2n+1) / (2 w_n^2 + 2 w_n' + z), reduced.
+    """w_{n+1} = -w_n - (2n+1) / (2 w_n^2 + 2 w_n' + z), not reduced.
 
     Independent of the polynomial-family route: only the fraction for w_n
-    enters. Must agree exactly with rational_solution at n+1.
+    enters. The result is N/(D E) with its integer content removed and a
+    positive leading denominator coefficient; it must equal rational_solution
+    at n+1 as a rational function (RationalSolution's cross-multiplied ==).
     """
     nn, dd = w.numerator, w.denominator
     z = IntPoly.z()
@@ -133,5 +126,10 @@ def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
         raise DegenerateDenominator(f"Backlund denominator vanishes at n={n}")
     num = -(nn * e + (2 * n + 1) * (dd * dd * dd))
     den = dd * e
-    num, den = reduce_fraction(num, den)
+    c = gcd(*num.coeffs, *den.coeffs)
+    if den.leading < 0:
+        c = -c
+    if c != 1:
+        num = IntPoly([x // c for x in num.coeffs])
+        den = IntPoly([x // c for x in den.coeffs])
     return RationalSolution(n + 1, num, den)

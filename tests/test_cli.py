@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import yvpoly
 from yvpoly import cli, painleve, roots
 
 
@@ -125,6 +130,19 @@ class TestVerify:
         assert [(r["n"], r["status"]) for r in reports] == [
             (n, "pass") for n in range(1, 10) for _ in range(2)]
 
+    def test_relation_reports_name_their_route(self, tmp_path):
+        code = run(["verify", "--n-max", "3", "--mode", "both",
+                    "--suites", "relations,corollary,kudryashov",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [(r["suite"], r["n"], r["details"]["mode"], r["status"])
+                for r in reports] == [
+            (suite, n, mode, "pass")
+            for suite in ("relations", "corollary", "kudryashov")
+            for n in range(1, 4) for mode in ("exact", "numeric")]
+
     def test_degenerate_backlund_is_a_fail_report(self, tmp_path,
                                                   monkeypatch):
         real = painleve.backlund_next
@@ -212,3 +230,12 @@ class TestEnvFallback:
         monkeypatch.setenv("YV_OUT_DIR", str(tmp_path))
         assert run(["gen", "--n-max", "2"]) == 0
         assert (tmp_path / "yv_2.json").exists()
+
+
+def test_cli_import_loads_no_sympy():
+    src = str(Path(yvpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, yvpoly.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

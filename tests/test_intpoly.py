@@ -51,6 +51,24 @@ class TestArithmetic:
         if a and b:
             assert _mul_seq(a.coeffs, b.coeffs) == _school_mul(a.coeffs, b.coeffs)
 
+    @given(a=st.integers(0, 80).flatmap(lambda n: st.lists(
+        st.integers(-10**30, 10**30) | st.just(0), min_size=n, max_size=n)))
+    @settings(max_examples=80)
+    def test_squaring_matches_general_kernel(self, a):
+        from yvpoly.intpoly import _mul_seq, _sqr_seq
+        assert _sqr_seq(a) == _mul_seq(a, a)
+
+    @given(coeffs=st.integers(0, 40).flatmap(lambda n: st.lists(
+        st.integers(-10**20, 10**20), min_size=n, max_size=n)),
+           shift=st.integers(0, 2), stride=st.sampled_from([1, 3]))
+    @settings(max_examples=60)
+    def test_square_path_matches_general_path(self, coeffs, shift, stride):
+        # stride 3: support in one class mod 3 (the compressed path)
+        body = [0] * (stride * len(coeffs))
+        body[::stride] = coeffs
+        p = IntPoly([0] * shift + body)
+        assert p * p == p * IntPoly(p.coeffs)
+
     def test_stride3_fast_path(self):
         a = IntPoly([1, 0, 0, 2, 0, 0, 3, 0, 0, 4])
         b = IntPoly([0, 5, 0, 0, 6, 0, 0, 7])

@@ -1,32 +1,73 @@
+import dataclasses
+
 import pytest
 
-from yvpoly import painleve
+from yvpoly import cli, family
 from yvpoly.intpoly import IntPoly
 from yvpoly.painleve import (
     RationalSolution,
     UnexpectedCommonFactor,
     backlund_next,
+    certify_coprime,
     negate,
     pII_residual,
     rational_solution,
-    reduce_fraction,
 )
 
 
-class TestReduction:
-    def test_gcd_basic(self):
-        a = IntPoly([-1, 0, 1])
-        b = IntPoly([-2, 1, 1])  # shares z + 1... actually z^2+z-2 = (z+2)(z-1)
-        g = painleve.poly_gcd(a, b)
-        assert g == IntPoly([-1, 1])
+def corrupted(records, n, factor):
+    """records with Q_n replaced by Q_n * factor, past make_record's checks."""
+    bad = list(records)
+    bad[n] = dataclasses.replace(records[n], poly=records[n].poly * factor)
+    return bad
 
-    def test_reduce_removes_content(self):
-        num, den = reduce_fraction(IntPoly([0, 2]), IntPoly([2]))
-        assert num == IntPoly.z() and den == IntPoly.one()
 
-    def test_reduce_normalises_sign(self):
-        num, den = reduce_fraction(IntPoly([1]), IntPoly([-1, -1]))
-        assert den == IntPoly([1, 1]) and num == IntPoly([-1])
+class TestCoprimeCertificate:
+    def test_rejects_shared_factor(self):
+        # z^2 - 1 and z^2 + z - 2 = (z + 2)(z - 1) share z - 1
+        with pytest.raises(UnexpectedCommonFactor, match="has degree 1"):
+            certify_coprime(IntPoly([-1, 0, 1]), IntPoly([-2, 1, 1]), "test")
+
+    def test_rejects_leading_coefficient_divisible_by_prime(self):
+        p = (1 << 61) - 1
+        with pytest.raises(UnexpectedCommonFactor, match="no certificate"):
+            certify_coprime(IntPoly([1]), IntPoly([1, p]), "test")
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_accepts_every_w_n(self, records16, n):
+        p, q = records16[n - 1].poly, records16[n].poly
+        certify_coprime(p.derivative() * q - p * q.derivative(), p * q, "")
+
+    def test_corrupted_record_raises(self, records8):
+        # a squared factor z - 1 in Q_5 is shared by num and den of w_5, w_6
+        bad = corrupted(records8, 5, IntPoly([1, -2, 1]))
+        for n in (5, 6):
+            with pytest.raises(UnexpectedCommonFactor,
+                               match=f"w_{n}: gcd mod 2305843009213693951 "
+                                     "has degree 1"):
+                rational_solution(bad, n)
+
+    def test_corrupted_record_is_an_integrity_failure(self, records8,
+                                                      monkeypatch, tmp_path,
+                                                      capsys):
+        bad = corrupted(records8, 5, IntPoly([1, -2, 1]))
+        monkeypatch.setattr(family, "generate", lambda n_max: bad[:n_max + 1])
+        code = cli.main(["verify", "--n-max", "8", "--suites", "pii",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert "integrity failure: w_5: gcd mod" in capsys.readouterr().err
+
+
+class TestBacklundNormalisation:
+    def test_removes_content(self):
+        # w_0 = 0/3: N = -27, D E = 27 z, so w_1 = -1/z after the content 27
+        w = backlund_next(RationalSolution(0, IntPoly(), IntPoly([3])), 0)
+        assert (w.numerator, w.denominator) == (IntPoly([-1]), IntPoly.z())
+
+    def test_normalises_sign(self):
+        # w_0 = 0/(-1): N = 1, D E = -z
+        w = backlund_next(RationalSolution(0, IntPoly(), IntPoly([-1])), 0)
+        assert (w.numerator, w.denominator) == (IntPoly([-1]), IntPoly.z())
 
 
 class TestSolutions:
