@@ -18,6 +18,7 @@ from pathlib import Path
 import mpmath as mp
 
 from . import family, painleve, relations, roots as rootsmod, series
+from .intpoly import UnexpectedCommonFactor
 from .report import FAIL, SKIPPED, VerificationReport, combine, stringify
 
 ALL_SUITES = [
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
                 print("each m must be >= 1", file=sys.stderr)
                 return 2
             return cmd_sums(config, m_list)
-    except (family.IntegrityError, painleve.UnexpectedCommonFactor) as exc:
+    except (family.IntegrityError, UnexpectedCommonFactor) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -31,6 +31,17 @@ class ZeroConstantTerm(ValueError):
     """Operation requires a nonzero constant term."""
 
 
+class UnexpectedCommonFactor(Exception):
+    """Coprimality of two polynomials that must be coprime could not be
+    certified: integrity failure. `gcd_degree` is the degree of their gcd
+    mod p, an upper bound on the degree of the true gcd (None when no
+    certificate could be formed)."""
+
+    def __init__(self, message, gcd_degree=None):
+        super().__init__(message)
+        self.gcd_degree = gcd_degree
+
+
 def _trim(coeffs: list) -> list:
     n = len(coeffs)
     while n and not coeffs[n - 1]:
@@ -280,6 +291,34 @@ class IntPoly:
         if not self.coeffs or self.coeffs[0] == 0:
             raise ZeroConstantTerm("constant term must be nonzero")
         return IntPoly(list(reversed(self.coeffs)))
+
+
+def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
+    """Prove gcd(num, den) = 1 over Q, or raise UnexpectedCommonFactor.
+
+    Euclid over GF(p), p = 2**61 - 1. Sound only if p does not divide den's
+    leading coefficient, which is checked: a common factor over Q then keeps
+    its degree mod p, so a constant gcd mod p proves there is none (Brown,
+    JACM 1971).
+    """
+    p = (1 << 61) - 1
+    if den.leading % p == 0:
+        raise UnexpectedCommonFactor(f"{what}: {p} divides the leading "
+                                     "coefficient, no certificate")
+    a, b = [c % p for c in den.coeffs], [c % p for c in num.coeffs]
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            q, s = a[-1] * inv % p, len(a) - len(b)
+            for k, bk in enumerate(b):
+                a[s + k] = (a[s + k] - q * bk) % p
+            a.pop()
+        a, b = b, a
+    if len(a) > 1:
+        raise UnexpectedCommonFactor(
+            f"{what}: gcd mod {p} has degree {len(a) - 1}", len(a) - 1)
 
 
 def newton_power_sums(a: IntPoly, max_m: int) -> list:

@@ -6,10 +6,9 @@ recurrence) are exact polynomial computations; no floating point.
 
 The pair is in lowest terms since consecutive Q_n are coprime with simple
 roots (Fukutani-Okamoto-Umemura); `rational_solution` proves it for each n
-by one Euclid run over GF(p). The denominator is monic, so mod p any common
-factor over Q keeps its degree and the gcd can only grow: a constant gcd mod
-p is a proof (Brown, JACM 1971). The Backlund step stays unreduced, N/(D E),
-and is compared with the direct w_{n+1} by cross-multiplication, no gcd.
+by one Euclid run over GF(p), `intpoly.certify_coprime`. The Backlund step
+stays unreduced, N/(D E), and is compared with the direct w_{n+1} by
+cross-multiplication, no gcd.
 """
 
 from __future__ import annotations
@@ -18,13 +17,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, certify_coprime
 from .report import VerificationReport
-
-
-class UnexpectedCommonFactor(Exception):
-    """Coprimality of w_n's numerator and denominator could not be
-    certified: integrity failure."""
 
 
 class DegenerateDenominator(Exception):
@@ -49,33 +43,6 @@ class RationalSolution:
                 == other.numerator * self.denominator)
 
 
-def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
-    """Prove gcd(num, den) = 1 over Q, or raise UnexpectedCommonFactor.
-
-    Euclid over GF(p), p = 2**61 - 1. Sound only if p does not divide den's
-    leading coefficient, which is checked: a common factor over Q then keeps
-    its degree mod p, so a constant gcd mod p proves there is none.
-    """
-    p = (1 << 61) - 1
-    if den.leading % p == 0:
-        raise UnexpectedCommonFactor(f"{what}: {p} divides the leading "
-                                     "coefficient, no certificate")
-    a, b = [c % p for c in den.coeffs], [c % p for c in num.coeffs]
-    while any(b):
-        while not b[-1]:
-            b.pop()
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
-            q, s = a[-1] * inv % p, len(a) - len(b)
-            for k, bk in enumerate(b):
-                a[s + k] = (a[s + k] - q * bk) % p
-            a.pop()
-        a, b = b, a
-    if len(a) > 1:
-        raise UnexpectedCommonFactor(
-            f"{what}: gcd mod {p} has degree {len(a) - 1}")
-
-
 def rational_solution(records: Sequence, n: int) -> RationalSolution:
     """w_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n, certified in lowest terms."""
     if n == 0:
@@ -87,11 +54,6 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
     den = p * q
     certify_coprime(num, den, f"w_{n}")
     return RationalSolution(n, num, den)
-
-
-def negate(w: RationalSolution) -> RationalSolution:
-    """w_{-n} = -w_n."""
-    return RationalSolution(-w.n, -w.numerator, w.denominator)
 
 
 def pII_residual(w: RationalSolution) -> VerificationReport:

@@ -1,54 +1,62 @@
-"""Arithmetic in Q[a]/(M(a)) for a fixed squarefree modulus M.
+"""Arithmetic in Z[a]/(M(a)) for a fixed monic integer modulus M.
 
-An element is the canonical remainder of a rational polynomial modulo M.
+An element is the canonical remainder of an integer polynomial modulo M;
+since M is monic, reduction needs no division and stays in the integers.
 Working modulo M evaluates an expression simultaneously at every root of M,
-so an identity holds at all roots iff its residue is the literal zero.
+so an identity holds at all roots iff its residue is the literal zero. The
+ring has no inverses: callers clear denominators instead, multiplying by
+elements whose invertibility they have certified separately.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .intpoly import IntPoly
-from .ratpoly import RatPoly, rat_gcd_ext
-
-
-class NotInvertible(ArithmeticError):
-    """Element shares a nontrivial factor with the modulus."""
-
-    def __init__(self, message, witness: RatPoly):
-        super().__init__(message)
-        self.witness = witness
 
 
 class QuotientContext:
-    """Fixed modulus; builds and canonicalizes residues."""
+    """Fixed monic modulus; builds and canonicalizes residues."""
 
-    __slots__ = ("modulus",)
+    __slots__ = ("modulus", "_tail")
 
-    def __init__(self, modulus):
-        if isinstance(modulus, IntPoly):
-            modulus = RatPoly.from_intpoly(modulus)
+    def __init__(self, modulus: IntPoly):
         if not modulus or modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
-        self.modulus = modulus.monic()
+        if modulus.leading != 1:
+            raise ValueError("modulus must be monic")
+        self.modulus = modulus
+        # nonzero lower coefficients: reduction subtracts c z^s M for each
+        # coefficient c at a power s + deg M, one leading term at a time
+        self._tail = [(k, c) for k, c in enumerate(modulus.coeffs[:-1]) if c]
+
+    def _reduce(self, coeffs) -> IntPoly:
+        d = len(self.modulus.coeffs) - 1
+        if len(coeffs) <= d:
+            return IntPoly(coeffs)
+        rem = list(coeffs)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i]
+            if c:
+                s = i - d
+                for k, mk in self._tail:
+                    rem[s + k] -= c * mk
+        del rem[d:]
+        return IntPoly(rem)
 
     def element(self, poly) -> "QuotientElement":
-        if isinstance(poly, IntPoly):
-            poly = RatPoly.from_intpoly(poly)
-        elif isinstance(poly, (int, Fraction)):
-            poly = RatPoly.constant(poly)
-        return QuotientElement(self, poly % self.modulus)
+        """The residue class of an IntPoly or an int."""
+        if isinstance(poly, int):
+            poly = IntPoly((poly,))
+        return QuotientElement(self, self._reduce(poly.coeffs))
 
     def zero(self) -> "QuotientElement":
-        return QuotientElement(self, RatPoly.zero())
+        return QuotientElement(self, IntPoly.zero())
 
     def one(self) -> "QuotientElement":
-        return QuotientElement(self, RatPoly.one())
+        return self.element(1)
 
     def generator(self) -> "QuotientElement":
         """The residue class of a itself."""
-        return self.element(RatPoly((0, 1)))
+        return self.element(IntPoly.z())
 
     def __eq__(self, other):
         return isinstance(other, QuotientContext) and self.modulus == other.modulus
@@ -60,7 +68,7 @@ class QuotientContext:
 class QuotientElement:
     __slots__ = ("ctx", "residue")
 
-    def __init__(self, ctx: QuotientContext, residue: RatPoly):
+    def __init__(self, ctx: QuotientContext, residue: IntPoly):
         self.ctx = ctx
         self.residue = residue
 
@@ -85,35 +93,9 @@ class QuotientElement:
         return QuotientElement(self.ctx, self.residue - other.residue)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return QuotientElement(self.ctx, self.residue * other)
-        return QuotientElement(
-            self.ctx, (self.residue * other.residue) % self.ctx.modulus)
+        return QuotientElement(self.ctx, self.ctx._reduce(
+            (self.residue * other.residue).coeffs))
 
     __rmul__ = __mul__
-
-    def inv(self) -> "QuotientElement":
-        """Multiplicative inverse via extended Euclid.
-
-        Raises NotInvertible carrying the offending gcd when the residue
-        shares a factor with the modulus.
-        """
-        if not self.residue:
-            raise NotInvertible("zero is not invertible", self.ctx.modulus)
-        g, s, _ = rat_gcd_ext(self.residue, self.ctx.modulus)
-        if g.degree != 0:
-            raise NotInvertible("gcd with modulus is nontrivial", g)
-        return QuotientElement(self.ctx, s % self.ctx.modulus)
-
-    def __pow__(self, e: int) -> "QuotientElement":
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result

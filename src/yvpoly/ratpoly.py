@@ -1,8 +1,10 @@
 """Polynomials over the exact rationals, with division and extended Euclid.
 
-Used for gcd computations and as the coefficient ring of the quotient-ring
-("generic root") arithmetic. Coefficients are fractions.Fraction, always in
-lowest terms by construction.
+Coefficients are fractions.Fraction, always in lowest terms by construction.
+No verification route uses this module any more: the exact relations run
+in the integer ring of `quotient`. It stays importable for the package's
+exports and for perfbench/tracer.py, which traces every layer module by
+name, until both drop it.
 """
 
 from __future__ import annotations

@@ -7,12 +7,16 @@ p = 1..5: the self sum S_p(w) over the host's other roots r of
 member of 1/(w - t)^p. The families are one data table, FAMILIES, read by
 one evaluator per route from tables of these sums built once per host:
 
-* exact mode -- arithmetic in Q[a]/(host(a)), where a stands simultaneously
-  for every root of the host. `cross_sum_residue` gives C_1..C_5 from
-  derivatives of target'/target with T(a) inverted once; `self_sum_residue`
-  gives S_1..S_5 from one series division of the Taylor expansion of
-  host'/host - 1/(z - a) at the generic root, with host'(a) inverted once.
-  A relation holds iff its assembled residue is zero.
+* exact mode -- integer arithmetic in Z[a]/(host(a)), the host monic, where
+  a stands simultaneously for every root of the host. Both sums come from
+  one division-free series kernel: `self_sum_residue` divides the Taylor
+  expansion of host'/host - 1/(z - a) at a + u, `cross_sum_residue` that of
+  target'/target. Each keeps its coefficients multiplied by powers of the
+  divisor's constant term b0, host'(a) or target(a), instead of inverting
+  it. A relation is checked with its rational right-hand side and every b0
+  cleared: residue = 0 after multiplying by L b0^p, which is sound because
+  gcd(host, host') = 1 and gcd(host, target) = 1 are proved first by a
+  Euclid run mod 2^61 - 1, so the factor is invertible.
 
 * numeric mode -- tables over certified high-precision root sets: one
   reciprocal per unordered pair of a root set gives S_p at both ends, and
@@ -30,14 +34,14 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction as F
+from math import comb, lcm
 from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .intpoly import IntPoly
-from .quotient import NotInvertible, QuotientContext
-from .ratpoly import RatPoly
+from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
+from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
@@ -73,8 +77,8 @@ FAMILIES = (
 
 class _Tables:
     """Tables keyed by the identity of the objects they were built from and
-    dropped when one of those is collected; a NotInvertible raised while
-    building is kept and raised again on each request."""
+    dropped when one of those is collected; an UnexpectedCommonFactor raised
+    while building is kept and raised again on each request."""
 
     def __init__(self):
         self._entries = {}
@@ -84,12 +88,12 @@ class _Tables:
         if key not in self._entries:
             try:
                 self._entries[key] = build()
-            except NotInvertible as exc:
+            except UnexpectedCommonFactor as exc:
                 self._entries[key] = exc
             for obj in sources:
                 weakref.finalize(obj, self._entries.pop, key, None)
         value = self._entries[key]
-        if isinstance(value, NotInvertible):
+        if isinstance(value, UnexpectedCommonFactor):
             raise value
         return value
 
@@ -100,61 +104,65 @@ _TABLES = _Tables()
 # ---------------------------------------------------------------------------
 # Exact route
 
+def _taylor(poly: IntPoly, count: int, ctx: QuotientContext) -> list:
+    """poly^(i)(a) / i! for i < count: the coefficients of poly(a + u)."""
+    return [ctx.element(IntPoly(
+        [comb(j, i) * c for j, c in enumerate(poly.coeffs)][i:]))
+        for i in range(count)]
+
+
+def _series_quotient(a: list, b: list) -> tuple:
+    """(G, b0_powers) for A/B = sum g_m u^m, m < len(a), with no division:
+    G_m = g_m b0^(m+1) = a_m b0^m - sum_{i=1..m} b_i b0^(i-1) G_{m-i}, and
+    b0_powers[k] = b0^k for k = 0..len(a)."""
+    b0_powers = [b[0].ctx.one()]
+    for _ in a:
+        b0_powers.append(b0_powers[-1] * b[0])
+    # b_i b0^(i-1), shared by every G_m
+    weights = [None] + [b[i] * b0_powers[i - 1] for i in range(1, len(a))]
+    G = []
+    for m, a_m in enumerate(a):
+        acc = a_m * b0_powers[m]
+        for i in range(1, m + 1):
+            acc = acc - weights[i] * G[m - i]
+        G.append(acc)
+    return tuple(G), tuple(b0_powers)
+
+
 def cross_sum_residue(host: IntPoly, target: IntPoly, p: int,
                       ctx: QuotientContext | None = None) -> tuple:
-    """Residues c_1..c_p of sum over roots t of target of 1/(a - t)^k.
+    """c_1..c_p, c_k = sum over roots t of target of 1/(a - t)^k, in
+    Z[a]/(host), as (G, b0_powers) with c_k = (-1)^(k-1) G[k-1] / b0^k,
+    b0 = target(a) and b0_powers[k] = b0^k.
 
-    Realized through N_1 = target' and the recursion
-    N_{k+1} = -(1/k) (N_k' T - k N_k T'), giving c_k = N_k / T^k; T(a) is
-    inverted once and its inverse powers are built one by one.
+    T'/T at a + u = sum_k (-1)^k c_{k+1} u^k; gcd(host, target) = 1 is
+    certified first, so target(a) is invertible and no scaling can hide a
+    nonzero residue.
     """
     if ctx is None:
         ctx = QuotientContext(host)
-    t = RatPoly.from_intpoly(target)
-    if not t or t.degree == 0:
-        return (ctx.zero(),) * p  # no roots to sum over
-    t_inv = ctx.element(t).inv()
-    n_k, t_inv_k, sums = t.derivative(), t_inv, []
-    for k in range(1, p + 1):
-        sums.append(ctx.element(n_k) * t_inv_k)
-        if k < p:
-            n_k = (n_k.derivative() * t - k * n_k * t.derivative()) * F(-1, k)
-            t_inv_k = t_inv_k * t_inv
-    return tuple(sums)
+    certify_coprime(target, host, "host and target")
+    t = _taylor(target, p + 1, ctx)
+    return _series_quotient([(m + 1) * t[m + 1] for m in range(p)], t[:p])
 
 
 def self_sum_residue(host: IntPoly, p: int,
                      ctx: QuotientContext | None = None) -> tuple:
-    """Residues s_1..s_p of sum over the host's other roots of 1/(a - r)^k.
+    """s_1..s_p, s_k = sum over the host's other roots of 1/(a - r)^k, in
+    Z[a]/(host), as (G, b0_powers) with s_k = (-1)^(k-1) G[k-1] / b0^k,
+    b0 = host'(a) and b0_powers[k] = b0^k.
 
-    Taylor coefficients of host at the generic root a feed one formal
-    series division; its inverted constant term is host'(a), whose
-    invertibility is exactly simplicity of the roots.
+    host'/host - 1/(z - a) at a + u = sum_k (-1)^k s_{k+1} u^k;
+    gcd(host, host') = 1, simplicity of the roots, is certified first.
     """
-    if ctx is None:
-        ctx = QuotientContext(host)
     if not host or host.degree < 1:
         raise ValueError("host must have degree >= 1")
-    if host.degree == 1:
-        return (ctx.zero(),) * p  # no other roots
-    # c[i] = host^{(i)}(a) / i!
-    c = []
-    deriv = RatPoly.from_intpoly(host)
-    fact = 1
-    for i in range(p + 2):
-        c.append(ctx.element(deriv * F(1, fact)))
-        deriv = deriv.derivative()
-        fact *= i + 1
-    a_series = [(m + 1) * c[m + 2] for m in range(p)]
-    b_series = [c[m + 1] for m in range(p)]
-    b0_inv = b_series[0].inv()
-    g = []
-    for m in range(p):
-        acc = a_series[m]
-        for i in range(1, m + 1):
-            acc = acc - b_series[i] * g[m - i]
-        g.append(acc * b0_inv)
-    return tuple(g_m * (-1) ** m for m, g_m in enumerate(g))
+    if ctx is None:
+        ctx = QuotientContext(host)
+    certify_coprime(host.derivative(), host, "host and host'")
+    c = _taylor(host, p + 2, ctx)
+    return _series_quotient([(m + 1) * c[m + 2] for m in range(p)],
+                            c[1:p + 1])
 
 
 def _exact_report(fam, records, n):
@@ -165,21 +173,33 @@ def _exact_report(fam, records, n):
     if (host.poly.degree or 0) < 1:
         return _skipped(fam, n, "exact")
     ctx = _TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
-    lhs = ctx.zero()
+    used = []  # (coefficient, (G, b0_powers), name of b0) per sum used
     try:
         if cs:
-            lhs += cs * _TABLES.get((host,), "S", lambda: self_sum_residue(
-                host.poly, P_MAX, ctx))[p - 1]
+            used.append((cs, _TABLES.get((host,), "S", lambda: (
+                self_sum_residue(host.poly, P_MAX, ctx))), f"Q_{host.n}'(a)"))
         if cc:
-            lhs += cc * _TABLES.get((host, target), "C", lambda: (
-                cross_sum_residue(host.poly, target.poly, P_MAX, ctx)))[p - 1]
-    except NotInvertible as exc:
+            used.append((cc, _TABLES.get((host, target), "C", lambda: (
+                cross_sum_residue(host.poly, target.poly, P_MAX, ctx))),
+                f"Q_{target.n}(a)"))
+    except UnexpectedCommonFactor as exc:
         return _report(fam, n, "exact", False, {
-            "error": "NotInvertible", "message": str(exc), "gcd": exc.witness})
-    const, k = rhs(n)
-    residue = lhs - (ctx.element(F(const)) + ctx.generator() * F(k))
+            "error": "UnexpectedCommonFactor", "message": str(exc),
+            "gcd_degree": exc.gcd_degree})
+    # cs S_p + cc C_p - (c + k a), times L and b0^p of each sum used
+    const, k = map(F, rhs(n))
+    scale = lcm(const.denominator, k.denominator)
+    coeff, (G, b0_powers), _ = used[0]
+    lhs, factor = coeff * G[p - 1], b0_powers[p]  # factor: product of b0^p
+    for coeff, (G, b0_powers), _ in used[1:]:
+        lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
+        factor = factor * b0_powers[p]
+    want = ctx.element(IntPoly((const.numerator * (scale // const.denominator),
+                                k.numerator * (scale // k.denominator))))
+    residue = (-1) ** (p - 1) * scale * lhs - want * factor
+    scaled_by = "·".join([str(scale)] + [f"{name}^{p}" for *_, name in used])
     return _report(fam, n, "exact", residue.is_zero(),
-                   {"residue": residue.residue})
+                   {"residue": residue.residue, "scaled_by": scaled_by})
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +285,12 @@ def _deviation(fam, n, w, s_row, c_row):
     return abs(lhs - want) / max(1, abs(want))
 
 
+def _margin(tol, worst) -> float:
+    """Digits to spare against the tolerance, log10(tol / worst deviation):
+    positive when a check passes, inf when nothing deviates."""
+    return round(float(mp.log10(tol / worst)), 2) if worst else float("inf")
+
+
 def _numeric_report(fam, rootsets, n, prec, tol):
     _, _, host_key, _, cs, cc, _ = fam
     prev, cur = rootsets.get(n - 1), rootsets[n]
@@ -279,7 +305,7 @@ def _numeric_report(fam, rootsets, n, prec, tol):
                                       c_rows and c_rows[i]))
     dev = mp.nstr(worst, 8)
     return _report(fam, n, "numeric", worst < tol, {"deviation": dev},
-                   deviation=dev)
+                   deviation=dev, margin_digits=_margin(tol, worst))
 
 
 def _numeric_prec(rootsets, n) -> int:
@@ -358,12 +384,15 @@ def pole_series_check(records: Sequence, n: int, j: int,
                                  details={"j": j, "omega": mp.nstr(omega, 20)})
         s_row = _self_table(prev, prec)[j]
         c_row = _cross_table(prev, cur, "prev", prec)[j]
+        worst = mp.mpf(0)
         for fam in FAMILIES:
             m = fam[3] - 1
             if fam[0] == "relations" and fam[2] == "prev" and m <= M:
                 dev = _deviation(fam, n, omega, s_row, c_row)
+                worst = max(worst, dev)
                 if not dev < tol:
                     rep.fail({"m": m, "deviation": mp.nstr(dev, 8)})
+        rep.details["margin_digits"] = _margin(tol, worst)
         if M >= 3:  # reported, not asserted
             rep.details["a_3"] = mp.nstr(c_row[3] - s_row[3], 20)
     return rep

@@ -1,16 +1,17 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from yvpoly.intpoly import IntPoly
-from yvpoly.quotient import NotInvertible, QuotientContext
+from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
+from yvpoly.quotient import QuotientContext
 from yvpoly.ratpoly import RatPoly, rat_gcd, rat_gcd_ext
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 small_polys = st.lists(fracs, max_size=6).map(RatPoly)
 nonzero_polys = small_polys.filter(bool)
+ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+int_polys = st.lists(ints, max_size=6).map(IntPoly)
+small_residues = st.lists(ints, max_size=8).map(IntPoly)
 
 
 class TestRatPoly:
@@ -49,30 +50,43 @@ class TestGcd:
 
 
 class TestQuotient:
+    # Z[a]/(a^3 + 4): the ring has no inverses, only certified factors
+    H = IntPoly([4, 0, 0, 1])
+
     def test_inverse_of_generator(self):
-        ctx = QuotientContext(IntPoly([4, 0, 0, 1]))
-        inv = ctx.generator().inv()
-        assert inv.residue == RatPoly([0, 0, Fraction(-1, 4)])
-        assert ctx.generator() * inv == ctx.one()
+        # a (-a^2) = -a^3 = 4: a is a unit up to the integer 4
+        ctx = QuotientContext(self.H)
+        a = ctx.generator()
+        assert a * ctx.element(IntPoly([0, 0, -1])) == ctx.element(4)
 
     def test_identity(self):
-        ctx = QuotientContext(IntPoly([4, 0, 0, 1]))
-        assert ctx.one().inv() == ctx.one()
+        ctx = QuotientContext(self.H)
+        assert ctx.one() * ctx.generator() == ctx.generator()
+        assert ctx.one() * ctx.one() == ctx.one()
 
     def test_not_invertible(self):
-        ctx = QuotientContext(IntPoly([-1, 0, 1]))
-        with pytest.raises(NotInvertible) as exc:
-            ctx.element(IntPoly([-1, 1])).inv()
-        assert exc.value.witness.degree == 1
+        # z - 1 shares its root with z^2 - 1: the certificate rejects it
+        with pytest.raises(UnexpectedCommonFactor) as exc:
+            certify_coprime(IntPoly([-1, 1]), IntPoly([-1, 0, 1]), "test")
+        assert exc.value.gcd_degree == 1
 
     def test_pow_negative(self):
-        ctx = QuotientContext(IntPoly([4, 0, 0, 1]))
+        # a^3 = -4: a power of a is a product, never an inverse
+        ctx = QuotientContext(self.H)
         a = ctx.generator()
-        assert (a ** -2) * (a ** 2) == ctx.one()
+        assert a * a * a == ctx.element(-4)
+        assert not hasattr(a, "inv")
 
-    @given(res=st.lists(fracs, min_size=1, max_size=3).map(RatPoly))
-    def test_inv_roundtrip(self, res):
-        ctx = QuotientContext(IntPoly([4, 0, 0, 1]))  # irreducible over Q
-        e = ctx.element(res)
-        assume(not e.is_zero())
-        assert e * e.inv() == ctx.one()
+    def test_rejects_non_monic_modulus(self):
+        with pytest.raises(ValueError):
+            QuotientContext(IntPoly([4, 0, 0, 2]))
+
+    @given(f=int_polys, r=st.lists(ints, max_size=3).map(IntPoly),
+           x=small_residues, y=small_residues, w=small_residues)
+    def test_inv_roundtrip(self, f, r, x, y, w):
+        ctx = QuotientContext(self.H)
+        assert ctx.element(f * self.H + r).residue == r
+        x, y, w = ctx.element(x), ctx.element(y), ctx.element(w)
+        assert x * y == y * x
+        assert (x * y) * w == x * (y * w)
+        assert (x + y) * w == x * w + y * w

@@ -7,7 +7,6 @@ from mpmath import mp
 from yvpoly import family, relations, roots
 from yvpoly.intpoly import IntPoly
 from yvpoly.quotient import QuotientContext
-from yvpoly.ratpoly import RatPoly
 from yvpoly.report import FAIL, PASS, SKIPPED
 
 
@@ -22,52 +21,62 @@ def _hosts(records, rootsets, n):
             yield key, records[host], records[target], rootsets[host]
 
 
-def _at(residue, w):
+def _at(element, w):
     """The residue polynomial evaluated at w, at the working precision."""
     acc = mp.mpc(0)
-    for c in reversed(residue.residue.coeffs):
-        acc = acc * w + mp.mpf(c.numerator) / c.denominator
+    for c in reversed(element.residue.coeffs):
+        acc = acc * w + c
     return acc
 
 
 class TestResidues:
     def test_cross_sum_first_order(self, records8):
         # sum over roots beta of Q_2 of 1/(alpha - beta), as an element of
-        # Q[alpha]/(Q_1): equals Q_2'(alpha)/Q_2(alpha) = 3 alpha^2/(alpha^3+4)
-        ctx = QuotientContext(records8[1].poly)
-        got = relations.cross_sum_residue(records8[1].poly,
-                                          records8[2].poly, 1, ctx)
-        # modulo alpha: 0 / 4 = 0
-        assert len(got) == 1
-        assert got[0].residue == RatPoly([0])
+        # Z[alpha]/(Q_1): Q_2'(alpha) / Q_2(alpha) = 3 alpha^2 / (alpha^3 + 4)
+        q1, q2 = records8[1].poly, records8[2].poly
+        G, b0_powers = relations.cross_sum_residue(q1, q2, 1,
+                                                   QuotientContext(q1))
+        # modulo alpha: G_0 = 0 over b0 = 4
+        assert len(G) == 1
+        assert G[0].residue == IntPoly()
+        assert b0_powers[1].residue == IntPoly([4])
+        # and back, over the root 0 of Q_1 at a root alpha of Q_2: 1 / alpha
+        G, b0_powers = relations.cross_sum_residue(q2, q1, 1)
+        assert G[0].residue == IntPoly([1])
+        assert b0_powers[1].residue == IntPoly([0, 1])
 
     def test_self_sum_quadratic_host(self, records8):
-        # host z^2 - c style sanity: use Q_2 = z^3 + 4, p = 1;
-        # S_1(alpha) = Q_2''(alpha) / (2 Q_2'(alpha)) = alpha^2 * (-1/4) ...
+        # Q_2 = z^3 + 4, p = 1: S_1(alpha) = Q_2''(alpha) / (2 Q_2'(alpha))
+        # = 3 alpha / (3 alpha^2), kept as G_0 = 3 alpha over b0 = 3 alpha^2
         ctx = QuotientContext(records8[2].poly)
-        got = relations.self_sum_residue(records8[2].poly, 1, ctx)
-        assert len(got) == 1
-        assert got[0].residue == RatPoly([0, 0, Fraction(-1, 4)])
+        G, b0_powers = relations.self_sum_residue(records8[2].poly, 1, ctx)
+        assert len(G) == 1
+        assert G[0].residue == IntPoly([0, 3])
+        assert b0_powers[1].residue == IntPoly([0, 0, 3])
+        # S_1 = G_0 / b0 = 1 / alpha, cross-multiplied
+        assert G[0] * ctx.generator() == b0_powers[1]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kernels_agree_at_every_power(self, records8, rootsets8, n):
-        # every exact residue s_p, c_p (p = 1..5, including the unused
-        # p = 4) evaluated at each certified root equals the numeric table
+        # every exact s_p, c_p (p = 1..5, including the unused p = 4),
+        # (-1)^(p-1) G(w) / b0(w)^p at each certified root w, equals the
+        # numeric table
         prec = relations._numeric_prec(rootsets8, n)
         with mp.workprec(prec):
             tol = mp.mpf(2) ** -(prec // 2)  # room for cancellation in _at
             for key, host, target, rs in _hosts(records8, rootsets8, n):
                 s = relations.self_sum_residue(host.poly, 5)
                 c = relations.cross_sum_residue(host.poly, target.poly, 5)
-                assert len(s) == len(c) == 5
+                assert len(s[0]) == len(c[0]) == 5
                 s_rows = relations._self_table(rs, prec)
                 c_rows = relations._cross_table(rootsets8[n - 1],
                                                 rootsets8[n], key, prec)
                 for i, w in enumerate(rs.roots):
                     for p in range(5):
-                        for residue, row in ((s[p], s_rows[i]),
-                                             (c[p], c_rows[i])):
-                            want = _at(residue, w)
+                        for (G, b0_powers), row in ((s, s_rows[i]),
+                                                    (c, c_rows[i])):
+                            want = ((-1) ** p * _at(G[p], w)
+                                    / _at(b0_powers[p + 1], w))
                             scale = max(1, abs(want))
                             assert abs(row[p] - want) <= tol * scale
 
@@ -135,7 +144,8 @@ class TestExactMode:
         assert any(r.status == FAIL for r in reports)
 
     def test_repeated_root_host_is_a_fail_report(self, records8):
-        # Q_2 replaced by (z - 1)^2 (z + 2): host'(a) is not invertible
+        # Q_2 replaced by (z - 1)^2 (z + 2): host'(a) is not invertible, and
+        # the certificate finds the common factor z - 1 of host and host'
         bad = list(records8)
         bad[2] = type(records8[2])(
             n=2, poly=IntPoly([2, -3, 0, 1]), compressed=(1, 0, -3, 2),
@@ -146,8 +156,59 @@ class TestExactMode:
             rep = by_family[family_id]
             assert rep.status == FAIL
             witness = rep.witnesses[0]
-            assert witness["error"] == "NotInvertible"
-            assert witness["gcd"] == RatPoly([-1, 1])
+            assert witness["error"] == "UnexpectedCommonFactor"
+            assert witness["gcd_degree"] == 1
+
+    def test_residue_fail_names_its_scaling(self, records8):
+        bad = list(records8)
+        bad[2] = type(records8[2])(
+            n=2, poly=IntPoly([5, 0, 0, 1]), compressed=(1, 5), x_n=5, p_n=0)
+        by_family = {r.details["family"]: r for r in
+                     relations.verify_theorem(bad, 3, mode="exact")}
+        witness = by_family["T2"].witnesses[0]  # rhs a / 6: L = 6
+        assert witness["scaled_by"] == "6·Q_2'(a)^2·Q_3(a)^2"
+        assert isinstance(witness["residue"], IntPoly) and witness["residue"]
+
+    def test_every_factor_is_certified(self, monkeypatch):
+        # fresh records, so no cached table hides a certificate
+        records = family.generate(6)
+        seen = set()
+        real = relations.certify_coprime
+
+        def spy(num, den, what):
+            seen.add((num, den))
+            return real(num, den, what)
+
+        monkeypatch.setattr(relations, "certify_coprime", spy)
+        for n in range(1, 7):
+            for verifier in (relations.verify_theorem,
+                             relations.verify_corollary,
+                             relations.verify_kudryashov):
+                verifier(records, n, mode="exact")
+        for n in range(1, 7):
+            q = records[n].poly
+            assert (q.derivative(), q) in seen  # host'(a), every host
+            assert (records[n - 1].poly, q) in seen  # Q_{n-1}(a) mod Q_n
+            if n > 1:  # Q_0 = 1 hosts nothing
+                assert (q, records[n - 1].poly) in seen
+
+    def test_wrong_identity_is_never_scaled_away(self, records8,
+                                                monkeypatch):
+        # shift every right-hand side by 1/144: the scaling by L and the
+        # b0 powers must not turn a false identity into a zero residue
+        def shifted(rhs):
+            return lambda n: (Fraction(rhs(n)[0]) + Fraction(1, 144),
+                              rhs(n)[1])
+
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            (*fam[:6], shifted(fam[6])) for fam in relations.FAMILIES))
+        for n in range(2, 9):
+            for verifier in (relations.verify_theorem,
+                             relations.verify_corollary,
+                             relations.verify_kudryashov):
+                reports = verifier(records8, n, mode="exact")
+                assert all(r.status == FAIL for r in reports), \
+                    _statuses(reports)
 
 
 class TestNumericMode:
@@ -179,6 +240,19 @@ class TestNumericMode:
                                          rootsets=rootsets8))
             assert exact == numeric
 
+    def test_reports_margin_digits(self, records8, rootsets8):
+        for n in range(2, 9):
+            for rep in relations.verify_theorem(records8, n, mode="numeric",
+                                                rootsets=rootsets8):
+                assert rep.status == PASS
+                assert rep.details["margin_digits"] > 0
+        impossible = mp.mpf(10) ** -500
+        for rep in relations.verify_corollary(records8, 5, mode="numeric",
+                                              rootsets=rootsets8,
+                                              tolerance=impossible):
+            assert rep.status == FAIL
+            assert rep.details["margin_digits"] < 0
+
     def test_unknown_mode(self, records8):
         with pytest.raises(ValueError):
             relations.verify_theorem(records8, 2, mode="symbolic")
@@ -191,6 +265,13 @@ class TestPoleSeries:
             rep = relations.pole_series_check(records8, n, j, rootsets8)
             assert rep.passed, rep.witnesses
 
+    def test_reports_margin_digits(self, records8, rootsets8):
+        rep = relations.pole_series_check(records8, 5, 2, rootsets8)
+        assert rep.passed and rep.details["margin_digits"] > 0
+        rep = relations.pole_series_check(records8, 5, 2, rootsets8,
+                                          tolerance=mp.mpf(10) ** -500)
+        assert not rep.passed and rep.details["margin_digits"] < 0
+
     def test_reports_a3(self, records8, rootsets8):
         rep = relations.pole_series_check(records8, 3, 0, rootsets8)
         assert "a_3" in rep.details
@@ -201,3 +282,22 @@ class TestPoleSeries:
         rep = relations.pole_series_check(records8, 3, 0, rootsets8,
                                           tolerance=mp.mpf(10) ** -500)
         assert not rep.passed
+
+
+class TestDeepExact:
+    @pytest.fixture(scope="class")
+    def rootsets16(self, records16, rootsets8):
+        deep = {n: roots.roots_for_record(records16[n]) for n in range(9, 17)}
+        return {**rootsets8, **deep}
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_exact_passes_and_matches_numeric(self, records16, rootsets16,
+                                              n):
+        for verifier in (relations.verify_theorem,
+                         relations.verify_corollary,
+                         relations.verify_kudryashov):
+            exact = _statuses(verifier(records16, n, mode="exact"))
+            numeric = _statuses(verifier(records16, n, mode="numeric",
+                                         rootsets=rootsets16))
+            assert set(exact.values()) == {PASS}, exact
+            assert exact == numeric
