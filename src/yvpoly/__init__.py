@@ -4,15 +4,15 @@ and the rational solutions of the second Painleve equation."""
 from .intpoly import IntPoly, newton_power_sums
 from .ratpoly import RatPoly, rat_gcd, rat_gcd_ext
 from .quotient import QuotientContext, QuotientElement
-from .family import YvRecord, generate, generate_stream
+from .family import YvRecord, generate
 from .painleve import RationalSolution, rational_solution
 from .roots import RootSet, roots_for_record
-from .series import PowerSumTable, inverse_power_sums
+from .series import inverse_power_sums
 
 __all__ = [
     "IntPoly", "RatPoly", "QuotientContext", "QuotientElement",
-    "YvRecord", "RationalSolution", "RootSet", "PowerSumTable",
-    "generate", "generate_stream", "rational_solution", "roots_for_record",
+    "YvRecord", "RationalSolution", "RootSet",
+    "generate", "rational_solution", "roots_for_record",
     "inverse_power_sums", "newton_power_sums", "rat_gcd", "rat_gcd_ext",
 ]
 

@@ -55,29 +55,27 @@ class RunConfig:
 
 
 class _Runner:
-    """Shared state for one invocation: records and cached root sets."""
+    """Shared state for one invocation: records and memoized root sets."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.records = family.generate(config.n_max)
-        self._rootsets: dict = {}
-        self._root_failure = None
+        self._rootsets: dict = {}  # n -> RootSet, or the error finding it
 
-    def rootsets_up_to(self, n_max: int) -> dict:
-        """Root sets 0..n_max. A RootFindingError is kept and raised again
-        for every later request that needs its n."""
-        for n in range(n_max + 1):
-            if n not in self._rootsets:
-                if self._root_failure is not None:
-                    raise self._root_failure
-                try:
-                    self._rootsets[n] = rootsmod.roots_for_record(
-                        self.records[n], self.config.precision_bits,
-                        seed=self.config.seed)
-                except rootsmod.RootFindingError as exc:
-                    self._root_failure = exc
-                    raise
-        return self._rootsets
+    def rootset(self, n: int):
+        """The root set of Q_n, found once. A RootFindingError is kept and
+        raised again on every later request for this n."""
+        if n not in self._rootsets:
+            try:
+                self._rootsets[n] = rootsmod.roots_for_record(
+                    self.records[n], self.config.precision_bits,
+                    seed=self.config.seed)
+            except rootsmod.RootFindingError as exc:
+                self._rootsets[n] = exc
+        found = self._rootsets[n]
+        if isinstance(found, rootsmod.RootFindingError):
+            raise found
+        return found
 
 
 def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
@@ -158,15 +156,12 @@ def _suite_backlund(run: _Runner):
 def _relation_suite(run: _Runner, verifier, suite_name: str):
     config = run.config
     reports = []
-    modes = []
-    if config.mode in ("exact", "both"):
-        modes.append("exact")
-    if config.mode in ("numeric", "both"):
-        modes.append("numeric")
+    modes = ["exact", "numeric"] if config.mode == "both" else [config.mode]
     for n in range(1, config.n_max + 1):
         for mode in modes:
             try:
-                rootsets = run.rootsets_up_to(n) if mode == "numeric" else None
+                rootsets = ({n - 1: run.rootset(n - 1), n: run.rootset(n)}
+                            if mode == "numeric" else None)
             except rootsmod.RootFindingError as exc:
                 rep = _root_failure_report(suite_name, n, exc)
             else:
@@ -195,7 +190,7 @@ def _suite_poleseries(run: _Runner):
     reports = []
     for n in range(2, config.n_max + 1):
         try:
-            rootsets = run.rootsets_up_to(n)
+            rootsets = {n - 1: run.rootset(n - 1), n: run.rootset(n)}
         except rootsmod.RootFindingError as exc:
             reports.append(_root_failure_report("poleseries", n, exc))
             continue
@@ -264,9 +259,9 @@ SUITE_RUNNERS = {
 def cmd_gen(config: RunConfig) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    records = family.generate(config.n_max)
+    run = _Runner(config)
     print(f"{'n':>4} {'degree':>8} {'p_n':>6}  x_n")
-    for r in records:
+    for r in run.records:
         path = out / f"yv_{r.n}.json"
         path.write_text(family.record_to_json(r) + "\n")
         x_str = str(r.x_n)
@@ -334,14 +329,11 @@ def _finder_line(rs) -> str:
 def cmd_roots(config: RunConfig) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    records = family.generate(config.n_max)
+    run = _Runner(config)
     status = 0
-    for r in records:
-        if r.n == 0:
-            continue
+    for r in run.records[1:]:
         try:
-            rs = rootsmod.roots_for_record(r, config.precision_bits,
-                                           seed=config.seed)
+            rs = run.rootset(r.n)
         except rootsmod.RootFindingError as exc:
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
@@ -360,8 +352,8 @@ def cmd_roots(config: RunConfig) -> int:
 def cmd_sums(config: RunConfig, m_list) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    records = family.generate(config.n_max)
-    rows = series.sums_table(records, config.n_max, m_list)
+    run = _Runner(config)
+    rows = series.sums_table(run.records, config.n_max, m_list)
     path = out / "sums.json"
     path.write_text(json.dumps(stringify(rows), indent=2) + "\n")
     print(f"{len(rows)} rows written to {path}")

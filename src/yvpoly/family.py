@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intpoly import IntPoly
 from .report import FAIL, PASS, VerificationReport
@@ -46,10 +46,6 @@ class YvRecord:
     compressed: tuple  # a_0 .. a_{[n(n+1)/6]}, a_0 = 1 (leading first)
     x_n: int
     p_n: int
-
-    @property
-    def residue_class(self) -> int:
-        return self.n % 3
 
     @property
     def has_zero_root(self) -> bool:
@@ -113,22 +109,16 @@ def _step(prev: IntPoly, cur: IntPoly, z: IntPoly) -> IntPoly:
 
 def generate(n_max: int) -> list:
     """Records for n = 0..n_max, invariants checked at construction."""
-    return list(generate_stream(n_max))
-
-
-def generate_stream(n_max: int) -> Iterator[YvRecord]:
-    """Records one at a time, keeping only a two-polynomial window."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     z = IntPoly.z()
-    prev, cur = IntPoly.one(), z
-    yield make_record(0, prev)
-    if n_max == 0:
-        return
-    yield make_record(1, cur)
+    records = [make_record(0, IntPoly.one())]
+    if n_max >= 1:
+        records.append(make_record(1, z))
     for n in range(1, n_max):
-        prev, cur = cur, _step(prev, cur, z)
-        yield make_record(n + 1, cur)
+        records.append(make_record(
+            n + 1, _step(records[n - 1].poly, records[n].poly, z)))
+    return records
 
 
 # ---------------------------------------------------------------------------

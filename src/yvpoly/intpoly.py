@@ -160,10 +160,6 @@ class IntPoly:
     def z(cls) -> "IntPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -223,24 +219,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result = IntPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by z**k."""
-        if not self.coeffs:
-            return IntPoly()
-        return IntPoly([0] * k + list(self.coeffs))
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -278,13 +256,6 @@ class IntPoly:
         if any(rem):
             raise NonZeroRemainder("nonzero remainder in exact division")
         return IntPoly(q)
-
-    def evaluate(self, x):
-        """Horner evaluation; exact when x is int or Fraction."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def reverse_nonzero(self) -> "IntPoly":
         """Reverse the coefficient sequence; roots become reciprocals."""

@@ -31,9 +31,6 @@ class RationalSolution:
     numerator: IntPoly
     denominator: IntPoly
 
-    def is_zero(self) -> bool:
-        return not self.numerator
-
     def __eq__(self, other):
         if not isinstance(other, RationalSolution):
             return NotImplemented

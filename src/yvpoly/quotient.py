@@ -48,15 +48,8 @@ class QuotientContext:
             poly = IntPoly((poly,))
         return QuotientElement(self, self._reduce(poly.coeffs))
 
-    def zero(self) -> "QuotientElement":
-        return QuotientElement(self, IntPoly.zero())
-
     def one(self) -> "QuotientElement":
         return self.element(1)
-
-    def generator(self) -> "QuotientElement":
-        """The residue class of a itself."""
-        return self.element(IntPoly.z())
 
     def __eq__(self, other):
         return isinstance(other, QuotientContext) and self.modulus == other.modulus

@@ -61,7 +61,8 @@ class VerificationReport:
 
 
 def combine(suite: str, n, reports) -> VerificationReport:
-    """Aggregate: passes iff every sub-report passes (skips ignored)."""
+    """Aggregate: passes iff every sub-report passes (skips ignored), and
+    keeps the smallest `margin_digits` among the sub-reports that have one."""
     reports = list(reports)
     status = PASS
     if any(r.status == FAIL for r in reports):
@@ -70,5 +71,9 @@ def combine(suite: str, n, reports) -> VerificationReport:
         status = SKIPPED
     agg = VerificationReport(suite=suite, n=n, status=status)
     agg.witnesses = [w for r in reports for w in r.witnesses]
+    margins = [r.details["margin_digits"] for r in reports
+               if "margin_digits" in r.details]
+    if margins:
+        agg.details["margin_digits"] = min(margins)
     agg.elapsed = sum(r.elapsed for r in reports)
     return agg

@@ -99,9 +99,6 @@ class RootSet:
     fallback: bool = False  # whether the mpmath Aberth fallback ran
     final_correction: object = None  # largest relative last Newton step
 
-    def nonzero_roots(self):
-        return tuple(r for r in self.roots if r != 0)
-
 
 def working_precision(degree: int, precision_bits: int = DEFAULT_PRECISION_BITS,
                       coeff_bits: int = 0) -> int:

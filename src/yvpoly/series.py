@@ -9,12 +9,11 @@ coefficient recursion reproduces independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .intpoly import newton_power_sums
-from .report import PASS, VerificationReport
+from .report import VerificationReport
 
 
 class ResonanceUnavailable(Exception):
@@ -25,26 +24,12 @@ class FitFailure(Exception):
     """Sums are not polynomial in n within the degree bound."""
 
 
-@dataclass
-class PowerSumTable:
-    n: int
-    sums: dict = field(default_factory=dict)  # m -> Fraction
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.sums[m]
-
-
-def inverse_power_sums(record, max_m: int) -> PowerSumTable:
-    """sums[m] = sum over nonzero roots z of Q_n of z**-m, exact."""
+def inverse_power_sums(record, max_m: int) -> dict:
+    """{m: sum over nonzero roots z of Q_n of z**-m}, m = 1..max_m, exact."""
     body = record.nonzero_part()
-    table = PowerSumTable(n=record.n)
     if not body or body.degree < 1:
-        table.sums = {m: Fraction(0) for m in range(1, max_m + 1)}
-        return table
-    rev = body.reverse_nonzero()
-    p = newton_power_sums(rev, max_m)
-    table.sums = {m: p[m - 1] for m in range(1, max_m + 1)}
-    return table
+        return {m: Fraction(0) for m in range(1, max_m + 1)}
+    return dict(enumerate(newton_power_sums(body.reverse_nonzero(), max_m), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +104,15 @@ def verify_closed_forms(records: Sequence, n_max: int,
 def verify_difference_relations(records: Sequence, n_max: int) -> VerificationReport:
     """The nine displayed difference formulas, every applicable n."""
     rep = VerificationReport(suite="sums_differences")
+    prev = inverse_power_sums(records[0], 9)
     for n in range(1, n_max + 1):
-        prev = inverse_power_sums(records[n - 1], 9)
         cur = inverse_power_sums(records[n], 9)
         for m in (3, 6, 9):
             got = prev[m] - cur[m]
             want = difference_value(n, m)
             if got != want:
                 rep.fail({"n": n, "m": m, "got": got, "want": want})
+        prev = cur
     return rep
 
 
@@ -144,112 +130,82 @@ def _series_mul(a, b, order):
     return out
 
 
+def _ode_rhs(a, n: int, m: int) -> Fraction:
+    """Order-m right-hand side of P_II for the series a, from a[:m] alone.
+
+    With s = 0, -1, +1 for n = 0, 1, 2 mod 3, u = w_n - s/z is regular at
+    0 and solves z^2 u'' = 6 s^2 u + 6 s z u^2 + 2 z^2 u^3 + z^3 u
+    + (n + s) z^2, whose z^m coefficient reads (m (m-1) - 6 s^2) a[m] = rhs.
+    Where that factor vanishes (m = 0, 1 for s = 0; m = 3 otherwise) the
+    recursion cannot fix a[m], and rhs = 0 is a solvability condition.
+    """
+    s = (0, -1, 1)[n % 3]
+    rhs = Fraction(a[m - 3] if m >= 3 else 0)
+    if m >= 2:
+        rhs += 2 * _series_mul(_series_mul(a, a, m - 2), a, m - 2)[m - 2]
+    if s and m >= 1:
+        rhs += 6 * s * _series_mul(a, a, m - 1)[m - 1]
+    return rhs + (n + s if m == 2 else 0)
+
+
+def _imported_a3(records: Sequence, n: int) -> Fraction:
+    """The resonance coefficient a[3] of u, from the exact Newton sums."""
+    if n >= len(records):
+        raise ResonanceUnavailable(
+            f"records up to {n} required for the order-3 coefficient")
+    prev = inverse_power_sums(records[n - 1], 4)
+    cur = inverse_power_sums(records[n], 4)
+    return -(prev[4] - cur[4])
+
+
 def series_at_zero(records: Sequence, n: int, M: int) -> list:
     """Exact Taylor coefficients (orders 0..M) at 0 of w_n, or of
     u = w_n + 1/z (n = 1 mod 3) / u = w_n - 1/z (n = 2 mod 3).
 
-    The coefficient recursion follows from the Painleve equation; for the
-    shifted cases the order-3 coefficient is a resonance the recursion
-    cannot see and is imported from the exact Newton sums.
+    The coefficient recursion follows from the Painleve equation (_ode_rhs);
+    w_n(0) = w_n'(0) = 0, and for the shifted cases the order-3 coefficient
+    is a resonance the recursion cannot see and is imported from the exact
+    Newton sums.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if M < 0:
         raise ValueError("M must be >= 0")
-    r = n % 3
+    s = (0, -1, 1)[n % 3]
     a = [Fraction(0)] * (M + 1)
-    if r == 0:
-        # w'' = 2w^3 + zw + n with w(0) = w'(0) = 0
-        for m in range(M - 1):
-            w3 = _series_mul(_series_mul(a, a, m), a, m)
-            rhs = 2 * w3[m] + (a[m - 1] if m >= 1 else 0)
-            if m == 0:
-                rhs += n
-            a[m + 2] = Fraction(rhs, (m + 1) * (m + 2))
-        return a
-    # z^2 u'' = 6u + s 6z u^2 + 2 z^2 u^3 + z^3 u + K z^2,
-    # s = -1 when u = w + 1/z (n = 1 mod 3), s = +1 when u = w - 1/z
-    k_const = n - 1 if r == 1 else n + 1
-    sign = -1 if r == 1 else 1
     for m in range(M + 1):
-        if m == 3:
-            if n >= len(records):
-                raise ResonanceUnavailable(
-                    f"records up to {n} required for the order-3 coefficient")
-            prev = inverse_power_sums(records[n - 1], 4)
-            cur = inverse_power_sums(records[n], 4)
-            a[3] = -(prev[4] - cur[4])
-            continue
-        rhs = Fraction(0)
-        if m >= 1:
-            u2 = _series_mul(a, a, m - 1)
-            rhs += sign * 6 * u2[m - 1]
-        if m >= 2:
-            u3 = _series_mul(_series_mul(a, a, m - 2), a, m - 2)
-            rhs += 2 * u3[m - 2]
-            if m == 2:
-                rhs += k_const
-        if m >= 3:
-            rhs += a[m - 3]
-        a[m] = rhs / ((m - 3) * (m + 2))
+        factor = m * (m - 1) - 6 * s * s
+        if factor:
+            a[m] = _ode_rhs(a, n, m) / factor
+        elif m == 3:
+            a[3] = _imported_a3(records, n)
     return a
-
-
-def ode_residual_orders(records: Sequence, n: int, M: int) -> list:
-    """Coefficients of LHS - RHS of the governing ODE through order M - 2.
-
-    Uses the fully assembled series (imported resonance included); all
-    entries must be exactly zero.
-    """
-    a = series_at_zero(records, n, M)
-    r = n % 3
-    out = []
-    if r == 0:
-        for m in range(M - 1):
-            w3 = _series_mul(_series_mul(a, a, m), a, m)
-            lhs = (m + 1) * (m + 2) * a[m + 2]
-            rhs = 2 * w3[m] + (a[m - 1] if m >= 1 else 0) + (n if m == 0 else 0)
-            out.append(lhs - rhs)
-        return out
-    k_const = n - 1 if r == 1 else n + 1
-    sign = -1 if r == 1 else 1
-    u2 = _series_mul(a, a, M)
-    u3 = _series_mul(u2, a, M)
-    for m in range(M + 1):
-        lhs = m * (m - 1) * a[m]
-        rhs = 6 * a[m]
-        if m >= 1:
-            rhs += sign * 6 * u2[m - 1]
-        if m >= 2:
-            rhs += 2 * u3[m - 2]
-            if m == 2:
-                rhs += k_const
-        if m >= 3:
-            rhs += a[m - 3]
-        out.append(lhs - rhs)
-    return out
 
 
 def cross_check_series(records: Sequence, n: int, M: int) -> VerificationReport:
     """ODE-recursion coefficients against Newton-identity coefficients.
 
     The imported resonance coefficient is excluded from the direct
-    comparison (it would be circular) and is covered by the ODE residual.
+    comparison (it would be circular); it enters later orders of the
+    recursion, which the comparison does check. What the recursion cannot
+    satisfy by construction is the solvability condition at the resonance,
+    which is checked on its own.
     """
     rep = VerificationReport(suite="series", n=n)
     a = series_at_zero(records, n, M)
     prev = inverse_power_sums(records[n - 1], M + 1)
     cur = inverse_power_sums(records[n], M + 1)
-    r = n % 3
+    shifted = n % 3 != 0
     for m in range(M + 1):
-        if r != 0 and m == 3:
+        if shifted and m == 3:
             continue
         want = -(prev[m + 1] - cur[m + 1])
         if a[m] != want:
             rep.fail({"check": "newton", "m": m, "got": a[m], "want": want})
-    for m, res in enumerate(ode_residual_orders(records, n, M)):
-        if res != 0:
-            rep.fail({"check": "ode_residual", "order": m, "value": res})
+    if shifted and M >= 3:
+        value = _ode_rhs(a, n, 3)
+        if value:
+            rep.fail({"check": "ode_residual", "order": 3, "value": value})
     return rep
 
 

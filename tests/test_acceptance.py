@@ -166,7 +166,7 @@ def test_criterion_10_root_certification(records30, rootsets16, announce):
         exact = series.inverse_power_sums(records30[n], 9)
         with mp.workprec(rs.precision_bits):
             for m in (3, 6, 9):
-                numeric = mp.fsum(1 / z ** m for z in rs.nonzero_roots())
+                numeric = mp.fsum(1 / z ** m for z in rs.roots if z != 0)
                 want = mp.mpf(exact[m].numerator) / exact[m].denominator
                 scale = max(mp.mpf(1), abs(want))
                 ok = ok and abs(numeric - want) / scale < mp.mpf(10) ** -25

@@ -111,6 +111,37 @@ class TestVerify:
         assert (witness["roots_n"], witness["iterations"]) == ("2", "400")
         assert witness["worst_residual"] == "1.0e-9"
 
+    def test_root_failure_is_found_once(self, monkeypatch):
+        calls = []
+
+        def failing(record, *args, **kwargs):
+            calls.append(record.n)
+            raise roots.NoConvergence("no", n=record.n)
+
+        monkeypatch.setattr(roots, "roots_for_record", failing)
+        run_state = cli._Runner(cli.RunConfig(n_max=3))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(roots.NoConvergence) as exc:
+                run_state.rootset(2)
+            errors.append(exc.value)
+        assert calls == [2] and errors[0] is errors[1]
+
+    def test_combined_reports_carry_margin_digits(self, tmp_path):
+        code = run(["verify", "--n-max", "4", "--mode", "both",
+                    "--suites", "relations,poleseries",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        numeric = [r for r in reports if r["suite"] == "poleseries"
+                   or r["details"]["mode"] == "numeric"]
+        assert len(numeric) == 4 + 3
+        assert all(float(r["details"]["margin_digits"]) > 0 for r in numeric)
+        # the exact route has no tolerance, so nothing to spare against it
+        assert not any("margin_digits" in r["details"] for r in reports
+                       if r["details"].get("mode") == "exact")
+
     def test_remark_skipped_below_its_sample_size(self, tmp_path):
         code = run(["verify", "--suites", "remark", "--out", str(tmp_path)])
         assert code == 0

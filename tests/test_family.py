@@ -41,15 +41,16 @@ class TestGeneration:
             else:
                 assert x_next * x_prev == -(2 * n + 1) * x_cur ** 2
 
-    def test_stream_matches_batch(self, records16):
-        streamed = list(family.generate_stream(6))
-        for a, b in zip(streamed, records16):
-            assert a.poly == b.poly
+    def test_shorter_run_is_a_prefix(self, records16):
+        shorter = family.generate(6)
+        assert len(shorter) == 7
+        for a, b in zip(shorter, records16):
+            assert a == b
 
     def test_residue_class_and_zero_root(self, records16):
         for r in records16:
-            assert r.residue_class == r.n % 3
             assert r.has_zero_root == (r.n % 3 == 1)
+            assert (r.poly.coeffs[0] == 0) == r.has_zero_root
             if r.has_zero_root:
                 assert r.poly.exact_div(IntPoly.z()) == r.nonzero_part()
 

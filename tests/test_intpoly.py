@@ -11,6 +11,7 @@ from yvpoly.intpoly import (
     ZeroConstantTerm,
     newton_power_sums,
 )
+from yvpoly.roots import _horner
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(IntPoly)
 nonzero_polys = small_polys.filter(bool)
@@ -119,12 +120,15 @@ class TestExactDiv:
 
 
 class TestEvaluate:
+    # coefficient sequences are evaluated by the root layer's Horner
     def test_table_constants(self):
-        assert P(4, 0, 0, 1).evaluate(0) == 4
-        assert P(-80, 0, 0, 20, 0, 0, 1).evaluate(0) == -80
+        assert _horner(P(4, 0, 0, 1).coeffs, 0) == 4
+        assert _horner(P(-80, 0, 0, 20, 0, 0, 1).coeffs, 0) == -80
 
     def test_rational_point(self):
-        assert IntPoly.z().evaluate(Fraction(1, 2)) == Fraction(1, 2)
+        assert _horner(IntPoly.z().coeffs, Fraction(1, 2)) == Fraction(1, 2)
+        assert _horner(P(4, 0, 0, 1).coeffs, Fraction(-1, 2)) == \
+            Fraction(31, 8)
 
 
 class TestReverse:

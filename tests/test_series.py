@@ -6,6 +6,11 @@ from yvpoly import series
 from yvpoly.family import generate
 
 
+def _conv(a, b):
+    """Truncated product of two coefficient lists of the same length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
 class TestInversePowerSums:
     def test_spot_values(self, records8):
         t2 = series.inverse_power_sums(records8[2], 9)
@@ -61,8 +66,57 @@ class TestSeriesAtZero:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ode_residual_vanishes(self, records8, n):
-        residuals = series.ode_residual_orders(records8, n, 10)
-        assert all(c == 0 for c in residuals)
+        # the assembled series, imported resonance included, solves the
+        # equation at every order: w'' - 2w^3 - zw - n for n = 0 mod 3, else
+        # z^2 u'' - 6u - s 6z u^2 - 2 z^2 u^3 - z^3 u - K z^2 with
+        # u = w + 1/z, s = -1, K = n - 1 (n = 1 mod 3) or
+        # u = w - 1/z, s = +1, K = n + 1 (n = 2 mod 3)
+        M = 10
+        a = series.series_at_zero(records8, n, M)
+        sq = _conv(a, a)
+        cube = _conv(sq, a)
+
+        def at(c, k):
+            return c[k] if k >= 0 else 0
+
+        for m in range(M - 1):
+            if n % 3 == 0:
+                residual = ((m + 2) * (m + 1) * a[m + 2] - 2 * cube[m]
+                            - at(a, m - 1) - (n if m == 0 else 0))
+            else:
+                s, k = (-1, n - 1) if n % 3 == 1 else (1, n + 1)
+                residual = (m * (m - 1) * a[m] - 6 * a[m]
+                            - 6 * s * at(sq, m - 1) - 2 * at(cube, m - 2)
+                            - at(a, m - 3) - (k if m == 2 else 0))
+            assert residual == 0, m
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
+    def test_resonance_condition_flags_perturbed_a0(self, records8, n,
+                                                    monkeypatch):
+        a = series.series_at_zero(records8, n, 8)
+        assert series._ode_rhs(a, n, 3) == 0
+        perturbed = list(a)
+        perturbed[0] += 1
+        assert series._ode_rhs(perturbed, n, 3) != 0
+        monkeypatch.setattr(series, "series_at_zero",
+                            lambda records, n, M: list(perturbed))
+        rep = series.cross_check_series(records8, n, 8)
+        assert not rep.passed
+        assert {"check": "ode_residual", "order": 3,
+                "value": series._ode_rhs(perturbed, n, 3)} in rep.witnesses
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
+    def test_perturbed_import_fails_a_later_order(self, records8, n,
+                                                  monkeypatch):
+        # the order-3 coefficient is never compared directly; a wrong one
+        # must still show through the orders the recursion builds on it
+        real = series._imported_a3
+        monkeypatch.setattr(series, "_imported_a3",
+                            lambda records, n: real(records, n) + 1)
+        rep = series.cross_check_series(records8, n, 14)
+        assert not rep.passed
+        assert all(w["check"] == "newton" and w["m"] >= 4
+                   for w in rep.witnesses)
 
 
 class TestRemark:
