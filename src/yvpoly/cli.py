@@ -170,6 +170,7 @@ def _relation_suite(run: _Runner, verifier, suite_name: str):
                     tolerance=config.tolerance))
             rep.details["mode"] = mode
             reports.append(rep)
+        print(f"suite {suite_name}: n={n}/{config.n_max} done", file=sys.stderr)
     return reports
 
 
@@ -193,12 +194,13 @@ def _suite_poleseries(run: _Runner):
             rootsets = {n - 1: run.rootset(n - 1), n: run.rootset(n)}
         except rootsmod.RootFindingError as exc:
             reports.append(_root_failure_report("poleseries", n, exc))
-            continue
-        count = len(rootsets[n - 1].roots)
-        subs = [relations.pole_series_check(run.records, n, j, rootsets,
-                                            tolerance=config.tolerance)
-                for j in range(count)]
-        reports.append(combine("poleseries", n, subs))
+        else:
+            count = len(rootsets[n - 1].roots)
+            subs = [relations.pole_series_check(run.records, n, j, rootsets,
+                                                tolerance=config.tolerance)
+                    for j in range(count)]
+            reports.append(combine("poleseries", n, subs))
+        print(f"suite poleseries: n={n}/{config.n_max} done", file=sys.stderr)
     return reports
 
 

@@ -101,9 +101,10 @@ def make_record(n: int, poly: IntPoly) -> YvRecord:
 
 
 def _step(prev: IntPoly, cur: IntPoly, z: IntPoly) -> IntPoly:
+    # Q Q'' - Q'^2 = (Q^2)''/2 - 2 Q'^2: two squarings, no general product
+    s = cur * cur
     d1 = cur.derivative()
-    d2 = d1.derivative()
-    num = z * (cur * cur) - 4 * (cur * d2 - d1 * d1)
+    num = z * s - 2 * s.derivative().derivative() + 8 * (d1 * d1)
     return num.exact_div(prev)
 
 
@@ -212,13 +213,3 @@ def record_to_json_dict(r: YvRecord) -> dict:
 
 def record_to_json(r: YvRecord) -> str:
     return json.dumps(record_to_json_dict(r), indent=2)
-
-
-def record_from_json_dict(d: dict) -> YvRecord:
-    n = int(d["n"])
-    compressed = [int(a) for a in d["compressed"]]
-    deg = expected_degree(n)
-    coeffs = [0] * (deg + 1)
-    for s, a in enumerate(compressed):
-        coeffs[deg - 3 * s] = a
-    return make_record(n, IntPoly(coeffs))

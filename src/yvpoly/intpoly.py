@@ -296,21 +296,18 @@ def newton_power_sums(a: IntPoly, max_m: int) -> list:
     """Power sums p_1..p_max_m of the roots of a, exact rationals.
 
     Newton's identities on the monic normalization; entries are summed with
-    multiplicity over all roots.
+    multiplicity over all roots. Zero coefficients of a and zero sums enter
+    no product: for a polynomial in z**3, about one product in nine is made.
     """
     if not a or a.degree < 1:
         raise ValueError("need degree >= 1")
-    d = a.degree
-    lead = Fraction(a.coeffs[-1])
-    # e[k] = (-1)^k c_{d-k} / c_d, elementary symmetric functions
-    e = [Fraction(0)] * (max_m + 1)
-    for k in range(1, max_m + 1):
-        if k <= d:
-            e[k] = Fraction((-1) ** k) * Fraction(a.coeffs[d - k]) / lead
+    d, lead = a.degree, a.coeffs[-1]
+    # {i: (-1)^(i-1) e_i} for the nonzero elementary symmetric functions e_i
+    e = {i: Fraction(-a.coeffs[d - i], lead)
+         for i in range(1, min(d, max_m) + 1) if a.coeffs[d - i]}
     p = [Fraction(0)] * (max_m + 1)
     for k in range(1, max_m + 1):
-        acc = Fraction((-1) ** (k - 1) * k) * e[k]
-        for i in range(1, k):
-            acc += Fraction((-1) ** (i - 1)) * e[i] * p[k - i]
-        p[k] = acc
+        p[k] = k * e.get(k, 0) + sum(
+            (s * p[k - i] for i, s in e.items() if i < k and p[k - i]),
+            Fraction(0))
     return p[1:]

@@ -2,7 +2,10 @@
 
 w_n is kept as a numerator/denominator pair of integer polynomials, the
 denominator Q_{n-1} Q_n. Identity checks (the P_II residual, the Backlund
-recurrence) are exact polynomial computations; no floating point.
+recurrence) are exact polynomial computations; no floating point. Each
+forms its products once: the numerator of w_n is 2 (p'q) - (pq)' with pq
+the denominator, the P_II residual of N/D is D (a' - zND - nD^2) - 2aD' -
+2N^3 with a = N'D - ND', and the Backlund step reuses D^2 in D^3.
 
 The pair is in lowest terms since consecutive Q_n are coprime with simple
 roots (Fukutani-Okamoto-Umemura); `rational_solution` proves it for each n
@@ -47,8 +50,8 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
     if n < 1 or n >= len(records):
         raise ValueError(f"records up to {n} required")
     p, q = records[n - 1].poly, records[n].poly
-    num = p.derivative() * q - p * q.derivative()
     den = p * q
+    num = 2 * (p.derivative() * q) - den.derivative()  # p'q - pq'
     certify_coprime(num, den, f"w_{n}")
     return RationalSolution(n, num, den)
 
@@ -56,13 +59,11 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
 def pII_residual(w: RationalSolution) -> VerificationReport:
     """Numerator of w'' - 2w^3 - zw - n over D^3; pass iff identically zero."""
     nn, dd = w.numerator, w.denominator
-    a = nn.derivative() * dd - nn * dd.derivative()
-    wpp_num = a.derivative() * dd - 2 * a * dd.derivative()  # w'' * D^3
-    z = IntPoly.z()
-    residual = (wpp_num
-                - 2 * (nn * nn * nn)
-                - z * nn * (dd * dd)
-                - w.n * (dd * dd * dd))
+    d1 = dd.derivative()
+    a = nn.derivative() * dd - nn * d1  # w' * D^2
+    # a'D - 2aD' - 2N^3 - zND^2 - nD^3 with D factored out of three terms
+    bracket = a.derivative() - IntPoly.z() * (nn * dd) - w.n * (dd * dd)
+    residual = dd * bracket - 2 * (a * d1) - 2 * (nn * nn * nn)
     rep = VerificationReport(suite="pii", n=w.n)
     if residual:
         rep.fail({"residual_degree": residual.degree})
@@ -79,11 +80,12 @@ def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
     """
     nn, dd = w.numerator, w.denominator
     z = IntPoly.z()
+    d2 = dd * dd
     # (2 w^2 + 2 w' + z) * D^2
-    e = 2 * (nn * nn) + 2 * (nn.derivative() * dd - nn * dd.derivative()) + z * (dd * dd)
+    e = 2 * (nn * nn) + 2 * (nn.derivative() * dd - nn * dd.derivative()) + z * d2
     if not e:
         raise DegenerateDenominator(f"Backlund denominator vanishes at n={n}")
-    num = -(nn * e + (2 * n + 1) * (dd * dd * dd))
+    num = -(nn * e + (2 * n + 1) * (d2 * dd))
     den = dd * e
     c = gcd(*num.coeffs, *den.coeffs)
     if den.leading < 0:

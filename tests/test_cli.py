@@ -206,10 +206,28 @@ class TestVerify:
             "suite relations        ok  (3 pass, 0 fail, 0 skipped)"]
         err = captured.err.splitlines()
         assert [line.split(":")[0] for line in err] == [
-            "suite structure", "suite relations"]
-        assert all(line.endswith(" s") for line in err)
+            "suite structure"] + ["suite relations"] * 4
+        assert err[1:4] == [f"suite relations: n={n}/3 done" for n in (1, 2, 3)]
+        assert err[0].endswith(" s") and err[4].endswith(" s")
         payload = (tmp_path / "verification_report.json").read_text()
         assert "elapsed" not in payload
+
+    def test_progress_per_n_on_stderr_only(self, tmp_path, capsys):
+        code = run(["verify", "--n-max", "4", "--mode", "both",
+                    "--suites", "relations,poleseries", "--out", str(tmp_path)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "suite relations        ok  (8 pass, 0 fail, 0 skipped)\n"
+            "suite poleseries       ok  (3 pass, 0 fail, 0 skipped)\n"
+            f"report written to {tmp_path / 'verification_report.json'}\n")
+        progress = [line for line in captured.err.splitlines()
+                    if line.endswith(" done")]
+        assert progress == (
+            [f"suite relations: n={n}/4 done" for n in range(1, 5)]
+            + [f"suite poleseries: n={n}/4 done" for n in range(2, 5)])
+        payload = (tmp_path / "verification_report.json").read_text()
+        assert " done" not in payload
 
 
 class TestRoots:

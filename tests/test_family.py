@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from yvpoly import family
-from yvpoly.intpoly import IntPoly
+from yvpoly import cli, family
+from yvpoly.intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 
 from table1 import COMPRESSED
 
@@ -40,6 +40,23 @@ class TestGeneration:
                 assert x_next * x_prev == 4 * x_cur ** 2
             else:
                 assert x_next * x_prev == -(2 * n + 1) * x_cur ** 2
+
+    def test_matches_textbook_recurrence(self):
+        z = IntPoly.z()
+        qs = [IntPoly.one(), z]
+        for n in range(1, 24):
+            q, d1 = qs[n], qs[n].derivative()
+            num = z * q * q - 4 * (q * d1.derivative() - d1 * d1)
+            qs.append(num.exact_div(qs[n - 1]))
+        assert [r.poly for r in family.generate(24)] == qs
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 14])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_step_rejects_corrupted_previous(self, records16, n, where):
+        coeffs = list(records16[n - 1].poly.coeffs)
+        coeffs[where] += 1
+        with pytest.raises((NonZeroRemainder, NonIntegerQuotient)):
+            family._step(IntPoly(coeffs), records16[n].poly, IntPoly.z())
 
     def test_shorter_run_is_a_prefix(self, records16):
         shorter = family.generate(6)
@@ -93,10 +110,12 @@ class TestChecks:
 
 class TestSerialization:
     @pytest.mark.parametrize("n", [0, 1, 4, 8])
-    def test_round_trip(self, records16, n):
-        blob = family.record_to_json(records16[n])
-        back = family.record_from_json_dict(json.loads(blob))
-        assert back == records16[n]
+    def test_round_trip(self, records16, n, tmp_path, capsys):
+        assert cli.main(["gen", "--n-max", "8", "--out", str(tmp_path)]) == 0
+        d = json.loads((tmp_path / f"yv_{n}.json").read_text())
+        r = records16[n]
+        assert tuple(int(a) for a in d["compressed"]) == r.compressed
+        assert (int(d["x_n"]), d["p_n"]) == (r.x_n, r.p_n)
 
     def test_coefficients_are_strings(self, records16):
         d = family.record_to_json_dict(records16[8])

@@ -14,6 +14,11 @@ from yvpoly.intpoly import (
 from yvpoly.roots import _horner
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(IntPoly)
+# coefficients that are often zero, nonzero leading coefficient, degree >= 1
+sparse_polys = st.lists(
+    st.one_of(st.just(0), st.integers(-30, 30)), min_size=1, max_size=9,
+).flatmap(lambda low: st.integers(-5, 5).filter(bool).map(
+    lambda lead: IntPoly(low + [lead])))
 nonzero_polys = small_polys.filter(bool)
 
 
@@ -156,6 +161,19 @@ class TestNewtonPowerSums:
 
     def test_linear(self):
         assert newton_power_sums(P(-5, 1), 1) == [5]
+
+    @given(a=sparse_polys, data=st.data())
+    def test_against_plain_recursion(self, a, data):
+        max_m = data.draw(st.integers(1, 3 * a.degree + 2))
+        d, c = a.degree, a.coeffs
+        e = [Fraction(0)] * (max_m + 1)
+        for k in range(1, min(d, max_m) + 1):
+            e[k] = Fraction((-1) ** k * c[d - k], c[d])
+        p = [Fraction(0)] * (max_m + 1)
+        for k in range(1, max_m + 1):
+            p[k] = (-1) ** (k - 1) * k * e[k] + sum(
+                (-1) ** (i - 1) * e[i] * p[k - i] for i in range(1, k))
+        assert newton_power_sums(a, max_m) == p[1:]
 
     @given(roots=st.lists(st.integers(-6, 6).filter(bool), min_size=1,
                           max_size=5))

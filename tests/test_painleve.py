@@ -19,6 +19,15 @@ def corrupted(records, n, factor):
     return bad
 
 
+def textbook_residual(w):
+    """a'D - 2aD' - 2N^3 - zND^2 - nD^3, a = N'D - ND', product by product."""
+    nn, dd = w.numerator, w.denominator
+    a = nn.derivative() * dd - nn * dd.derivative()
+    return (a.derivative() * dd - 2 * a * dd.derivative()
+            - 2 * (nn * nn * nn) - IntPoly.z() * nn * (dd * dd)
+            - w.n * (dd * dd * dd))
+
+
 class TestCoprimeCertificate:
     def test_rejects_shared_factor(self):
         # z^2 - 1 and z^2 + z - 2 = (z + 2)(z - 1) share z - 1
@@ -72,6 +81,13 @@ class TestSolutions:
         w = rational_solution(records8, 1)
         assert w == RationalSolution(1, IntPoly([-1]), IntPoly.z())
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_numerator_is_textbook_form(self, records16, n):
+        p, q = records16[n - 1].poly, records16[n].poly
+        w = rational_solution(records16, n)
+        assert w.numerator == p.derivative() * q - p * q.derivative()
+        assert w.denominator == p * q
+
     def test_equality_cross_multiplied(self):
         a = RationalSolution(1, IntPoly([-1]), IntPoly.z())
         b = RationalSolution(1, IntPoly([-2]), IntPoly([0, 2]))
@@ -92,6 +108,25 @@ class TestSolutions:
         w = RationalSolution(-3, -w3.numerator, w3.denominator)
         assert w.n == -3
         assert pII_residual(w).passed
+
+
+class TestResidualFailures:
+    def check_fails_at_textbook_degree(self, w):
+        expected = textbook_residual(w)
+        assert expected
+        rep = pII_residual(w)
+        assert not rep.passed
+        assert rep.witnesses == [{"residual_degree": expected.degree}]
+
+    def test_wrong_parameter(self, records8):
+        w3 = rational_solution(records8, 3)
+        self.check_fails_at_textbook_degree(
+            RationalSolution(4, w3.numerator, w3.denominator))
+
+    def test_perturbed_numerator(self, records8):
+        w5 = rational_solution(records8, 5)
+        self.check_fails_at_textbook_degree(
+            RationalSolution(5, w5.numerator + IntPoly.one(), w5.denominator))
 
 
 class TestBacklund:
