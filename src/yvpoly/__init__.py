@@ -2,7 +2,6 @@
 and the rational solutions of the second Painleve equation."""
 
 from .intpoly import IntPoly, newton_power_sums
-from .ratpoly import RatPoly, rat_gcd, rat_gcd_ext
 from .quotient import QuotientContext, QuotientElement
 from .family import YvRecord, generate
 from .painleve import RationalSolution, rational_solution
@@ -10,10 +9,10 @@ from .roots import RootSet, roots_for_record
 from .series import inverse_power_sums
 
 __all__ = [
-    "IntPoly", "RatPoly", "QuotientContext", "QuotientElement",
+    "IntPoly", "QuotientContext", "QuotientElement",
     "YvRecord", "RationalSolution", "RootSet",
     "generate", "rational_solution", "roots_for_record",
-    "inverse_power_sums", "newton_power_sums", "rat_gcd", "rat_gcd_ext",
+    "inverse_power_sums", "newton_power_sums",
 ]
 
 __version__ = "0.1.0"

@@ -21,13 +21,6 @@ from . import family, painleve, relations, roots as rootsmod, series
 from .intpoly import UnexpectedCommonFactor
 from .report import FAIL, SKIPPED, VerificationReport, combine, stringify
 
-ALL_SUITES = [
-    "structure", "divisibility", "valuation", "wronskian", "pii", "backlund",
-    "relations", "corollary", "kudryashov", "poleseries", "sums", "series",
-    "remark",
-]
-
-
 @dataclass
 class RunConfig:
     n_max: int = 12
@@ -404,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     _add_common(p_verify)
     p_verify.add_argument("--suites", type=str, default="all",
-                          help=f"comma-separated subset of: {','.join(ALL_SUITES)}")
+                          help=f"comma-separated subset of: {','.join(SUITE_RUNNERS)}")
 
     p_roots = sub.add_parser("roots", help="extract roots, write CSV and SVG")
     _add_common(p_roots)
@@ -418,32 +411,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
+    try:  # a bad option value is a one-line usage error, not a traceback
+        config = _config_from(args)
+        if args.command == "verify":
+            suites = (list(SUITE_RUNNERS) if args.suites == "all" else
+                      [s.strip() for s in args.suites.split(",") if s.strip()])
+            unknown = [s for s in suites if s not in SUITE_RUNNERS]
+            if unknown:
+                raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        if args.command == "sums":
+            m_list = [int(m) for m in args.m_list.split(",")]
+            if any(m < 1 for m in m_list):
+                raise ValueError("each m must be >= 1")
+    except ValueError as exc:
+        print(f"yvpoly {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "gen":
             return cmd_gen(config)
         if args.command == "verify":
-            if args.suites == "all":
-                suites = ALL_SUITES
-            else:
-                suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-                unknown = [s for s in suites if s not in ALL_SUITES]
-                if unknown:
-                    print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
-                    return 2
             return cmd_verify(config, suites)
         if args.command == "roots":
             return cmd_roots(config)
-        if args.command == "sums":
-            m_list = [int(m) for m in args.m_list.split(",")]
-            if any(m < 1 for m in m_list):
-                print("each m must be >= 1", file=sys.stderr)
-                return 2
-            return cmd_sums(config, m_list)
+        return cmd_sums(config, m_list)
     except (family.IntegrityError, UnexpectedCommonFactor) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Multiplication switches from schoolbook to Karatsuba above a size threshold;
 a product of a polynomial with itself takes a squaring path that forms
 about half the leaf products. Polynomials whose support lives in a single
 residue class mod 3 (the common case in this project) are multiplied
-through their compressed coefficient sequences.
+through their compressed coefficient sequences. One schoolbook routine,
+`_divmod_seq`, divides by a polynomial: `IntPoly.exact_div` uses its
+quotient and `quotient.QuotientContext` its remainder.
 """
 
 from __future__ import annotations
@@ -142,6 +144,38 @@ def _stride3_class(coeffs: Sequence[int]):
     return cls if cls != -1 else None
 
 
+def _divisor(den: Sequence[int]) -> tuple:
+    """The form _divmod_seq divides by: degree, leading coefficient (nonzero)
+    and the nonzero lower terms (k, den[k])."""
+    dd = len(den) - 1
+    return dd, den[dd], [(k, c) for k, c in enumerate(den[:dd]) if c]
+
+
+def _divmod_seq(num: Sequence[int], divisor: tuple) -> tuple:
+    """Quotient and remainder lists of num by a _divisor, top-down, one
+    leading term at a time. Raises NonIntegerQuotient when a quotient
+    coefficient is not an integer; a monic divisor never does."""
+    dd, lead, tail = divisor
+    rem = list(num)
+    if len(rem) <= dd:
+        return [], rem
+    q = [0] * (len(rem) - dd)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + dd]
+        if not c:
+            continue
+        if lead != 1:
+            c, r = divmod(c, lead)
+            if r:
+                raise NonIntegerQuotient(
+                    f"coefficient {rem[i + dd]} not divisible by leading {lead}")
+        q[i] = c
+        for k, dk in tail:
+            rem[i + k] -= c * dk
+    del rem[dd:]  # every entry from dd up has been divided out
+    return q, rem
+
+
 class IntPoly:
     __slots__ = ("coeffs",)
 
@@ -231,28 +265,7 @@ class IntPoly:
         """
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return IntPoly()
-        if self.degree < den.degree:
-            raise NonZeroRemainder(f"degree {self.degree} < {den.degree}")
-        rem = list(self.coeffs)
-        dc = den.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        support = [(k, c) for k, c in enumerate(dc) if c and k < dd]
-        q = [0] * (len(rem) - dd)
-        for i in range(len(q) - 1, -1, -1):
-            c = rem[i + dd]
-            if not c:
-                continue
-            qi, r = divmod(c, lead)
-            if r:
-                raise NonIntegerQuotient(
-                    f"coefficient {c} not divisible by leading {lead}")
-            q[i] = qi
-            rem[i + dd] = 0
-            for k, dk in support:
-                rem[i + k] -= qi * dk
+        q, rem = _divmod_seq(self.coeffs, _divisor(den.coeffs))
         if any(rem):
             raise NonZeroRemainder("nonzero remainder in exact division")
         return IntPoly(q)

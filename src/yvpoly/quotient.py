@@ -1,7 +1,9 @@
 """Arithmetic in Z[a]/(M(a)) for a fixed monic integer modulus M.
 
-An element is the canonical remainder of an integer polynomial modulo M;
-since M is monic, reduction needs no division and stays in the integers.
+An element is the canonical remainder of an integer polynomial modulo M,
+as `intpoly._divmod_seq`, the package's one division routine, computes it;
+since M is monic, no coefficient is divided and reduction stays in the
+integers.
 Working modulo M evaluates an expression simultaneously at every root of M,
 so an identity holds at all roots iff its residue is the literal zero. The
 ring has no inverses: callers clear denominators instead, multiplying by
@@ -10,13 +12,13 @@ elements whose invertibility they have certified separately.
 
 from __future__ import annotations
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, _divisor, _divmod_seq
 
 
 class QuotientContext:
     """Fixed monic modulus; builds and canonicalizes residues."""
 
-    __slots__ = ("modulus", "_tail")
+    __slots__ = ("modulus", "_divisor")
 
     def __init__(self, modulus: IntPoly):
         if not modulus or modulus.degree < 1:
@@ -24,23 +26,10 @@ class QuotientContext:
         if modulus.leading != 1:
             raise ValueError("modulus must be monic")
         self.modulus = modulus
-        # nonzero lower coefficients: reduction subtracts c z^s M for each
-        # coefficient c at a power s + deg M, one leading term at a time
-        self._tail = [(k, c) for k, c in enumerate(modulus.coeffs[:-1]) if c]
+        self._divisor = _divisor(modulus.coeffs)
 
     def _reduce(self, coeffs) -> IntPoly:
-        d = len(self.modulus.coeffs) - 1
-        if len(coeffs) <= d:
-            return IntPoly(coeffs)
-        rem = list(coeffs)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                s = i - d
-                for k, mk in self._tail:
-                    rem[s + k] -= c * mk
-        del rem[d:]
-        return IntPoly(rem)
+        return IntPoly(_divmod_seq(coeffs, self._divisor)[1])
 
     def element(self, poly) -> "QuotientElement":
         """The residue class of an IntPoly or an int."""

@@ -367,13 +367,13 @@ def verify_corollary(records: Sequence, n: int, mode: str = "exact",
 # Laurent coefficients at a pole of w_n
 
 def pole_series_check(records: Sequence, n: int, j: int,
-                      rootsets: dict, M: int = 4,
-                      tolerance=None) -> VerificationReport:
+                      rootsets: dict, tolerance=None) -> VerificationReport:
     """Coefficients of w_n - 1/(z - omega) at the j-th root omega of Q_{n-1}.
 
     a_m = (-1)^m (S_{m+1} - C_{m+1}) at omega, so a_0, a_1, a_2 and a_4 are
     checked against the closed forms of the theorem families T1, T2, T3 and
-    T5; a_3 is reported only (it is not determined by the local recursion).
+    T5, the ones hosted by Q_{n-1}; a_3 is reported only (it is not
+    determined by the local recursion).
     """
     prec = _numeric_prec(rootsets, n)
     with mp.workprec(prec):
@@ -386,13 +386,11 @@ def pole_series_check(records: Sequence, n: int, j: int,
         c_row = _cross_table(prev, cur, "prev", prec)[j]
         worst = mp.mpf(0)
         for fam in FAMILIES:
-            m = fam[3] - 1
-            if fam[0] == "relations" and fam[2] == "prev" and m <= M:
+            if fam[0] == "relations" and fam[2] == "prev":
                 dev = _deviation(fam, n, omega, s_row, c_row)
                 worst = max(worst, dev)
                 if not dev < tol:
-                    rep.fail({"m": m, "deviation": mp.nstr(dev, 8)})
+                    rep.fail({"m": fam[3] - 1, "deviation": mp.nstr(dev, 8)})
         rep.details["margin_digits"] = _margin(tol, worst)
-        if M >= 3:  # reported, not asserted
-            rep.details["a_3"] = mp.nstr(c_row[3] - s_row[3], 20)
+        rep.details["a_3"] = mp.nstr(c_row[3] - s_row[3], 20)  # not asserted
     return rep

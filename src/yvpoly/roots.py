@@ -461,8 +461,7 @@ def _closed_under(roots, images, tol):
     return all(used)
 
 
-def certify(rs: RootSet, r: YvRecord,
-            threshold=None) -> VerificationReport:
+def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count, residual, separation, rotation/conjugation closure, and a
     numeric guard that no nonzero real root sits near a small rational."""
     rep = VerificationReport(suite="roots", n=rs.n)
@@ -471,9 +470,7 @@ def certify(rs: RootSet, r: YvRecord,
         rep.fail({"check": "count", "got": len(rs.roots), "want": expected})
     with mp.workprec(rs.precision_bits):
         tol = mp.mpf(2) ** (-rs.precision_bits // 2)
-        if threshold is None:
-            threshold = tol
-        if rs.roots and rs.max_residual > threshold:
+        if rs.roots and rs.max_residual > tol:
             rep.fail({"check": "residual",
                       "max_residual": mp.nstr(rs.max_residual, 8)})
         if len(rs.roots) > 1 and not rs.min_separation > 0:

@@ -30,6 +30,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.RunConfig(mode="fuzzy")
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n-max", "-1"], ["verify", "--precision-bits", "10"],
+        ["verify", "--tolerance", "3"], ["sums", "--m-list", "3,x"]])
+    def test_bad_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"yvpoly {argv[0]}: error: ")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
 
 class TestParser:
     def test_verify_flags(self):
@@ -282,9 +292,13 @@ class TestEnvFallback:
 
 
 def test_cli_import_loads_no_sympy():
+    # nor any other package beside mpmath: every top-level module that
+    # importing the CLI adds to mpmath's is the standard library's or yvpoly
     src = str(Path(yvpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, yvpoly.cli; print('sympy' in sys.modules)"
+    probe = ("import sys, mpmath; seen = set(sys.modules); import yvpoly.cli; "
+             "new = {m.partition('.')[0] for m in set(sys.modules) - seen}; "
+             "print(sorted(new - set(sys.stdlib_module_names) - {'yvpoly'}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

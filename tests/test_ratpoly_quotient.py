@@ -1,52 +1,13 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from yvpoly.quotient import QuotientContext
-from yvpoly.ratpoly import RatPoly, rat_gcd, rat_gcd_ext
 
-fracs = st.fractions(min_value=-10, max_value=10, max_denominator=6)
-small_polys = st.lists(fracs, max_size=6).map(RatPoly)
-nonzero_polys = small_polys.filter(bool)
 ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
 int_polys = st.lists(ints, max_size=6).map(IntPoly)
 small_residues = st.lists(ints, max_size=8).map(IntPoly)
-
-
-class TestRatPoly:
-    def test_divmod(self):
-        num = RatPoly([-1, 0, 1])  # z^2 - 1
-        q, r = divmod(num, RatPoly([-1, 1]))
-        assert q == RatPoly([1, 1]) and not r
-
-    @given(a=small_polys, b=nonzero_polys)
-    def test_divmod_identity(self, a, b):
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert not r or r.degree < b.degree
-
-
-class TestGcd:
-    def test_shared_linear_factor(self):
-        g = rat_gcd(RatPoly([-1, 0, 1]), RatPoly([-1, 1]))
-        assert g == RatPoly([-1, 1])
-
-    def test_equal_inputs(self):
-        assert rat_gcd(RatPoly([0, 1]), RatPoly([0, 1])) == RatPoly([0, 1])
-
-    def test_family_coprimality(self, records8):
-        q2 = RatPoly.from_intpoly(records8[2].poly)
-        q3 = RatPoly.from_intpoly(records8[3].poly)
-        assert rat_gcd(q2, q3) == RatPoly.one()
-
-    @given(a=small_polys, b=small_polys)
-    def test_bezout(self, a, b):
-        assume(a or b)
-        g, s, t = rat_gcd_ext(a, b)
-        assert s * a + t * b == g
-        assert not a or not divmod(a, g)[1]
-        assert not b or not divmod(b, g)[1]
 
 
 class TestQuotient:
@@ -70,6 +31,14 @@ class TestQuotient:
         with pytest.raises(UnexpectedCommonFactor) as exc:
             certify_coprime(IntPoly([-1, 1]), IntPoly([-1, 0, 1]), "test")
         assert exc.value.gcd_degree == 1
+
+    def test_family_coprimality(self, records16):
+        # the certificates the exact route relies on: consecutive Q_n share
+        # no root, and every root of Q_n is simple
+        for n in range(16):
+            q, nxt = records16[n].poly, records16[n + 1].poly
+            certify_coprime(q, nxt, f"Q_{n}, Q_{n + 1}")
+            certify_coprime(q.derivative(), q, f"Q_{n}', Q_{n}")
 
     def test_pow_negative(self):
         # a^3 = -4: a power of a is a product, never an inverse
