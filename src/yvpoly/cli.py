@@ -19,7 +19,8 @@ import mpmath as mp
 
 from . import family, painleve, relations, roots as rootsmod, series
 from .intpoly import UnexpectedCommonFactor
-from .report import FAIL, SKIPPED, VerificationReport, combine, stringify
+from .report import (FAIL, SKIPPED, VerificationReport, combine, stringify,
+                     timed)
 
 @dataclass
 class RunConfig:
@@ -30,6 +31,7 @@ class RunConfig:
     output_dir: Path = field(default_factory=lambda: Path("."))
     report_format: str = "json"
     seed: int = 0
+    timing: bool = False  # write each report's elapsed time
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -83,21 +85,23 @@ def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # Suites
 
+@timed
+def _structure_report(r) -> VerificationReport:
+    rep = VerificationReport(suite="structure", n=r.n)
+    deg = r.poly.degree if r.poly else 0
+    if r.n > 0 and deg != family.expected_degree(r.n):
+        rep.fail({"check": "degree", "got": deg})
+    if r.compressed[0] != 1:
+        rep.fail({"check": "monic"})
+    try:
+        family.cube_compress(r.poly, r.n)
+    except family.StructureViolation as exc:
+        rep.fail({"check": "z3_support", "error": str(exc)})
+    return rep
+
+
 def _suite_structure(run: _Runner):
-    reports = []
-    for r in run.records:
-        rep = VerificationReport(suite="structure", n=r.n)
-        deg = r.poly.degree if r.poly else 0
-        if r.n > 0 and deg != family.expected_degree(r.n):
-            rep.fail({"check": "degree", "got": deg})
-        if r.compressed[0] != 1:
-            rep.fail({"check": "monic"})
-        try:
-            family.cube_compress(r.poly, r.n)
-        except family.StructureViolation as exc:
-            rep.fail({"check": "z3_support", "error": str(exc)})
-        reports.append(rep)
-    return reports
+    return [_structure_report(r) for r in run.records]
 
 
 def _suite_divisibility(run: _Runner):
@@ -129,19 +133,24 @@ def _suite_pii(run: _Runner):
     return reports
 
 
+@timed
+def _backlund_report(w, n: int, want) -> VerificationReport:
+    rep = VerificationReport(suite="backlund", n=n + 1)
+    try:
+        if painleve.backlund_next(w, n) != want:
+            rep.fail({"check": "mismatch", "n": n + 1})
+    except painleve.DegenerateDenominator as exc:
+        rep.fail({"check": "denominator", "error": type(exc).__name__,
+                  "message": str(exc)})
+    return rep
+
+
 def _suite_backlund(run: _Runner):
     reports = []
     w = painleve.rational_solution(run.records, 0)
     for n in range(run.config.n_max):
         want = painleve.rational_solution(run.records, n + 1)
-        rep = VerificationReport(suite="backlund", n=n + 1)
-        try:
-            if painleve.backlund_next(w, n) != want:
-                rep.fail({"check": "mismatch", "n": n + 1})
-        except painleve.DegenerateDenominator as exc:
-            rep.fail({"check": "denominator", "error": type(exc).__name__,
-                      "message": str(exc)})
-        reports.append(rep)
+        reports.append(_backlund_report(w, n, want))
         w = want
     return reports
 
@@ -293,7 +302,7 @@ def cmd_verify(config: RunConfig, suites) -> int:
                 "mode": config.mode,
                 "seed": config.seed,
             },
-            "reports": [r.to_json_dict(include_timing=False)
+            "reports": [r.to_json_dict(include_timing=config.timing)
                         for r in all_reports],
             "overall": "fail" if failed else "pass",
         }
@@ -303,10 +312,12 @@ def cmd_verify(config: RunConfig, suites) -> int:
         path = config.output_dir / "verification_report.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["suite", "n", "status", "witnesses"])
+            header = ["suite", "n", "status", "witnesses"]
+            writer.writerow(header + ["elapsed"] if config.timing else header)
             for r in all_reports:
-                writer.writerow([r.suite, r.n, r.status,
-                                 json.dumps(stringify(r.witnesses))])
+                row = [r.suite, r.n, r.status,
+                       json.dumps(stringify(r.witnesses))]
+                writer.writerow(row + [r.elapsed] if config.timing else row)
     print(f"report written to {path}")
     return 1 if failed else 0
 
@@ -381,6 +392,7 @@ def _config_from(args) -> RunConfig:
         output_dir=Path(out),
         report_format=args.format,
         seed=args.seed,
+        timing=getattr(args, "timing", False),
     )
 
 
@@ -398,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_verify)
     p_verify.add_argument("--suites", type=str, default="all",
                           help=f"comma-separated subset of: {','.join(SUITE_RUNNERS)}")
+    p_verify.add_argument("--timing", action="store_true",
+                          help="write each report's elapsed seconds")
 
     p_roots = sub.add_parser("roots", help="extract roots, write CSV and SVG")
     _add_common(p_roots)

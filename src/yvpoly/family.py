@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intpoly import IntPoly
-from .report import FAIL, PASS, VerificationReport
+from .report import FAIL, PASS, VerificationReport, timed
 
 
 class IntegrityError(Exception):
@@ -125,6 +125,7 @@ def generate(n_max: int) -> list:
 # ---------------------------------------------------------------------------
 # Verifiers
 
+@timed
 def check_divisibility(r: YvRecord) -> VerificationReport:
     """4^m divides a_m for every compressed coefficient."""
     rep = VerificationReport(suite="divisibility", n=r.n)
@@ -134,6 +135,7 @@ def check_divisibility(r: YvRecord) -> VerificationReport:
     return rep
 
 
+@timed
 def valuation_checks(records: Sequence[YvRecord]) -> VerificationReport:
     """x_n three-case recursion, p_n formula and p_n recursion."""
     rep = VerificationReport(suite="valuation")
@@ -157,6 +159,7 @@ def valuation_checks(records: Sequence[YvRecord]) -> VerificationReport:
     return rep
 
 
+@timed
 def wronskian_check(records: Sequence[YvRecord], n: int) -> VerificationReport:
     """Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2, exactly."""
     if n < 1 or n + 1 >= len(records):
@@ -170,6 +173,7 @@ def wronskian_check(records: Sequence[YvRecord], n: int) -> VerificationReport:
     return rep
 
 
+@timed
 def mod4_reduction(r: YvRecord) -> VerificationReport:
     """Q_n (or Q_n/z) is congruent to its leading monomial mod 4."""
     rep = VerificationReport(suite="mod4", n=r.n)
@@ -180,6 +184,7 @@ def mod4_reduction(r: YvRecord) -> VerificationReport:
     return rep
 
 
+@timed
 def verify_irrationality_premises(r: YvRecord) -> VerificationReport:
     """The computational premises behind irrationality of the nonzero roots.
 

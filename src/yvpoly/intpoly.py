@@ -2,23 +2,39 @@
 
 Coefficients are plain Python ints (arbitrary precision); ``coeffs[i]`` holds
 the coefficient of z**i and the zero polynomial has an empty tuple.
-Multiplication switches from schoolbook to Karatsuba above a size threshold;
-a product of a polynomial with itself takes a squaring path that forms
-about half the leaf products. Polynomials whose support lives in a single
-residue class mod 3 (the common case in this project) are multiplied
-through their compressed coefficient sequences. One schoolbook routine,
-`_divmod_seq`, divides by a polynomial: `IntPoly.exact_div` uses its
-quotient and `quotient.QuotientContext` its remainder.
+Multiplication switches from schoolbook to Karatsuba above a size threshold,
+splitting each sequence into its even and odd entries; a product of a
+polynomial with itself takes a squaring path that forms about half the leaf
+products. Polynomials whose support lives in a single residue class mod 3
+(the common case in this project) are multiplied through their compressed
+coefficient sequences. One routine, `_divmod_seq`, divides by a polynomial:
+`IntPoly.exact_div` uses its quotient and `quotient.QuotientContext` its
+remainder. Above a size cutoff it forms the quotient first and the
+remainder by one product.
+
+The family's coefficients ramp: those of Q_36 run from 1 bit at the leading
+term to about 2,200 bits at the constant one. Both kernels are laid out so
+that the big-integer products they form stay small on such a ramp.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Leaf products of kbit coefficients are dear, so Karatsuba pays from few
-# terms on: 4 and 8 tied best on generate(36) in a sweep over 4, 8, 16, 32.
+# terms on. Sweep under the even/odd split, medians of 7 interleaved
+# in-process rounds at leaf sizes 4/6/8/12/16/24/32: generate(36) took
+# 0.89/0.85/0.83/0.84/0.91/0.96/1.02 s, and pII_residual for n = 0..16
+# (coefficients up to 353 bits) 0.17/0.14/0.13/0.13/0.14/0.16/0.15 s.
 KARATSUBA_THRESHOLD = 8
+
+# Divisor degree above which _divmod_seq forms the quotient first. Timed on
+# every division in generate(36) and in the exact relations at n = 8, 12,
+# 16 and 20, the quotient-first path took 2.5x the loop's time at degrees
+# 25-49, 1.2x at 100-149, 0.9-1.0x at 175-224 and 0.6-0.7x from 400 up.
+DIVISION_CUTOFF = 180
 
 
 class NonZeroRemainder(ArithmeticError):
@@ -87,36 +103,35 @@ def _school_sqr(a: Sequence[int]) -> list:
     return out
 
 
-def _karatsuba_join(z0: list, z1: list, z2: list, h: int, length: int) -> list:
-    """a0 b0 + z**h (a0 b1 + a1 b0) + z**(2h) a1 b1 from the three products
-    z0 = a0 b0, z1 = (a0 + a1)(b0 + b1), z2 = a1 b1."""
-    for i, c in enumerate(z0):
-        z1[i] -= c
+def _karatsuba_join(z0: list, z1: list, z2: list, length: int) -> list:
+    """a b from the even/odd split a = a0(y^2) + y a1(y^2), b likewise:
+    a0 b0 + y^2 a1 b1 at the even powers and a0 b1 + a1 b0 at the odd ones,
+    from the three products z0 = a0 b0, z1 = (a0 + a1)(b0 + b1), z2 = a1 b1."""
+    even = z0 + [0] * ((length + 1) // 2 - len(z0))
     for i, c in enumerate(z2):
-        z1[i] -= c
+        z1[i] -= z0[i] + c
+        even[i + 1] += c
+    for i in range(len(z2), length // 2):
+        z1[i] -= z0[i]
     out = [0] * length
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        if c:
-            out[i + h] += c
-    for i, c in enumerate(z2):
-        if c:
-            out[i + 2 * h] += c
+    out[0::2] = even
+    out[1::2] = z1[:length // 2]  # entries past it are zero
     return out
 
 
 def _mul_seq(a: Sequence[int], b: Sequence[int]) -> list:
+    """a * b by Karatsuba on the even/odd split. On a coefficient ramp both
+    halves span the whole ramp, so the sums the middle product multiplies
+    stay the size of their parts; low/high halves would add the small half
+    to the big one and make the middle product as dear as the big one."""
     if not a or not b:
         return []
     if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
         return _school_mul(a, b)
-    h = min(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
+    a0, a1, b0, b1 = a[0::2], a[1::2], b[0::2], b[1::2]
     return _karatsuba_join(_mul_seq(a0, b0),
                            _mul_seq(_add_seq(a0, a1), _add_seq(b0, b1)),
-                           _mul_seq(a1, b1), h, len(a) + len(b) - 1)
+                           _mul_seq(a1, b1), len(a) + len(b) - 1)
 
 
 def _sqr_seq(a: Sequence[int]) -> list:
@@ -125,10 +140,9 @@ def _sqr_seq(a: Sequence[int]) -> list:
         return []
     if len(a) <= KARATSUBA_THRESHOLD:
         return _school_sqr(a)
-    h = len(a) // 2
-    a0, a1 = a[:h], a[h:]
+    a0, a1 = a[0::2], a[1::2]
     return _karatsuba_join(_sqr_seq(a0), _sqr_seq(_add_seq(a0, a1)),
-                           _sqr_seq(a1), h, 2 * len(a) - 1)
+                           _sqr_seq(a1), 2 * len(a) - 1)
 
 
 def _stride3_class(coeffs: Sequence[int]):
@@ -144,21 +158,43 @@ def _stride3_class(coeffs: Sequence[int]):
     return cls if cls != -1 else None
 
 
+def _product(a: Sequence[int], b: Sequence[int], square: bool = False) -> list:
+    """a * b of nonempty sequences (a * a when square), through the
+    compressed sequences when both supports lie in one residue class mod 3."""
+    ra, rb = _stride3_class(a), _stride3_class(b)
+    if ra is None or rb is None or (len(a) <= 6 and len(b) <= 6):
+        return _sqr_seq(a) if square else _mul_seq(a, b)
+    prod = _sqr_seq(a[ra::3]) if square else _mul_seq(a[ra::3], b[rb::3])
+    out = [0] * (len(a) + len(b) - 1)
+    base = ra + rb
+    for i, c in enumerate(prod):
+        if c:
+            out[base + 3 * i] = c
+    return out
+
+
 def _divisor(den: Sequence[int]) -> tuple:
-    """The form _divmod_seq divides by: degree, leading coefficient (nonzero)
-    and the nonzero lower terms (k, den[k])."""
+    """The form _divmod_seq divides by: degree, leading coefficient (nonzero),
+    the nonzero lower terms (k, den[k]) and den itself."""
     dd = len(den) - 1
-    return dd, den[dd], [(k, c) for k, c in enumerate(den[:dd]) if c]
+    return dd, den[dd], [(k, c) for k, c in enumerate(den[:dd]) if c], den
 
 
 def _divmod_seq(num: Sequence[int], divisor: tuple) -> tuple:
     """Quotient and remainder lists of num by a _divisor, top-down, one
     leading term at a time. Raises NonIntegerQuotient when a quotient
-    coefficient is not an integer; a monic divisor never does."""
-    dd, lead, tail = divisor
+    coefficient is not an integer; a monic divisor never does.
+
+    Above DIVISION_CUTOFF the loop updates only the entries from deg(den)
+    up, the ones later quotient coefficients read, and the remainder is
+    num - q den by one Karatsuba product. The entries it skips pair the
+    low coefficients of q and den, which are the largest in this family.
+    """
+    dd, lead, tail, den = divisor
     rem = list(num)
     if len(rem) <= dd:
         return [], rem
+    quotient_first = dd > DIVISION_CUTOFF
     q = [0] * (len(rem) - dd)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + dd]
@@ -170,8 +206,11 @@ def _divmod_seq(num: Sequence[int], divisor: tuple) -> tuple:
                 raise NonIntegerQuotient(
                     f"coefficient {rem[i + dd]} not divisible by leading {lead}")
         q[i] = c
-        for k, dk in tail:
+        for k, dk in (tail[bisect_left(tail, (dd - i,)):] if quotient_first
+                      else tail):
             rem[i + k] -= c * dk
+    if quotient_first:
+        return q, [x - y for x, y in zip(num[:dd], _product(q, den))]
     del rem[dd:]  # every entry from dd up has been divided out
     return q, rem
 
@@ -238,18 +277,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        square = self is other
-        ra, rb = _stride3_class(a), _stride3_class(b)
-        if ra is not None and rb is not None and (len(a) > 6 or len(b) > 6):
-            prod = (_sqr_seq(a[ra::3]) if square
-                    else _mul_seq(a[ra::3], b[rb::3]))
-            out = [0] * (len(a) + len(b) - 1)
-            base = ra + rb
-            for i, c in enumerate(prod):
-                if c:
-                    out[base + 3 * i] = c
-            return IntPoly(out)
-        return IntPoly(_sqr_seq(a) if square else _mul_seq(a, b))
+        return IntPoly(_product(a, b, self is other))
 
     __rmul__ = __mul__
 

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Sequence
 
 from .intpoly import IntPoly, certify_coprime
-from .report import VerificationReport
+from .report import VerificationReport, timed
 
 
 class DegenerateDenominator(Exception):
@@ -56,6 +56,7 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
     return RationalSolution(n, num, den)
 
 
+@timed
 def pII_residual(w: RationalSolution) -> VerificationReport:
     """Numerator of w'' - 2w^3 - zw - n over D^3; pass iff identically zero."""
     nn, dd = w.numerator, w.denominator

@@ -26,7 +26,8 @@ one evaluator per route from tables of these sums built once per host:
 
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the precision) they were built
-from, and dropped when those objects are collected.
+from, and dropped when those objects are collected. `series` keeps each
+record's inverse power sums in the same tables.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from mpmath.libmp import to_fixed
 
 from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from .quotient import QuotientContext
-from .report import SKIPPED, VerificationReport
+from .report import SKIPPED, VerificationReport, timed
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
 
@@ -165,6 +166,7 @@ def self_sum_residue(host: IntPoly, p: int,
                             c[1:p + 1])
 
 
+@timed
 def _exact_report(fam, records, n):
     _, _, host_key, p, cs, cc, rhs = fam
     host, target = records[n - 1], records[n]
@@ -291,6 +293,7 @@ def _margin(tol, worst) -> float:
     return round(float(mp.log10(tol / worst)), 2) if worst else float("inf")
 
 
+@timed
 def _numeric_report(fam, rootsets, n, prec, tol):
     _, _, host_key, _, cs, cc, _ = fam
     prev, cur = rootsets.get(n - 1), rootsets[n]
@@ -366,6 +369,7 @@ def verify_corollary(records: Sequence, n: int, mode: str = "exact",
 # ---------------------------------------------------------------------------
 # Laurent coefficients at a pole of w_n
 
+@timed
 def pole_series_check(records: Sequence, n: int, j: int,
                       rootsets: dict, tolerance=None) -> VerificationReport:
     """Coefficients of w_n - 1/(z - omega) at the j-th root omega of Q_{n-1}.

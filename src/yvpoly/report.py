@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -58,6 +60,18 @@ class VerificationReport:
         if include_timing:
             d["elapsed"] = self.elapsed
         return d
+
+
+def timed(make):
+    """Decorate a function that makes one report: the report's `elapsed`
+    becomes the wall time of the call that made it."""
+    @functools.wraps(make)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        rep = make(*args, **kwargs)
+        rep.elapsed = time.perf_counter() - t0
+        return rep
+    return wrapper
 
 
 def combine(suite: str, n, reports) -> VerificationReport:

@@ -41,7 +41,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .family import StructureViolation, YvRecord, expected_degree
-from .report import VerificationReport
+from .report import VerificationReport, timed
 
 DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
@@ -461,6 +461,7 @@ def _closed_under(roots, images, tol):
     return all(used)
 
 
+@timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count, residual, separation, rotation/conjugation closure, and a
     numeric guard that no nonzero real root sits near a small rational."""

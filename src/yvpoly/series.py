@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intpoly import newton_power_sums
-from .report import VerificationReport
+from .relations import _TABLES
+from .report import VerificationReport, timed
 
 
 class ResonanceUnavailable(Exception):
@@ -25,11 +26,17 @@ class FitFailure(Exception):
 
 
 def inverse_power_sums(record, max_m: int) -> dict:
-    """{m: sum over nonzero roots z of Q_n of z**-m}, m = 1..max_m, exact."""
-    body = record.nonzero_part()
-    if not body or body.degree < 1:
-        return {m: Fraction(0) for m in range(1, max_m + 1)}
-    return dict(enumerate(newton_power_sums(body.reverse_nonzero(), max_m), 1))
+    """{m: sum over nonzero roots z of Q_n of z**-m}, m = 1..max_m, exact.
+
+    Newton's identities run once per record, kept in the shared tables; a
+    request for a larger max_m than any before runs them again up to it.
+    """
+    sums = _TABLES.get((record,), "inverse power sums", list)
+    if len(sums) < max_m:
+        body = record.nonzero_part()
+        sums[:] = ([Fraction(0)] * max_m if not body or body.degree < 1 else
+                   newton_power_sums(body.reverse_nonzero(), max_m))
+    return dict(enumerate(sums[:max_m], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +89,7 @@ def difference_value(n: int, m: int) -> Fraction:
     raise ValueError(f"no difference closed form for m={m}")
 
 
+@timed
 def verify_closed_forms(records: Sequence, n_max: int,
                         symmetry_max_m: int = 0) -> VerificationReport:
     """Exact equality with the m = 3, 6, 9 formulas; optionally also the
@@ -101,6 +109,7 @@ def verify_closed_forms(records: Sequence, n_max: int,
     return rep
 
 
+@timed
 def verify_difference_relations(records: Sequence, n_max: int) -> VerificationReport:
     """The nine displayed difference formulas, every applicable n."""
     rep = VerificationReport(suite="sums_differences")
@@ -182,6 +191,7 @@ def series_at_zero(records: Sequence, n: int, M: int) -> list:
     return a
 
 
+@timed
 def cross_check_series(records: Sequence, n: int, M: int) -> VerificationReport:
     """ODE-recursion coefficients against Newton-identity coefficients.
 
@@ -253,6 +263,7 @@ def remark_min_n_max(m: int) -> int:
     return 3 * (samples - 1) + 2
 
 
+@timed
 def verify_remark_polynomiality(records: Sequence, m: int,
                                 n_max: int) -> VerificationReport:
     """Per residue class of n, the m-th inverse-root sum is polynomial in n.

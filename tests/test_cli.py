@@ -90,6 +90,13 @@ class TestVerify:
         header = (tmp_path / "verification_report.csv").read_text() \
             .splitlines()[0]
         assert header == "suite,n,status,witnesses"
+        assert run(["verify", "--n-max", "4", "--suites", "structure",
+                    "--format", "csv", "--timing", "--out",
+                    str(tmp_path / "timed")]) == 0
+        lines = (tmp_path / "timed" / "verification_report.csv") \
+            .read_text().splitlines()
+        assert lines[0] == "suite,n,status,witnesses,elapsed"
+        assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
 
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = run(["verify", "--suites", "nonsense", "--out", str(tmp_path)])
@@ -221,6 +228,20 @@ class TestVerify:
         assert err[0].endswith(" s") and err[4].endswith(" s")
         payload = (tmp_path / "verification_report.json").read_text()
         assert "elapsed" not in payload
+
+    def test_timing_flag_writes_report_times(self, tmp_path):
+        argv = ["verify", "--n-max", "4", "--mode", "both",
+                "--suites", "structure,backlund,relations,poleseries"]
+        assert run(argv + ["--out", str(tmp_path / "plain")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "timed"), "--timing"]) == 0
+        plain = (tmp_path / "plain" / "verification_report.json").read_text()
+        timed = json.loads(
+            (tmp_path / "timed" / "verification_report.json").read_text())
+        assert "elapsed" not in plain
+        assert all(r["elapsed"] > 0 for r in timed["reports"])
+        for r in timed["reports"]:
+            del r["elapsed"]
+        assert json.dumps(timed, indent=2) + "\n" == plain
 
     def test_progress_per_n_on_stderr_only(self, tmp_path, capsys):
         code = run(["verify", "--n-max", "4", "--mode", "both",

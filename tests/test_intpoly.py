@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,103 @@ class TestArithmetic:
         b = IntPoly([0, 5, 0, 0, 6, 0, 0, 7])
         from yvpoly.intpoly import _school_mul
         assert (a * b).coeffs == tuple(_school_mul(a.coeffs, b.coeffs))
+
+
+def _ramp(length, rng, zero_runs=False):
+    """Coefficients of about 10 i bits at index i, both signs, as Q_n's
+    compressed coefficients grow; with zero_runs, some stretches zeroed."""
+    out = [rng.choice((-1, 1)) * rng.getrandbits(10 * i + 1)
+           for i in range(length)]
+    if zero_runs and length > 4:
+        start = rng.randrange(length - 3)
+        for i in range(start, start + rng.randint(1, 4)):
+            out[i] = 0
+    return out
+
+
+class TestEvenOddKaratsuba:
+    LENGTHS = [(1, 200), (200, 1), (9, 9), (10, 10), (17, 16), (33, 64),
+               (64, 33), (9, 200), (101, 99)]
+
+    @pytest.mark.parametrize("la,lb", LENGTHS)
+    def test_mul_matches_schoolbook_on_ramps(self, la, lb):
+        from yvpoly.intpoly import _mul_seq, _school_mul
+        rng = random.Random(la * 1000 + lb)
+        for zero_runs in (False, True):
+            a, b = _ramp(la, rng, zero_runs), _ramp(lb, rng, zero_runs)
+            assert _mul_seq(a, b) == _school_mul(a, b)
+            assert _mul_seq(a[::-1], b) == _school_mul(a[::-1], b)
+
+    @pytest.mark.parametrize("length", [1, 8, 9, 10, 31, 32, 33, 200])
+    def test_sqr_matches_schoolbook_on_ramps(self, length):
+        from yvpoly.intpoly import _school_mul, _sqr_seq
+        rng = random.Random(length)
+        for zero_runs in (False, True):
+            a = _ramp(length, rng, zero_runs)
+            assert _sqr_seq(a) == _school_mul(a, a)
+            assert _sqr_seq(a[::-1]) == _school_mul(a[::-1], a[::-1])
+
+
+def _school_divmod(num, den):
+    """Long division, one leading term at a time over every entry; None
+    when a quotient coefficient is not an integer."""
+    rem, dd = list(num), len(den) - 1
+    q = [0] * max(len(num) - dd, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[i + dd], den[dd])
+        if r:
+            return None
+        q[i] = c
+        for k in range(dd + 1):
+            rem[i + k] -= c * den[k]
+    return q, rem[:dd]
+
+
+class TestQuotientFirstDivision:
+    """_divmod_seq above DIVISION_CUTOFF: the loop updates only the entries
+    from deg(den) up and the remainder comes from one product."""
+
+    @pytest.fixture(scope="class")
+    def records30(self):
+        from yvpoly import family
+        return family.generate(31)
+
+    def test_family_pairs(self, records30, monkeypatch):
+        from yvpoly import intpoly
+        monkeypatch.setattr(intpoly, "DIVISION_CUTOFF", 0)
+        for n in range(2, 31):
+            den = records30[n - 1].poly.coeffs
+            num = (records30[n + 1].poly * records30[n - 1].poly).coeffs
+            q, rem = intpoly._divmod_seq(num, intpoly._divisor(den))
+            assert (q, rem) == _school_divmod(num, den)
+            assert q == list(records30[n + 1].poly.coeffs) and not any(rem)
+
+    @pytest.mark.parametrize("lead", [1, -1, 3])
+    def test_random_divisors(self, lead, monkeypatch):
+        from yvpoly import intpoly
+        monkeypatch.setattr(intpoly, "DIVISION_CUTOFF", 0)
+        rng = random.Random(lead)
+        for _ in range(40):
+            den = _ramp(rng.randint(1, 40), rng, True) + [lead]
+            num = _ramp(rng.randint(0, 90), rng, True)
+            if rng.random() < 0.5:  # an exact multiple plus a short tail
+                num = intpoly._school_mul(_ramp(rng.randint(1, 50), rng), den)
+                num[:3] = [c + rng.randint(-2, 2) for c in num[:3]]
+            want = _school_divmod(num, den)
+            if want is None:
+                with pytest.raises(NonIntegerQuotient):
+                    intpoly._divmod_seq(num, intpoly._divisor(den))
+            else:
+                assert intpoly._divmod_seq(num, intpoly._divisor(den)) == want
+
+    def test_off_by_one_constant_term(self, records30):
+        from yvpoly import intpoly
+        q, den = records30[31].poly, records30[29].poly
+        assert den.degree > intpoly.DIVISION_CUTOFF
+        num = (q * den).coeffs
+        assert IntPoly(num).exact_div(den) == q
+        with pytest.raises(NonZeroRemainder):
+            IntPoly((num[0] + 1,) + num[1:]).exact_div(den)
 
 
 class TestDerivative:

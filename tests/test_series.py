@@ -24,6 +24,20 @@ class TestInversePowerSums:
         t = series.inverse_power_sums(records8[4], 3)
         assert t[3] == series.closed_form_value(4, 3)
 
+    def test_newton_runs_once_per_record(self, monkeypatch):
+        records = generate(7)
+        want = {n: series.newton_power_sums(
+            records[n].nonzero_part().reverse_nonzero(), 12) for n in (5, 7)}
+        real, calls = series.newton_power_sums, []
+        monkeypatch.setattr(series, "newton_power_sums", lambda a, max_m: (
+            calls.append(max_m) or real(a, max_m)))
+        for n in (5, 7):
+            for m in (9, 4, 12, 12, 1):  # 12 extends the table once
+                assert series.inverse_power_sums(records[n], m) == \
+                    dict(enumerate(want[n][:m], 1))
+        assert calls == [9, 12, 9, 12]
+        assert series.inverse_power_sums(records[1], 3) == {1: 0, 2: 0, 3: 0}
+
     def test_non_multiples_of_three_vanish(self, records8):
         t = series.inverse_power_sums(records8[5], 12)
         for m in range(1, 13):
