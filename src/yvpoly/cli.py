@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath as mp
@@ -24,14 +25,18 @@ from .report import (FAIL, SKIPPED, VerificationReport, combine, stringify,
 
 @dataclass
 class RunConfig:
+    """Every setting of a run, its default and its check. The CLI passes the
+    flags a command was given; every other setting keeps its default."""
     n_max: int = 12
-    precision_bits: int = 256
-    tolerance_exponent: int = 30
+    precision_bits: int = rootsmod.DEFAULT_PRECISION_BITS
+    tolerance_exponent: int = relations.DEFAULT_TOLERANCE_EXPONENT
     mode: str = "both"  # exact | numeric | both
-    output_dir: Path = field(default_factory=lambda: Path("."))
+    output_dir: Path | None = None  # None: $YV_OUT_DIR, else "."
     report_format: str = "json"
     seed: int = 0
     timing: bool = False  # write each report's elapsed time
+    suites: str | list = "all"  # comma-separated or "all"; a list once checked
+    m_list: str | list = "3,6,9"  # comma-separated; a list once checked
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -42,7 +47,23 @@ class RunConfig:
             raise ValueError("tolerance_exponent must be >= 6")
         if self.mode not in ("exact", "numeric", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        self.output_dir = Path(self.output_dir)
+        if self.report_format not in ("json", "csv"):
+            raise ValueError(f"unknown format {self.report_format!r}")
+        self.output_dir = Path(self.output_dir
+                               or os.environ.get("YV_OUT_DIR") or ".")
+        if isinstance(self.suites, str):
+            self.suites = (list(SUITE_RUNNERS) if self.suites == "all" else
+                           [s.strip() for s in self.suites.split(",")
+                            if s.strip()])
+        unknown = [s for s in self.suites if s not in SUITE_RUNNERS]
+        if unknown:
+            raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        if not self.suites:
+            raise ValueError("no suites given")
+        if isinstance(self.m_list, str):
+            self.m_list = [int(m) for m in self.m_list.split(",")]
+        if any(m < 1 for m in self.m_list):
+            raise ValueError("each m must be >= 1")
 
     @property
     def tolerance(self):
@@ -50,30 +71,33 @@ class RunConfig:
 
 
 class _Runner:
-    """Shared state for one invocation: records and memoized root sets."""
+    """One invocation's records. The root sets and rational solutions w_n
+    read from them are built once, in relations.TABLES, and dropped with
+    the records."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.records = family.generate(config.n_max)
-        self._rootsets: dict = {}  # n -> RootSet, or the error finding it
 
     def rootset(self, n: int):
         """The root set of Q_n, found once. A RootFindingError is kept and
         raised again on every later request for this n."""
-        if n not in self._rootsets:
-            try:
-                self._rootsets[n] = rootsmod.roots_for_record(
-                    self.records[n], self.config.precision_bits,
-                    seed=self.config.seed)
-            except rootsmod.RootFindingError as exc:
-                self._rootsets[n] = exc
-        found = self._rootsets[n]
-        if isinstance(found, rootsmod.RootFindingError):
-            raise found
-        return found
+        bits, seed, record = (self.config.precision_bits, self.config.seed,
+                              self.records[n])
+        return relations.TABLES.get(
+            (record,), ("roots", bits, seed),
+            lambda: rootsmod.roots_for_record(record, bits, seed=seed),
+            rootsmod.RootFindingError)
+
+    def solution(self, n: int):
+        """w_n, built once from Q_{n-1} and Q_n."""
+        return relations.TABLES.get(
+            self.records[max(n - 1, 0):n + 1], "w",
+            lambda: painleve.rational_solution(self.records, n))
 
 
 def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
+    exc.__traceback__ = None  # see relations.Tables
     rep = VerificationReport(suite=suite, n=n)
     worst = exc.worst_residual
     return rep.fail({
@@ -126,11 +150,8 @@ def _suite_wronskian(run: _Runner):
 
 
 def _suite_pii(run: _Runner):
-    reports = []
-    for n in range(run.config.n_max + 1):
-        w = painleve.rational_solution(run.records, n)
-        reports.append(painleve.pII_residual(w))
-    return reports
+    return [painleve.pII_residual(run.solution(n))
+            for n in range(run.config.n_max + 1)]
 
 
 @timed
@@ -146,63 +167,43 @@ def _backlund_report(w, n: int, want) -> VerificationReport:
 
 
 def _suite_backlund(run: _Runner):
-    reports = []
-    w = painleve.rational_solution(run.records, 0)
-    for n in range(run.config.n_max):
-        want = painleve.rational_solution(run.records, n + 1)
-        reports.append(_backlund_report(w, n, want))
-        w = want
-    return reports
+    return [_backlund_report(run.solution(n), n, run.solution(n + 1))
+            for n in range(run.config.n_max)]
 
 
-def _relation_suite(run: _Runner, verifier, suite_name: str):
+def _pole_series(records, n, mode, rootsets, tolerance):
+    return [relations.pole_series_check(records, n, j, rootsets,
+                                        tolerance=tolerance)
+            for j in range(len(rootsets[n - 1].roots))]
+
+
+def _rooted_suite(run: _Runner, suite: str):
+    """One report per n and route of a suite read from the root sets of
+    Q_{n-1} and Q_n: the check's reports at n combined, or a FAIL report
+    when a root set cannot be found. Prints one progress line per n."""
     config = run.config
-    reports = []
     modes = ["exact", "numeric"] if config.mode == "both" else [config.mode]
-    for n in range(1, config.n_max + 1):
+    if suite == "poleseries":  # a pole of w_n is a root of Q_{n-1}
+        first_n, modes, check = 2, ["numeric"], _pole_series
+    else:  # read per call: instrumentation may rebind these names
+        first_n, check = 1, {"relations": relations.verify_theorem,
+                             "corollary": relations.verify_corollary,
+                             "kudryashov": relations.verify_kudryashov}[suite]
+    reports = []
+    for n in range(first_n, config.n_max + 1):
         for mode in modes:
             try:
                 rootsets = ({n - 1: run.rootset(n - 1), n: run.rootset(n)}
                             if mode == "numeric" else None)
             except rootsmod.RootFindingError as exc:
-                rep = _root_failure_report(suite_name, n, exc)
+                rep = _root_failure_report(suite, n, exc)
             else:
-                rep = combine(suite_name, n, verifier(
+                rep = combine(suite, n, check(
                     run.records, n, mode=mode, rootsets=rootsets,
                     tolerance=config.tolerance))
             rep.details["mode"] = mode
             reports.append(rep)
-        print(f"suite {suite_name}: n={n}/{config.n_max} done", file=sys.stderr)
-    return reports
-
-
-def _suite_relations(run: _Runner):
-    return _relation_suite(run, relations.verify_theorem, "relations")
-
-
-def _suite_corollary(run: _Runner):
-    return _relation_suite(run, relations.verify_corollary, "corollary")
-
-
-def _suite_kudryashov(run: _Runner):
-    return _relation_suite(run, relations.verify_kudryashov, "kudryashov")
-
-
-def _suite_poleseries(run: _Runner):
-    config = run.config
-    reports = []
-    for n in range(2, config.n_max + 1):
-        try:
-            rootsets = {n - 1: run.rootset(n - 1), n: run.rootset(n)}
-        except rootsmod.RootFindingError as exc:
-            reports.append(_root_failure_report("poleseries", n, exc))
-        else:
-            count = len(rootsets[n - 1].roots)
-            subs = [relations.pole_series_check(run.records, n, j, rootsets,
-                                                tolerance=config.tolerance)
-                    for j in range(count)]
-            reports.append(combine("poleseries", n, subs))
-        print(f"suite poleseries: n={n}/{config.n_max} done", file=sys.stderr)
+        print(f"suite {suite}: n={n}/{config.n_max} done", file=sys.stderr)
     return reports
 
 
@@ -247,10 +248,8 @@ SUITE_RUNNERS = {
     "wronskian": _suite_wronskian,
     "pii": _suite_pii,
     "backlund": _suite_backlund,
-    "relations": _suite_relations,
-    "corollary": _suite_corollary,
-    "kudryashov": _suite_kudryashov,
-    "poleseries": _suite_poleseries,
+    **{suite: functools.partial(_rooted_suite, suite=suite)
+       for suite in ("relations", "corollary", "kudryashov", "poleseries")},
     "sums": _suite_sums,
     "series": _suite_series,
     "remark": _suite_remark,
@@ -260,13 +259,11 @@ SUITE_RUNNERS = {
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_gen(config: RunConfig) -> int:
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    run = _Runner(config)
+def cmd_gen(run: _Runner) -> int:
+    """generate the family and write JSON"""
     print(f"{'n':>4} {'degree':>8} {'p_n':>6}  x_n")
     for r in run.records:
-        path = out / f"yv_{r.n}.json"
+        path = run.config.output_dir / f"yv_{r.n}.json"
         path.write_text(family.record_to_json(r) + "\n")
         x_str = str(r.x_n)
         if len(x_str) > 40:
@@ -275,11 +272,12 @@ def cmd_gen(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, suites) -> int:
-    run = _Runner(config)
+def cmd_verify(run: _Runner) -> int:
+    """run verification suites"""
+    config = run.config
     all_reports = []
     failed = False
-    for suite in suites:
+    for suite in config.suites:
         t0 = time.perf_counter()
         reps = SUITE_RUNNERS[suite](run)
         elapsed = time.perf_counter() - t0
@@ -292,7 +290,6 @@ def cmd_verify(config: RunConfig, suites) -> int:
         print(f"suite {suite}: {elapsed:.3f} s", file=sys.stderr)
         failed = failed or bool(n_fail)
         all_reports.extend(reps)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     if config.report_format == "json":
         payload = {
             "config": {
@@ -332,15 +329,15 @@ def _finder_line(rs) -> str:
             f"max residual {mp.nstr(rs.max_residual, 3)}")
 
 
-def cmd_roots(config: RunConfig) -> int:
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    run = _Runner(config)
+def cmd_roots(run: _Runner) -> int:
+    """extract roots, write CSV and SVG"""
+    out = run.config.output_dir
     status = 0
     for r in run.records[1:]:
         try:
             rs = run.rootset(r.n)
         except rootsmod.RootFindingError as exc:
+            exc.__traceback__ = None  # see relations.Tables
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue
@@ -355,12 +352,11 @@ def cmd_roots(config: RunConfig) -> int:
     return status
 
 
-def cmd_sums(config: RunConfig, m_list) -> int:
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    run = _Runner(config)
-    rows = series.sums_table(run.records, config.n_max, m_list)
-    path = out / "sums.json"
+def cmd_sums(run: _Runner) -> int:
+    """exact inverse-root power sums"""
+    config = run.config
+    rows = series.sums_table(run.records, config.n_max, config.m_list)
+    path = config.output_dir / "sums.json"
     path.write_text(json.dumps(stringify(rows), indent=2) + "\n")
     print(f"{len(rows)} rows written to {path}")
     return 0
@@ -369,31 +365,28 @@ def cmd_sums(config: RunConfig, m_list) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _add_common(parser):
-    parser.add_argument("--n-max", type=int, default=12)
-    parser.add_argument("--precision-bits", type=int, default=256)
-    parser.add_argument("--tolerance", type=int, default=30, metavar="T",
-                        help="numeric pass threshold 10^-T")
-    parser.add_argument("--mode", choices=["exact", "numeric", "both"],
-                        default="both")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory (or YV_OUT_DIR, or '.')")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, default=0)
+COMMANDS = ("gen", "verify", "roots", "sums")  # each runs cmd_<name>
 
-
-def _config_from(args) -> RunConfig:
-    out = args.out or os.environ.get("YV_OUT_DIR") or "."
-    return RunConfig(
-        n_max=args.n_max,
-        precision_bits=args.precision_bits,
-        tolerance_exponent=args.tolerance,
-        mode=args.mode,
-        output_dir=Path(out),
-        report_format=args.format,
-        seed=args.seed,
-        timing=getattr(args, "timing", False),
-    )
+# flag -> (the commands that read it, add_argument keywords); the defaults
+# are RunConfig's
+FLAGS = {
+    "--n-max": ("gen verify roots sums", dict(type=int)),
+    "--precision-bits": ("verify roots", dict(type=int)),
+    "--tolerance": ("verify", dict(type=int, dest="tolerance_exponent",
+                                   metavar="T",
+                                   help="numeric pass threshold 10^-T")),
+    "--mode": ("verify", dict(help="exact, numeric or both")),
+    "--out": ("gen verify roots sums",
+              dict(dest="output_dir",
+                   help="output directory (or YV_OUT_DIR, or '.')")),
+    "--format": ("verify", dict(dest="report_format", help="json or csv")),
+    "--seed": ("verify roots", dict(type=int)),
+    "--suites": ("verify", dict(help="comma-separated subset of: "
+                                     + ",".join(SUITE_RUNNERS))),
+    "--timing": ("verify", dict(action="store_true",
+                                help="write each report's elapsed seconds")),
+    "--m-list": ("sums", dict()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,52 +395,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generation and verification of the "
                     "Yablonskii-Vorob'ev polynomial family.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate the family and write JSON")
-    _add_common(p_gen)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    _add_common(p_verify)
-    p_verify.add_argument("--suites", type=str, default="all",
-                          help=f"comma-separated subset of: {','.join(SUITE_RUNNERS)}")
-    p_verify.add_argument("--timing", action="store_true",
-                          help="write each report's elapsed seconds")
-
-    p_roots = sub.add_parser("roots", help="extract roots, write CSV and SVG")
-    _add_common(p_roots)
-
-    p_sums = sub.add_parser("sums", help="exact inverse-root power sums")
-    _add_common(p_sums)
-    p_sums.add_argument("--m-list", type=str, default="3,6,9")
-
+    for command in COMMANDS:
+        p = sub.add_parser(command, help=globals()[f"cmd_{command}"].__doc__,
+                           argument_default=argparse.SUPPRESS)
+        for flag, (commands, kwargs) in FLAGS.items():
+            if command in commands.split():
+                p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    settings = vars(build_parser().parse_args(argv))
+    command = settings.pop("command")
     try:  # a bad option value is a one-line usage error, not a traceback
-        config = _config_from(args)
-        if args.command == "verify":
-            suites = (list(SUITE_RUNNERS) if args.suites == "all" else
-                      [s.strip() for s in args.suites.split(",") if s.strip()])
-            unknown = [s for s in suites if s not in SUITE_RUNNERS]
-            if unknown:
-                raise ValueError(f"unknown suites: {', '.join(unknown)}")
-        if args.command == "sums":
-            m_list = [int(m) for m in args.m_list.split(",")]
-            if any(m < 1 for m in m_list):
-                raise ValueError("each m must be >= 1")
+        config = RunConfig(**settings)
     except ValueError as exc:
-        print(f"yvpoly {args.command}: error: {exc}", file=sys.stderr)
+        print(f"yvpoly {command}: error: {exc}", file=sys.stderr)
         return 2
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "gen":
-            return cmd_gen(config)
-        if args.command == "verify":
-            return cmd_verify(config, suites)
-        if args.command == "roots":
-            return cmd_roots(config)
-        return cmd_sums(config, m_list)
+        # found by name, as instrumentation may rebind cmd_<name>
+        return globals()[f"cmd_{command}"](_Runner(config))
     except (family.IntegrityError, UnexpectedCommonFactor) as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 1

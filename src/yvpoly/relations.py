@@ -26,8 +26,9 @@ one evaluator per route from tables of these sums built once per host:
 
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the precision) they were built
-from, and dropped when those objects are collected. `series` keeps each
-record's inverse power sums in the same tables.
+from, and dropped when those objects are collected. The same memo, TABLES,
+holds each record's inverse power sums for `series`, and the root sets and
+rational solutions w_n a CLI run reads from its records.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
+DEFAULT_TOLERANCE_EXPONENT = 30  # numeric checks pass below 10^-30
 
 # (suite, family, host, p, coefficient of S_p, coefficient of C_p, rhs).
 # The host is Q_{n-1} ("prev") or Q_n ("cur"), the cross sums run over the
@@ -76,30 +78,33 @@ FAMILIES = (
 )
 
 
-class _Tables:
-    """Tables keyed by the identity of the objects they were built from and
-    dropped when one of those is collected; an UnexpectedCommonFactor raised
-    while building is kept and raised again on each request."""
+class Tables:
+    """Values keyed by the identity of the objects they were built from and
+    dropped when one of those is collected. An error of a type the caller
+    names in `replay` is kept in place of the value and raised again on
+    each request; any other error is not kept. A caller that handles a
+    replayed error drops its traceback, whose frames would otherwise keep
+    the sources, and so the entry, alive."""
 
     def __init__(self):
         self._entries = {}
 
-    def get(self, sources, kind, build):
+    def get(self, sources, kind, build, replay=()):
         key = (kind, *map(id, sources))
         if key not in self._entries:
             try:
                 self._entries[key] = build()
-            except UnexpectedCommonFactor as exc:
+            except replay as exc:
                 self._entries[key] = exc
             for obj in sources:
                 weakref.finalize(obj, self._entries.pop, key, None)
         value = self._entries[key]
-        if isinstance(value, UnexpectedCommonFactor):
+        if isinstance(value, replay):
             raise value
         return value
 
 
-_TABLES = _Tables()
+TABLES = Tables()
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +179,19 @@ def _exact_report(fam, records, n):
         host, target = target, host
     if (host.poly.degree or 0) < 1:
         return _skipped(fam, n, "exact")
-    ctx = _TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
+    ctx = TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
     used = []  # (coefficient, (G, b0_powers), name of b0) per sum used
     try:
         if cs:
-            used.append((cs, _TABLES.get((host,), "S", lambda: (
-                self_sum_residue(host.poly, P_MAX, ctx))), f"Q_{host.n}'(a)"))
+            used.append((cs, TABLES.get((host,), "S", lambda: (
+                self_sum_residue(host.poly, P_MAX, ctx)),
+                UnexpectedCommonFactor), f"Q_{host.n}'(a)"))
         if cc:
-            used.append((cc, _TABLES.get((host, target), "C", lambda: (
-                cross_sum_residue(host.poly, target.poly, P_MAX, ctx))),
-                f"Q_{target.n}(a)"))
+            used.append((cc, TABLES.get((host, target), "C", lambda: (
+                cross_sum_residue(host.poly, target.poly, P_MAX, ctx)),
+                UnexpectedCommonFactor), f"Q_{target.n}(a)"))
     except UnexpectedCommonFactor as exc:
+        exc.__traceback__ = None  # see Tables
         return _report(fam, n, "exact", False, {
             "error": "UnexpectedCommonFactor", "message": str(exc),
             "gcd_degree": exc.gcd_degree})
@@ -258,7 +265,7 @@ def _self_table(rs, prec):
             _add_powers(rows[i], rows[j], roots[i][0] - roots[j][0],
                         roots[i][1] - roots[j][1], bits)
         return _rows(rows, bits, prec)
-    return _TABLES.get((rs,), ("S", prec), build)
+    return TABLES.get((rs,), ("S", prec), build)
 
 
 def _cross_table(prev, cur, host_key, prec):
@@ -275,7 +282,7 @@ def _cross_table(prev, cur, host_key, prec):
             for (tx, ty), t_row in zip(ts, t_rows):
                 _add_powers(w_row, t_row, wx - tx, wy - ty, bits)
         return _rows(w_rows, bits, prec), _rows(t_rows, bits, prec)
-    return _TABLES.get((prev, cur), ("C", prec), build)[host_key == "cur"]
+    return TABLES.get((prev, cur), ("C", prec), build)[host_key == "cur"]
 
 
 def _deviation(fam, n, w, s_row, c_row):
@@ -340,7 +347,8 @@ def _verify(suite, records, n, mode, rootsets, tolerance):
         raise ValueError(f"unknown mode {mode!r}")
     prec = _numeric_prec(rootsets, n)
     with mp.workprec(prec):
-        tol = tolerance if tolerance is not None else mp.mpf(10) ** -30
+        tol = (tolerance if tolerance is not None
+               else mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT)
         return [_numeric_report(fam, rootsets, n, prec, tol)
                 for fam in families]
 
@@ -381,7 +389,8 @@ def pole_series_check(records: Sequence, n: int, j: int,
     """
     prec = _numeric_prec(rootsets, n)
     with mp.workprec(prec):
-        tol = tolerance if tolerance is not None else mp.mpf(10) ** -20
+        tol = (tolerance if tolerance is not None
+               else mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT)
         prev, cur = rootsets[n - 1], rootsets[n]
         omega = prev.roots[j]
         rep = VerificationReport(suite="poleseries", n=n,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intpoly import newton_power_sums
-from .relations import _TABLES
+from .relations import TABLES
 from .report import VerificationReport, timed
 
 
@@ -31,7 +31,7 @@ def inverse_power_sums(record, max_m: int) -> dict:
     Newton's identities run once per record, kept in the shared tables; a
     request for a larger max_m than any before runs them again up to it.
     """
-    sums = _TABLES.get((record,), "inverse power sums", list)
+    sums = TABLES.get((record,), "inverse power sums", list)
     if len(sums) < max_m:
         body = record.nonzero_part()
         sums[:] = ([Fraction(0)] * max_m if not body or body.degree < 1 else

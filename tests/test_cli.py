@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from mpmath import mp
 
 import yvpoly
-from yvpoly import cli, painleve, roots
+from yvpoly import cli, painleve, relations, roots
 
 
 def run(argv):
@@ -32,7 +33,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--n-max", "-1"], ["verify", "--precision-bits", "10"],
-        ["verify", "--tolerance", "3"], ["sums", "--m-list", "3,x"]])
+        ["verify", "--tolerance", "3"], ["sums", "--m-list", "3,x"],
+        ["verify", "--suites", ","]])
     def test_bad_value_is_a_usage_error(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -51,6 +53,30 @@ class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
+
+    def test_defaults_come_from_run_config(self):
+        assert vars(cli.build_parser().parse_args(["verify"])) == {
+            "command": "verify"}
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--seed", "1"], ["gen", "--format", "csv"],
+        ["roots", "--tolerance", "40"], ["roots", "--mode", "exact"],
+        ["sums", "--precision-bits", "300"]])
+    def test_command_rejects_flags_it_does_not_read(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_readme_cli_lines_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## CLI\n\n```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+        lines = [words for words in lines if words and words[0] == "yvpoly"]
+        assert len(lines) >= 4
+        for words in lines:
+            cli.build_parser().parse_args(words[1:])
 
 
 class TestGen:
@@ -113,10 +139,13 @@ class TestVerify:
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
+        before = len(relations.TABLES._entries)
         code = run(["verify", "--n-max", "3", "--mode", "numeric",
                     "--suites", "relations,poleseries",
                     "--out", str(tmp_path)])
         assert code == 1
+        gc.collect()  # the kept error does not keep the run's tables alive
+        assert len(relations.TABLES._entries) == before
         reports = json.loads(
             (tmp_path / "verification_report.json").read_text())["reports"]
         status = {(r["suite"], r["n"]): r["status"] for r in reports}
@@ -143,6 +172,19 @@ class TestVerify:
                 run_state.rootset(2)
             errors.append(exc.value)
         assert calls == [2] and errors[0] is errors[1]
+
+    def test_pii_and_backlund_share_each_solution(self, tmp_path,
+                                                  monkeypatch):
+        real, calls = painleve.rational_solution, []
+
+        def spy(records, n):
+            calls.append(n)
+            return real(records, n)
+
+        monkeypatch.setattr(painleve, "rational_solution", spy)
+        assert run(["verify", "--n-max", "5", "--suites", "pii,backlund",
+                    "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == list(range(6))
 
     def test_combined_reports_carry_margin_digits(self, tmp_path):
         code = run(["verify", "--n-max", "4", "--mode", "both",
@@ -287,8 +329,11 @@ class TestRoots:
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
+        before = len(relations.TABLES._entries)
         code = run(["roots", "--n-max", "3", "--out", str(tmp_path)])
         assert code == 1
+        gc.collect()
+        assert len(relations.TABLES._entries) == before
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "n=1: 1 roots, certified", "n=3: 6 roots, certified"]

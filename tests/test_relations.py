@@ -1,10 +1,11 @@
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from yvpoly import family, relations, roots
+from yvpoly import cli, family, relations, roots
 from yvpoly.intpoly import IntPoly
 from yvpoly.quotient import QuotientContext
 from yvpoly.report import FAIL, PASS, SKIPPED
@@ -99,18 +100,31 @@ class TestResidues:
                                           (c_rows[i][p - 1], cross_sum)):
                             assert abs(got - want) <= tol * max(1, abs(want))
 
-    def test_tables_live_with_their_sources(self):
+    def test_tables_live_with_their_sources(self, tmp_path, monkeypatch):
         records = family.generate(4)
         rootsets = {n: roots.roots_for_record(records[n]) for n in range(5)}
-        before = len(relations._TABLES._entries)
+        before = len(relations.TABLES._entries)
         for n in range(1, 5):
             relations.verify_theorem(records, n, mode="exact")
             relations.verify_theorem(records, n, mode="numeric",
                                      rootsets=rootsets)
-        assert len(relations._TABLES._entries) > before
+        assert len(relations.TABLES._entries) > before
         del records, rootsets
         gc.collect()
-        assert len(relations._TABLES._entries) == before
+        assert len(relations.TABLES._entries) == before
+        # a CLI run's root sets and w_n go with its records
+        real_get, kinds = relations.TABLES.get, set()
+
+        def spy(sources, kind, *args):
+            kinds.add(kind[0] if isinstance(kind, tuple) else kind)
+            return real_get(sources, kind, *args)
+
+        monkeypatch.setattr(relations.TABLES, "get", spy)
+        assert cli.main(["verify", "--n-max", "4", "--out", str(tmp_path),
+                         "--suites", "pii,backlund,relations"]) == 0
+        assert {"roots", "w"} <= kinds
+        gc.collect()
+        assert len(relations.TABLES._entries) == before
 
 
 class TestExactMode:
@@ -158,6 +172,11 @@ class TestExactMode:
             witness = rep.witnesses[0]
             assert witness["error"] == "UnexpectedCommonFactor"
             assert witness["gcd_degree"] == 1
+        # the error kept in the tables does not keep its host alive
+        host = weakref.ref(bad[2])
+        del bad
+        gc.collect()
+        assert host() is None
 
     def test_residue_fail_names_its_scaling(self, records8):
         bad = list(records8)
