@@ -323,8 +323,10 @@ def _finder_line(rs) -> str:
     """How the root finder got rs, for stderr."""
     last = "-" if rs.final_correction is None \
         else mp.nstr(rs.final_correction, 3)
+    y_roots = (len(rs.roots) - rs.includes_zero) // 3
     return (f"n={rs.n}: {rs.float_iterations} float sweeps, ladder "
-            f"{'>'.join(map(str, rs.ladder)) or '-'} bits, fallback "
+            f"{'>'.join(map(str, rs.ladder)) or '-'} bits on "
+            f"{rs.representatives} of {y_roots} y-roots, fallback "
             f"{'yes' if rs.fallback else 'no'}, last step {last}, "
             f"max residual {mp.nstr(rs.max_residual, 3)}")
 

@@ -14,23 +14,31 @@ needed:
    badly near the roots that doubles alone resolve nothing past n ~ 25.
    A root stops when its step no longer changes it.
 2. Newton steps at doubling precision, from 106 bits up to twice the
-   working precision: each step runs at about twice the bits the one
-   before reached, and the top step repeats until a further one could
-   not change the roots. At each step every correction must have shrunk
-   roughly quadratically, and the roots must stay pairwise farther apart
-   than twice the largest correction, so that no two seeds converge to
-   the same root.
-3. If a check fails, Aberth runs again in mpmath at the working precision
-   plus 32 bits, from the float seeds, and two Newton steps at doubled
-   precision polish the result.
+   working precision, on one root of each conjugate pair: R has real
+   coefficients, so each seed's mirror (the seed nearest its conjugate)
+   must pair the seeds off, a real root being its own mirror. A real root
+   is stepped in real arithmetic, a pair through its upper member, and
+   the partners are its exact conjugates. Each step runs at about twice
+   the bits the one before reached, and the top step repeats until a
+   further one could not change the roots. At each step every correction
+   must have shrunk roughly quadratically, and the roots with their
+   partners must stay pairwise farther apart than twice the largest
+   correction, so that no two seeds converge to the same root.
+3. If the seeds do not pair off or a check fails, Aberth runs again in
+   mpmath at the working precision plus 32 bits, from the float seeds, and
+   two Newton steps at doubled precision polish the result.
 
-Steps 1 and 3 share one Aberth kernel. Lifting to z and certification
-screen their pair scans with float approximations and measure only the
-pairs that survive the screen at full precision.
+Steps 1 and 3 share one Aberth kernel. Lifting to z builds each orbit of
+z -> omega z and z -> conj(z) from one cube root, and evaluates one
+residual per orbit: the other roots of the orbit are exact rotations and
+conjugations of it, rounded once. Lifting and certification screen their
+pair scans with float approximations sorted by real part, and measure only
+the pairs that survive the screen at full precision.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -97,6 +105,7 @@ class RootSet:
     float_iterations: int = 0  # Aberth sweeps in hardware doubles
     ladder: tuple = ()  # precision (bits) of each Newton step that passed
     fallback: bool = False  # whether the mpmath Aberth fallback ran
+    representatives: int = 0  # y-roots the ladder stepped, one per pair
     final_correction: object = None  # largest relative last Newton step
 
 
@@ -253,14 +262,52 @@ def _float_seeds(p: ReducedPoly, seed: int):
     return s, xs, sweeps
 
 
+def _mirror_pairs(seeds):
+    """The orbit representatives of the float seeds under conjugation.
+
+    A seed's mirror is the seed nearest its conjugate. The mirrors must
+    form an involution whose pairs straddle the real axis. Returns the
+    seeds that are their own mirror, as real floats, and the upper member
+    of each pair, as complex; None if the seeds do not pair off so.
+    """
+    mirror = [min(range(len(seeds)),
+                  key=lambda j: abs(seeds[j] - u.conjugate()))
+              for u in seeds]
+    reps = []
+    for i, m in enumerate(mirror):
+        if mirror[m] != i:
+            return None
+        if m == i:
+            reps.append(seeds[i].real)
+        elif seeds[i].imag > 0 > seeds[m].imag:
+            reps.append(seeds[i])
+        elif not seeds[m].imag > 0 > seeds[i].imag:
+            return None
+    return reps
+
+
+def _with_conjugates(xs):
+    """xs, each mpc followed by its conjugate. Exact only at a precision
+    no lower than that of xs."""
+    out = []
+    for x in xs:
+        out.append(x)
+        if isinstance(x, mp.mpc):
+            out.append(mp.conj(x))
+    return out
+
+
 def _newton_ladder(coeffs, xs, top):
-    """Newton steps from 106 bits up to top bits, each at about twice the
-    precision the previous one reached, and repeated at top (at most
-    TOP_STEPS times) until a further step could not change the roots; see
-    the module docstring for the checks.
+    """Newton steps on the orbit representatives xs (mpf for a real root,
+    mpc in the upper half plane for a pair) from 106 bits up to top bits,
+    each at about twice the precision the previous one reached, and
+    repeated at top (at most TOP_STEPS times) until a further step could
+    not change the roots; see the module docstring for the checks.
 
     Returns (roots, the precision of each step that passed, the last
-    relative correction); roots is None if a check failed.
+    relative correction), roots being every root as mpc at top bits, each
+    pair's upper member followed by its conjugate; roots is None if a
+    check failed.
     """
     passed = []
     prev_rel, prev_level, level = None, None, 106
@@ -282,13 +329,17 @@ def _newton_ladder(coeffs, xs, top):
                 floor = LADDER_SLACK * mp.mpf(2) ** (-prev_level // 2)
                 ok = all(r <= max(min(q / 2, LADDER_SLACK * q * q), floor)
                          for r, q in zip(rel, prev_rel))
-            if not (ok and _min_separation(xs) > 2 * max(map(abs, corrs))):
+            # levels never fall, so the conjugates here are exact
+            if not (ok and _min_separation(_with_conjugates(xs))
+                    > 2 * max(map(abs, corrs))):
                 return None, passed, None
             xs = [x - c for x, c in zip(xs, corrs)]
             worst = max(rel)
         passed.append(level)
         if level == top and LADDER_SLACK * worst ** 2 <= mp.mpf(2) ** -top:
-            return xs, passed, worst
+            with mp.workprec(top):  # below top, mpc and conj would round
+                return ([mp.mpc(y) for y in _with_conjugates(xs)], passed,
+                        worst)
         # the roots now hold about twice the bits the step corrected, and
         # the next step doubles them again; 64 bits spare for cancellation
         bits = -mp.mag(worst) if worst else top
@@ -331,7 +382,8 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
 
     The seed perturbs the starting circle. Returns a list of mpc. A dict
     passed as diagnostics receives how they were found: the RootSet fields
-    float_iterations, ladder, fallback and final_correction.
+    float_iterations, ladder, fallback, final_correction and
+    representatives.
     """
     d = p.degree
     if d < 1:
@@ -340,14 +392,23 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise ValueError("precision_bits must be >= 53")
     prec = working_precision(d, precision_bits, _coeff_bits(p.y_coeffs))
     s, seeds, sweeps = _float_seeds(p, seed)
-    xs = [mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s)) for u in seeds]
-    roots, ladder, last = _newton_ladder(p.y_coeffs, xs, 2 * prec)
+
+    def y(u):  # the seed u, in units of 2^s, as mpf if real
+        return mp.ldexp(u, s) if isinstance(u, float) \
+            else mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
+
+    reps = _mirror_pairs(seeds) or []
+    roots, ladder, last = None, [], None
+    if reps:
+        roots, ladder, last = _newton_ladder(
+            p.y_coeffs, [y(u) for u in reps], 2 * prec)
     fallback = roots is None
     if fallback:
-        roots, last = _mp_aberth(p, xs, prec)
+        roots, last = _mp_aberth(p, [y(u) for u in seeds], prec)
     if diagnostics is not None:
         diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
-                           fallback=fallback, final_correction=last)
+                           fallback=fallback, final_correction=last,
+                           representatives=len(reps))
     return roots
 
 
@@ -372,20 +433,46 @@ def _float_bounds(a, b):
     return dist - err, dist + err
 
 
+def _sorted_screen(approx):
+    """The indices of approx ordered by real part, the real parts in that
+    order, and err, at least twice the rounding term of _float_bounds for
+    any pair of approx. Since |a - b| >= |re a - re b|, a pair whose real
+    parts lie farther apart than w + err has float lower bound above w.
+    None if an approximation is out of the float range."""
+    if not all(abs(a) < 2.0 ** 1000 for a in approx):
+        return None
+    order = sorted(range(len(approx)), key=lambda k: approx[k].real)
+    err = 2.0 ** -48 * max(map(abs, approx)) + 2.0 ** -1069
+    return order, [approx[k].real for k in order], err
+
+
 def _min_separation(points):
     """min |p_i - p_j| at the current precision, equal to a full scan.
 
     Only pairs whose float lower bound does not exceed the smallest float
-    upper bound are measured exactly.
+    upper bound are measured exactly. Sweeps over the real parts find
+    that bound and those pairs.
     """
-    approx = [complex(z) for z in points]
-    pairs = itertools.combinations(range(len(points)), 2)
-    ceiling = min((_float_bounds(approx[i], approx[j])[1] for i, j in pairs),
-                  default=None)
-    if ceiling is None:
+    if len(points) < 2:
         return mp.inf
+    approx = [complex(z) for z in points]
+    screen = _sorted_screen(approx)
+    if screen is None:
+        return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+    order, keys, err = screen
+
+    def sweep(width):  # pairs with real parts within width(); may shrink
+        for i, ki in enumerate(order):
+            for j in range(i + 1, len(order)):
+                if keys[j] - keys[i] > width():
+                    break
+                yield ki, order[j]
+
+    ceiling = math.inf
+    for i, j in sweep(lambda: ceiling):
+        ceiling = min(ceiling, _float_bounds(approx[i], approx[j])[1])
     return min(abs(points[i] - points[j])
-               for i, j in itertools.combinations(range(len(points)), 2)
+               for i, j in sweep(lambda: ceiling + err)
                if _float_bounds(approx[i], approx[j])[0] <= ceiling)
 
 
@@ -394,6 +481,11 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
                     diagnostics: dict | None = None) -> RootSet:
     """Each y-root contributes its three cube roots; zero appended if stripped.
 
+    The cube roots of y are its base root times 1, omega and conj(omega);
+    those of a later y-root that is y's exact conjugate are their
+    conjugates. The residual is evaluated once per such orbit, at the base
+    root, and copied to the orbit's other roots: each is an exact image of
+    it rounded once at 2 prec, which moves its residual by about 2^-2prec.
     diagnostics, as filled in by find_roots, is copied onto the RootSet.
     """
     prec = working_precision(p.degree, precision_bits, _coeff_bits(p.y_coeffs))
@@ -402,16 +494,27 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
         coeffs = [mp.mpf(c) for c in p.y_coeffs]
         abs_coeffs = [abs(c) for c in coeffs]
         omega = mp.exp(2j * mp.pi / 3)
-        roots = []
+        omegas = (1, omega, mp.conj(omega))
+        orbits = {}  # y -> (its cube roots, their residual)
+        roots, residuals = [], []
         for y in y_roots:
-            r = mp.cbrt(abs(y))
-            theta = mp.arg(y) / 3
-            base = r * mp.exp(1j * theta)
-            roots.extend([base, base * omega, base * omega * omega])
+            mirror = orbits.get(mp.conj(y))
+            if mirror is not None:
+                zs, res = [mp.conj(z) for z in mirror[0]], mirror[1]
+            else:
+                if mp.im(y) == 0:  # real base, so the images are conjugates
+                    base = mp.mpc(mp.sign(mp.re(y)) * mp.cbrt(abs(y)))
+                else:
+                    base = mp.cbrt(abs(y)) * mp.exp(1j * mp.arg(y) / 3)
+                zs = [base * w for w in omegas]
+                res = _residual(coeffs, abs_coeffs, base, p.zero_root)
+            orbits[y] = zs, res
+            roots.extend(zs)
+            residuals.extend([res] * 3)
         if p.zero_root:
             roots.append(mp.mpc(0))
-        residuals = tuple(_residual(coeffs, abs_coeffs, z, p.zero_root)
-                          for z in roots)
+            residuals.append(mp.mpf(0))
+        residuals = tuple(residuals)
         max_residual = max(residuals) if residuals else mp.mpf(0)
         min_sep = _min_separation(roots)
     rs = RootSet(
@@ -445,16 +548,25 @@ def _closed_under(roots, images, tol):
     """Greedy nearest-neighbour matching; must be an unambiguous bijection.
 
     A float screen with slack for rounding picks a superset of the roots
-    within tol of each image; the exact test decides among those.
+    within tol of each image, from the roots sorted by real part; the
+    exact test decides among those.
     """
     approx = [complex(r) for r in roots]
     ftol = math.nextafter(float(tol), math.inf)
+    screen = _sorted_screen(approx)
     used = [False] * len(roots)
     for img in images:
         a = complex(img)
-        hits = [k for k, r in enumerate(roots)
+        if screen is None or not abs(a) < 2.0 ** 1000:
+            near = range(len(roots))
+        else:
+            order, keys, err = screen
+            width = ftol + err + 2.0 ** -48 * abs(a)
+            near = order[bisect.bisect_left(keys, a.real - width):
+                         bisect.bisect_right(keys, a.real + width)]
+        hits = [k for k in near
                 if _float_bounds(approx[k], a)[0] <= ftol
-                and abs(r - img) < tol]
+                and abs(roots[k] - img) < tol]
         if len(hits) != 1 or used[hits[0]]:
             return False
         used[hits[0]] = True

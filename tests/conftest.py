@@ -14,6 +14,11 @@ def records8(records16):
 
 
 @pytest.fixture(scope="session")
-def rootsets8(records16):
+def rootsets12(records16):
     from yvpoly import roots
-    return {n: roots.roots_for_record(records16[n]) for n in range(9)}
+    return {n: roots.roots_for_record(records16[n]) for n in range(13)}
+
+
+@pytest.fixture(scope="session")
+def rootsets8(rootsets12):
+    return {n: rootsets12[n] for n in range(9)}

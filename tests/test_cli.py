@@ -316,6 +316,7 @@ class TestRoots:
             "n=1: 1 roots, certified", "n=2: 3 roots, certified",
             "n=3: 6 roots, certified", "n=4: 10 roots, certified"]
         assert "n=4: 5 float sweeps, ladder 106>" in captured.err
+        assert " bits on 2 of 3 y-roots, fallback no" in captured.err
         assert "fallback no" in captured.err
 
     def test_certification_failure_reported(self, tmp_path, capsys,

@@ -51,9 +51,11 @@ class TestFindRoots:
         for n in (3, 8):
             a = roots.roots_for_record(records8[n], 128, seed=7)
             b = roots.roots_for_record(records8[n], 128, seed=7)
-            assert a.roots == b.roots and a.ladder
-            assert (a.float_iterations, a.ladder, a.final_correction) == \
-                (b.float_iterations, b.ladder, b.final_correction)
+            assert a.roots == b.roots and a.ladder and a.representatives
+            assert (a.float_iterations, a.ladder, a.final_correction,
+                    a.representatives) == \
+                (b.float_iterations, b.ladder, b.final_correction,
+                 b.representatives)
 
 
 class TestLadder:
@@ -89,6 +91,53 @@ class TestLadder:
         assert rs.fallback and len(rs.roots) == expected_degree(6)
         assert roots.certify(rs, records8[6]).passed
 
+    def test_unpaired_seed_falls_back_and_certifies(self, records8,
+                                                    monkeypatch):
+        real = roots._float_seeds
+
+        def unpaired(p, seed):
+            s, xs, sweeps = real(p, seed)
+            top = max(range(len(xs)), key=lambda k: xs[k].imag)
+            xs[top] = complex(xs[top].real, 0)  # its mirror loses its match
+            assert roots._mirror_pairs(xs) is None
+            return s, xs, sweeps
+
+        monkeypatch.setattr(roots, "_float_seeds", unpaired)
+        rs = roots.roots_for_record(records8[6], seed=0)
+        assert rs.fallback and not rs.ladder and rs.representatives == 0
+        assert len(rs.roots) == expected_degree(6)
+        assert roots.certify(rs, records8[6]).passed
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_orbits_are_exact(self, records16, rootsets12, n, monkeypatch):
+        rp = roots.cube_reduce(records16[n])
+        diagnostics = {}
+        ys = roots.find_roots(rp, diagnostics=diagnostics)
+        assert not diagnostics["fallback"]
+        calls = []
+        real = roots._residual
+        monkeypatch.setattr(roots, "_residual",
+                            lambda *args: calls.append(1) or real(*args))
+        rs = roots.lift_cube_roots(ys, rp, diagnostics=diagnostics)
+        assert len(calls) == rs.representatives  # one residual per orbit
+        assert rs.roots == rootsets12[n].roots
+        with mp.workprec(2 * rs.precision_bits):
+            assert {mp.conj(z) for z in rs.roots} == set(rs.roots)
+            assert {mp.conj(y) for y in ys} == set(ys)
+            tol = mp.mpf(2) ** -rs.precision_bits
+            near_real = [y for y in ys if abs(mp.im(y)) < tol]
+            assert all(mp.im(y) == 0 for y in near_real)
+            # each pair has one representative, each real root its own
+            assert len(near_real) == \
+                2 * diagnostics["representatives"] - len(ys)
+            assert sum(1 for z in rs.roots if z != 0 and mp.im(z) == 0) \
+                == len(near_real)
+            coeffs = [mp.mpf(c) for c in rp.y_coeffs]
+            abs_coeffs = [abs(c) for c in coeffs]
+            worst = max(roots._residual(coeffs, abs_coeffs, z, rp.zero_root)
+                        for z in rs.roots)
+        assert worst < mp.mpf(2) ** (-rs.precision_bits // 2)
+
     @pytest.mark.parametrize("n", [25, 30])
     def test_past_float_range_certifies(self, n):
         records = family.generate(n)
@@ -98,22 +147,68 @@ class TestLadder:
         assert roots.certify(rs, records[n]).passed
 
 
-class TestScreens:
-    @pytest.mark.parametrize("n", [4, 8])
-    def test_min_separation_equals_full_scan(self, rootsets8, n):
-        rs = rootsets8[n]
-        with mp.workprec(2 * rs.precision_bits):
-            brute = min(abs(a - b) for i, a in enumerate(rs.roots)
-                        for b in rs.roots[:i])
-        assert rs.min_separation == brute
-
-
 def _with_roots(rs, new_roots):
     return roots.RootSet(
         n=rs.n, roots=tuple(new_roots), precision_bits=rs.precision_bits,
         residuals=rs.residuals[:len(new_roots)],
         max_residual=rs.max_residual, min_separation=rs.min_separation,
         includes_zero=rs.includes_zero)
+
+
+def _perturbed(rs):
+    with mp.workprec(rs.precision_bits):
+        moved = list(rs.roots)
+        moved[5] *= 1 + mp.mpf(2) ** -80
+    return moved
+
+
+def _duplicated(rs):
+    doubled = list(rs.roots)
+    doubled[4] = doubled[3]
+    return doubled
+
+
+class TestScreens:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_min_separation_equals_full_scan(self, rootsets12, n):
+        rs = rootsets12[n]
+        with mp.workprec(2 * rs.precision_bits):
+            brute = min(abs(a - b) for i, a in enumerate(rs.roots)
+                        for b in rs.roots[:i])
+        assert rs.min_separation == brute
+
+    def test_closed_under_across_a_float_rounding_boundary(self):
+        with mp.workprec(256):
+            # 1 + 2^-53 rounds to the double 1, the image to 1 + 2^-52
+            points = [mp.mpc(1 + mp.mpf(2) ** -53), mp.mpc(-1)]
+            images = [points[0] + mp.mpf(2) ** -200, points[1]]
+            assert complex(points[0]) != complex(images[0])
+            assert roots._closed_under(points, images, mp.mpf(2) ** -128)
+
+    def test_min_separation_past_float_range(self):
+        points = [mp.mpc(2.5, 1), mp.mpc(mp.mpf("1e400")), mp.mpc(1),
+                  mp.mpc(2, 1)]
+        assert roots._min_separation(points) == mp.mpf("0.5")
+
+    def test_closed_under_equals_full_scan(self, rootsets8):
+        sets = [(rs, rs.roots) for rs in rootsets8.values() if rs.roots]
+        sets += [(rootsets8[7], _perturbed(rootsets8[7])),
+                 (rootsets8[7], _duplicated(rootsets8[7])),
+                 (rootsets8[3], rootsets8[3].roots[:-1])]
+        verdicts = []
+        for rs, points in sets:
+            with mp.workprec(rs.precision_bits):  # as certify calls it
+                tol = mp.mpf(2) ** (-rs.precision_bits // 2)
+                omega = mp.exp(2j * mp.pi / 3)
+                for images in ([z * omega for z in points],
+                               [mp.conj(z) for z in points]):
+                    hits = [[k for k, z in enumerate(points)
+                             if abs(z - img) < tol] for img in images]
+                    brute = all(len(h) == 1 for h in hits) and \
+                        sorted(h[0] for h in hits) == list(range(len(points)))
+                    assert roots._closed_under(points, images, tol) == brute
+                    verdicts.append(brute)
+        assert True in verdicts and False in verdicts
 
 
 class TestCertify:
@@ -133,17 +228,12 @@ class TestCertify:
 
     def test_detects_perturbed_root(self, records8, rootsets8):
         rs = rootsets8[7]
-        with mp.workprec(rs.precision_bits):
-            moved = list(rs.roots)
-            moved[5] *= 1 + mp.mpf(2) ** -80
-        rep = roots.certify(_with_roots(rs, moved), records8[7])
+        rep = roots.certify(_with_roots(rs, _perturbed(rs)), records8[7])
         assert {"check": "omega_closure"} in rep.witnesses
 
     def test_detects_duplicated_root(self, records8, rootsets8):
         rs = rootsets8[7]
-        doubled = list(rs.roots)
-        doubled[4] = doubled[3]
-        rep = roots.certify(_with_roots(rs, doubled), records8[7])
+        rep = roots.certify(_with_roots(rs, _duplicated(rs)), records8[7])
         assert {"check": "omega_closure"} in rep.witnesses
         assert {"check": "conjugation_closure"} in rep.witnesses
 
