@@ -21,11 +21,16 @@ one evaluator per route from tables of these sums built once per host:
 * numeric mode -- tables over certified high-precision root sets: one
   reciprocal per unordered pair of a root set gives S_p at both ends, and
   one per pair of consecutive root sets gives C_p in both directions. The
-  terms are fixed-point integers with guard bits past the working
-  precision, so the sums add exactly.
+  terms are fixed-point integers, so the sums add exactly, at bits that
+  come from the tolerance: its bits, HEADROOM_BITS = 64 to spare, and
+  the bits the row length and the closest pair of roots can cost
+  (_table_bits), capped at the roots' own precision. A relation is then
+  judged at each root in integers, and only the worst root becomes an
+  mpf. Each report states its `table_bits`, and its `margin_digits` reads
+  against the 64 headroom bits.
 
 Tables are shared across suites and n. They are keyed by the identity of
-the records or root sets (and, numerically, the precision) they were built
+the records or root sets (and, numerically, the bits) they were built
 from, and dropped when those objects are collected. The same memo, TABLES,
 holds each record's inverse power sums for `series`, and the root sets and
 rational solutions w_n a CLI run reads from its records.
@@ -36,7 +41,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction as F
-from math import comb, lcm
+from math import comb, frexp, inf, lcm
 from typing import Sequence
 
 import mpmath as mp
@@ -214,15 +219,61 @@ def _exact_report(fam, records, n):
 # ---------------------------------------------------------------------------
 # Numeric route
 
-def _fixed_bits(prec, *rootsets):
-    """Fractional bits of the fixed-point tables: prec plus guard bits.
+HEADROOM_BITS = 64  # table bits past the tolerance's, see _table_bits
+
+
+def _neg_log2(x) -> int:
+    """ceil(-log2 x), exactly, for a float or mpf x > 0."""
+    return 1 - (frexp if isinstance(x, float) else mp.frexp)(x)[1]
+
+
+def _fixed_bits(*rootsets):
+    """The most fractional bits a table over rootsets is built at: their
+    precision plus guard bits.
 
     Every term 1/(x - y)^p is at least (2 max|root|)^-P_MAX in size, and
     the guard bits keep each one, down to the smallest, accurate to more
-    than prec bits relative; the sums themselves add integers exactly.
+    than the roots' precision relative; the sums themselves add integers
+    exactly.
     """
+    prec = max(rs.precision_bits for rs in rootsets)
     radius = max((abs(z) for rs in rootsets for z in rs.roots), default=1)
     return prec + P_MAX * (int(2 * radius) + 1).bit_length() + 16
+
+
+def _table_bits(tol_bits, count, sep, cap) -> int:
+    """Fractional bits b of a table of sums over at most count roots, at
+    least sep apart, that resolve a tolerance tol <= 2^-tol_bits with
+    HEADROOM_BITS to spare; never above cap, the bits of _fixed_bits.
+
+    b = tol_bits + HEADROOM_BITS + ceil(log2(count P_MAX))
+        + (P_MAX + 1) max(0, ceil(-log2 sep)).
+
+    The error bound. Let M = max(1, 1/sep), u = 2^-b and p <= P_MAX, and
+    let b be the uncapped value, so u <= 2^-64 sep. Each coordinate of a
+    root is truncated to b bits, so a difference x - y moves by at most
+    2 sqrt2 u, and 1/(x - y)^p by at most 1.01^p p M^(p+1) 2 sqrt2 u. The
+    reciprocal, floor-divided, is within sqrt2 u of 1/(x - y), and each
+    truncated product of the powers adds sqrt2 u; by induction the p-th
+    power is within 2 p sqrt2 u (1.02 M)^(p-1) of the power of that
+    reciprocal. Together one term is within 6.3 p M^(p+1) u. The integers
+    add exactly, so the only error of a sum is its terms' rounding
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and a
+    row entry, a sum of at most count terms, is within
+    8 count P_MAX M^(P_MAX+1) u <= 2^-(tol_bits + HEADROOM_BITS - 3).
+    A deviation cs S_p + cc C_p - (c + k w), with |cs|, |cc| <= 1 and w
+    truncated to b bits, is then computed within (2^-60 + |k| 2^-63) tol
+    of its value at the given roots. A verdict can differ from exact
+    arithmetic only inside that band, and a margin_digits of about 18
+    (60 bits) or more reads the table's resolution, not the roots'. At
+    the cap the table is as accurate as the roots themselves, so a
+    tolerance they cannot reach still fails.
+    """
+    if not sep > 0:  # coincident roots: no finite bound
+        return cap
+    spread = _neg_log2(sep) if sep < 1 else 0
+    return min(cap, tol_bits + HEADROOM_BITS
+               + (count * P_MAX - 1).bit_length() + (P_MAX + 1) * spread)
 
 
 def _to_fixed(roots, bits):
@@ -237,61 +288,97 @@ def _add_powers(near, far, dx, dy, bits):
     norm = dx * dx + dy * dy
     re = (dx << 2 * bits) // norm
     im = (-dy << 2 * bits) // norm
-    p_re, p_im = re, im
+    p_re, p_im, sign = re, im, -1  # sign = (-1)^p
     for i in range(0, 2 * P_MAX, 2):
-        sign = 1 if i % 4 else -1  # (-1)^p for p = i/2 + 1
+        if i:  # the next power; none is formed past P_MAX
+            p_re, p_im, sign = ((p_re * re - p_im * im) >> bits,
+                                (p_re * im + p_im * re) >> bits, -sign)
         near[i] += p_re
         near[i + 1] += p_im
         far[i] += sign * p_re
         far[i + 1] += sign * p_im
-        p_re, p_im = ((p_re * re - p_im * im) >> bits,
-                      (p_re * im + p_im * re) >> bits)
 
 
-def _rows(fixed_rows, bits, prec):
-    """Fixed-point rows as rows of mpc rounded to prec bits."""
-    with mp.workprec(prec):
-        return [[mp.mpc(mp.mpf((row[i], -bits)), mp.mpf((row[i + 1], -bits)))
-                 for i in range(0, 2 * P_MAX, 2)] for row in fixed_rows]
+def _self_table(rs, tol_bits):
+    """(bits, rows): [S_1..S_5] at each root of rs, one reciprocal per root
+    pair, as fixed-point integers at bits."""
+    bits = TABLES.get((rs,), ("S bits", tol_bits), lambda: _table_bits(
+        tol_bits, len(rs.roots), rs.min_separation, _fixed_bits(rs)))
 
-
-def _self_table(rs, prec):
-    """Rows [S_1..S_5] at each root of rs: one reciprocal per root pair."""
     def build():
-        bits = _fixed_bits(prec, rs)
         roots = _to_fixed(rs.roots, bits)
         rows = [[0] * (2 * P_MAX) for _ in roots]
         for i, j in itertools.combinations(range(len(roots)), 2):
             _add_powers(rows[i], rows[j], roots[i][0] - roots[j][0],
                         roots[i][1] - roots[j][1], bits)
-        return _rows(rows, bits, prec)
-    return TABLES.get((rs,), ("S", prec), build)
+        return rows
+    return bits, TABLES.get((rs,), ("S", bits), build)
 
 
-def _cross_table(prev, cur, host_key, prec):
-    """Rows [C_1..C_5] at each root of the host, summed over the other set."""
+def _cross_separation(prev, cur) -> float:
+    """A lower bound on min |w - t| over w in prev, t in cur, from doubles:
+    the smallest float distance less the rounding term of
+    roots._float_bounds for the largest roots."""
+    ws, ts = ([complex(z) for z in rs.roots] for rs in (prev, cur))
+    if not ws or not ts:
+        return inf
+    dist = min(abs(w - t) for w in ws for t in ts)
+    return dist - 2.0 ** -49 * max(map(abs, ws + ts)) - 2.0 ** -1070
+
+
+def _cross_table(prev, cur, host_key, tol_bits):
+    """(bits, rows): [C_1..C_5] at each root of the host, summed over the
+    other set, as fixed-point integers at bits."""
     if prev is None:  # no roots of Q_{n-1} to sum over
-        return [[mp.mpc(0)] * P_MAX for _ in cur.roots]
+        return _fixed_bits(cur), [[0] * (2 * P_MAX) for _ in cur.roots]
+    bits = TABLES.get((prev, cur), ("C bits", tol_bits), lambda: _table_bits(
+        tol_bits, max(len(prev.roots), len(cur.roots)),
+        _cross_separation(prev, cur), _fixed_bits(prev, cur)))
 
     def build():
-        bits = _fixed_bits(prec, prev, cur)
         ws, ts = _to_fixed(prev.roots, bits), _to_fixed(cur.roots, bits)
         w_rows = [[0] * (2 * P_MAX) for _ in ws]
         t_rows = [[0] * (2 * P_MAX) for _ in ts]
         for (wx, wy), w_row in zip(ws, w_rows):
             for (tx, ty), t_row in zip(ts, t_rows):
                 _add_powers(w_row, t_row, wx - tx, wy - ty, bits)
-        return _rows(w_rows, bits, prec), _rows(t_rows, bits, prec)
-    return TABLES.get((prev, cur), ("C", prec), build)[host_key == "cur"]
+        return w_rows, t_rows
+    return bits, TABLES.get((prev, cur), ("C", bits), build)[host_key == "cur"]
 
 
-def _deviation(fam, n, w, s_row, c_row):
-    """|LHS - RHS| / max(1, |RHS|) of one family at one host root w."""
-    _, _, _, p, cs, cc, rhs = fam
-    const, k = (mp.mpf(x.numerator) / x.denominator for x in map(F, rhs(n)))
-    want = const + k * w
-    lhs = (cs * s_row[p - 1] if cs else 0) + (cc * c_row[p - 1] if cc else 0)
-    return abs(lhs - want) / max(1, abs(want))
+def _judge(fam, n, host, at, terms, tol):
+    """(ok, worst): whether fam holds within tol at the roots host.roots[i],
+    i in at, and the largest deviation |lhs - rhs| / max(1, |rhs|) among
+    them, as an mpf. terms holds (coefficient, bits, rows) per power sum
+    used.
+
+    Each root is judged in integers at b, the largest bits of the tables:
+    with L the lcm of the right-hand side's denominators, the rows shifted
+    to b bits and w truncated to b bits, D = L (cs S_p + cc C_p) 2^b
+    - L (c + k w) 2^b, and the root passes iff
+    |D|^2 den(tol)^2 < num(tol)^2 max(L 2^b, |L (c + k w) 2^b|)^2.
+    """
+    _, _, _, p, _, _, rhs = fam
+    const, k = map(F, rhs(n))
+    scale = lcm(const.denominator, k.denominator)
+    c = const.numerator * (scale // const.denominator)
+    k = k.numerator * (scale // k.denominator)
+    bits = max(b for _, b, _ in terms)
+    one = (scale << bits) ** 2
+    worst_d, worst_s = 0, 1  # the worst |D|^2 / max(...)^2 so far
+    for i, (wx, wy) in zip(at, _to_fixed([host.roots[i] for i in at], bits)):
+        re, im = (c << bits) + k * wx, k * wy
+        d_re, d_im = -re, -im
+        for coeff, b, rows in terms:
+            d_re += coeff * scale * (rows[i][2 * p - 2] << bits - b)
+            d_im += coeff * scale * (rows[i][2 * p - 1] << bits - b)
+        d, s = d_re * d_re + d_im * d_im, max(one, re * re + im * im)
+        if d * worst_s > worst_d * s:
+            worst_d, worst_s = d, s
+    man, exp = tol.man_exp
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    ok = num > 0 and worst_d * den * den < num * num * worst_s
+    return ok, mp.sqrt(mp.mpf(worst_d) / worst_s)
 
 
 def _margin(tol, worst) -> float:
@@ -300,29 +387,29 @@ def _margin(tol, worst) -> float:
     return round(float(mp.log10(tol / worst)), 2) if worst else float("inf")
 
 
+def _tolerance(tolerance):
+    """The tolerance as an mpf, unrounded; None stands for 10^-30."""
+    if tolerance is None:
+        return mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT
+    return tolerance if isinstance(tolerance, mp.mpf) else mp.mpf(tolerance)
+
+
 @timed
-def _numeric_report(fam, rootsets, n, prec, tol):
+def _numeric_report(fam, rootsets, n, tol):
     _, _, host_key, _, cs, cc, _ = fam
     prev, cur = rootsets.get(n - 1), rootsets[n]
     host = prev if host_key == "prev" else cur
     if host is None or not host.roots:
         return _skipped(fam, n, "numeric")
-    s_rows = _self_table(host, prec) if cs else None
-    c_rows = _cross_table(prev, cur, host_key, prec) if cc else None
-    worst = mp.mpf(0)
-    for i, w in enumerate(host.roots):
-        worst = max(worst, _deviation(fam, n, w, s_rows and s_rows[i],
-                                      c_rows and c_rows[i]))
+    tol_bits = _neg_log2(tol)
+    terms = [(cs, *_self_table(host, tol_bits))] if cs else []
+    if cc:
+        terms.append((cc, *_cross_table(prev, cur, host_key, tol_bits)))
+    ok, worst = _judge(fam, n, host, range(len(host.roots)), terms, tol)
     dev = mp.nstr(worst, 8)
-    return _report(fam, n, "numeric", worst < tol, {"deviation": dev},
-                   deviation=dev, margin_digits=_margin(tol, worst))
-
-
-def _numeric_prec(rootsets, n) -> int:
-    prec = rootsets[n].precision_bits
-    if n - 1 in rootsets:
-        prec = max(prec, rootsets[n - 1].precision_bits)
-    return prec
+    return _report(fam, n, "numeric", ok, {"deviation": dev},
+                   deviation=dev, margin_digits=_margin(tol, worst),
+                   table_bits=max(b for _, b, _ in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +432,8 @@ def _verify(suite, records, n, mode, rootsets, tolerance):
         return [_exact_report(fam, records, n) for fam in families]
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
-    prec = _numeric_prec(rootsets, n)
-    with mp.workprec(prec):
-        tol = (tolerance if tolerance is not None
-               else mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT)
-        return [_numeric_report(fam, rootsets, n, prec, tol)
-                for fam in families]
+    tol = _tolerance(tolerance)
+    return [_numeric_report(fam, rootsets, n, tol) for fam in families]
 
 
 def verify_theorem(records: Sequence, n: int, mode: str = "exact",
@@ -384,26 +467,32 @@ def pole_series_check(records: Sequence, n: int, j: int,
 
     a_m = (-1)^m (S_{m+1} - C_{m+1}) at omega, so a_0, a_1, a_2 and a_4 are
     checked against the closed forms of the theorem families T1, T2, T3 and
-    T5, the ones hosted by Q_{n-1}; a_3 is reported only (it is not
-    determined by the local recursion).
+    T5, the ones hosted by Q_{n-1}, in the integer rows the relation
+    reports read; a_3 is reported only (it is not determined by the local
+    recursion).
     """
-    prec = _numeric_prec(rootsets, n)
-    with mp.workprec(prec):
-        tol = (tolerance if tolerance is not None
-               else mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT)
-        prev, cur = rootsets[n - 1], rootsets[n]
-        omega = prev.roots[j]
-        rep = VerificationReport(suite="poleseries", n=n,
-                                 details={"j": j, "omega": mp.nstr(omega, 20)})
-        s_row = _self_table(prev, prec)[j]
-        c_row = _cross_table(prev, cur, "prev", prec)[j]
-        worst = mp.mpf(0)
-        for fam in FAMILIES:
-            if fam[0] == "relations" and fam[2] == "prev":
-                dev = _deviation(fam, n, omega, s_row, c_row)
-                worst = max(worst, dev)
-                if not dev < tol:
-                    rep.fail({"m": fam[3] - 1, "deviation": mp.nstr(dev, 8)})
-        rep.details["margin_digits"] = _margin(tol, worst)
-        rep.details["a_3"] = mp.nstr(c_row[3] - s_row[3], 20)  # not asserted
+    tol = _tolerance(tolerance)
+    prev, cur = rootsets[n - 1], rootsets[n]
+    omega = prev.roots[j]
+    rep = VerificationReport(suite="poleseries", n=n,
+                             details={"j": j, "omega": mp.nstr(omega, 20)})
+    tol_bits = _neg_log2(tol)
+    s_bits, s_rows = _self_table(prev, tol_bits)
+    c_bits, c_rows = _cross_table(prev, cur, "prev", tol_bits)
+    worst = mp.mpf(0)
+    for fam in FAMILIES:
+        if fam[0] == "relations" and fam[2] == "prev":
+            ok, dev = _judge(fam, n, prev, [j], [
+                (fam[4], s_bits, s_rows), (fam[5], c_bits, c_rows)], tol)
+            worst = max(worst, dev)
+            if not ok:
+                rep.fail({"m": fam[3] - 1, "deviation": mp.nstr(dev, 8)})
+    bits = max(s_bits, c_bits)
+    rep.details["margin_digits"] = _margin(tol, worst)
+    rep.details["table_bits"] = bits
+    re, im = ((c << bits - c_bits) - (s << bits - s_bits)
+              for c, s in zip(c_rows[j][6:8], s_rows[j][6:8]))
+    with mp.workprec(bits):  # a_3 = C_4 - S_4, not asserted
+        rep.details["a_3"] = mp.nstr(
+            mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))), 20)
     return rep

@@ -76,7 +76,8 @@ def timed(make):
 
 def combine(suite: str, n, reports) -> VerificationReport:
     """Aggregate: passes iff every sub-report passes (skips ignored), and
-    keeps the smallest `margin_digits` among the sub-reports that have one."""
+    keeps the smallest `margin_digits` and the largest `table_bits` among
+    the sub-reports that have one."""
     reports = list(reports)
     status = PASS
     if any(r.status == FAIL for r in reports):
@@ -85,9 +86,9 @@ def combine(suite: str, n, reports) -> VerificationReport:
         status = SKIPPED
     agg = VerificationReport(suite=suite, n=n, status=status)
     agg.witnesses = [w for r in reports for w in r.witnesses]
-    margins = [r.details["margin_digits"] for r in reports
-               if "margin_digits" in r.details]
-    if margins:
-        agg.details["margin_digits"] = min(margins)
+    for key, pick in (("margin_digits", min), ("table_bits", max)):
+        values = [r.details[key] for r in reports if key in r.details]
+        if values:
+            agg.details[key] = pick(values)
     agg.elapsed = sum(r.elapsed for r in reports)
     return agg

@@ -573,6 +573,27 @@ def _closed_under(roots, images, tol):
     return all(used)
 
 
+def _near_rational(x, tol):
+    """The least q <= 64 with |x - p/q| < tol for an integer p, or None.
+
+    Each q is screened in doubles first. With xf = float(x), the double
+    xf q is within 2^-52 (1 + 2^-50) |xf| q of x q, so if it lies farther
+    than q (2^-51 |xf| + 2 tol) from the nearest integer, x q lies farther
+    than q tol from every integer, and q is ruled out; the doubled terms
+    cover the rounding of the screen itself, and 2^-1070 subnormals. Only
+    the q the screen cannot rule out are tested at the working precision.
+    """
+    xf = float(x)
+    slack = 2.0 ** -51 * abs(xf) + 2 * float(tol) + 2.0 ** -1070
+    for q in range(1, 65):
+        y = xf * q
+        if math.isfinite(y) and abs(y - round(y)) > q * slack:
+            continue
+        if abs(x - mp.mpf(int(mp.nint(x * q))) / q) < tol:
+            return q
+    return None
+
+
 @timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count, residual, separation, rotation/conjugation closure, and a
@@ -597,13 +618,10 @@ def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
         for z in rs.roots:
             if z == 0 or abs(mp.im(z)) >= tol:
                 continue
-            x = mp.re(z)
-            for q in range(1, 65):
-                approx = mp.mpf(int(mp.nint(x * q))) / q
-                if abs(x - approx) < tol:
-                    rep.fail({"check": "near_rational",
-                              "root": mp.nstr(x, 20), "denominator": q})
-                    break
+            q = _near_rational(mp.re(z), tol)
+            if q is not None:
+                rep.fail({"check": "near_rational",
+                          "root": mp.nstr(mp.re(z), 20), "denominator": q})
     return rep
 
 

@@ -197,8 +197,10 @@ class TestVerify:
                    or r["details"]["mode"] == "numeric"]
         assert len(numeric) == 4 + 3
         assert all(float(r["details"]["margin_digits"]) > 0 for r in numeric)
+        assert all(int(r["details"]["table_bits"]) > 100 for r in numeric)
         # the exact route has no tolerance, so nothing to spare against it
-        assert not any("margin_digits" in r["details"] for r in reports
+        assert not any("margin_digits" in r["details"]
+                       or "table_bits" in r["details"] for r in reports
                        if r["details"].get("mode") == "exact")
 
     def test_remark_skipped_below_its_sample_size(self, tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,16 @@ def _hosts(records, rootsets, n):
     for key, host, target in (("prev", n - 1, n), ("cur", n, n - 1)):
         if rootsets[host].roots:
             yield key, records[host], records[target], rootsets[host]
+
+
+def _entry(row, p, bits):
+    """S_p or C_p (p = 1..5) of a fixed-point table row, as an mpc."""
+    return mp.mpc(mp.mpf((row[2 * p - 2], -bits)),
+                  mp.mpf((row[2 * p - 1], -bits)))
+
+
+DEFAULT_TOL_BITS = relations._neg_log2(mp.mpf(10) ** -30)  # 100
+CAPPED = relations._neg_log2(mp.mpf(10) ** -500)  # past every table's cap
 
 
 def _at(element, w):
@@ -61,44 +72,66 @@ class TestResidues:
     def test_kernels_agree_at_every_power(self, records8, rootsets8, n):
         # every exact s_p, c_p (p = 1..5, including the unused p = 4),
         # (-1)^(p-1) G(w) / b0(w)^p at each certified root w, equals the
-        # numeric table
-        prec = relations._numeric_prec(rootsets8, n)
+        # numeric table, at the default tolerance's bits and at the cap
+        prec = max(rootsets8[n - 1].precision_bits,
+                   rootsets8[n].precision_bits)
         with mp.workprec(prec):
             tol = mp.mpf(2) ** -(prec // 2)  # room for cancellation in _at
             for key, host, target, rs in _hosts(records8, rootsets8, n):
                 s = relations.self_sum_residue(host.poly, 5)
                 c = relations.cross_sum_residue(host.poly, target.poly, 5)
                 assert len(s[0]) == len(c[0]) == 5
-                s_rows = relations._self_table(rs, prec)
-                c_rows = relations._cross_table(rootsets8[n - 1],
-                                                rootsets8[n], key, prec)
-                for i, w in enumerate(rs.roots):
-                    for p in range(5):
-                        for (G, b0_powers), row in ((s, s_rows[i]),
-                                                    (c, c_rows[i])):
-                            want = ((-1) ** p * _at(G[p], w)
-                                    / _at(b0_powers[p + 1], w))
-                            scale = max(1, abs(want))
-                            assert abs(row[p] - want) <= tol * scale
+                for tol_bits in (DEFAULT_TOL_BITS, CAPPED):
+                    s_bits, s_rows = relations._self_table(rs, tol_bits)
+                    c_bits, c_rows = relations._cross_table(
+                        rootsets8[n - 1], rootsets8[n], key, tol_bits)
+                    for i, w in enumerate(rs.roots):
+                        for p in range(5):
+                            for (G, b0_powers), bits, row in (
+                                    (s, s_bits, s_rows[i]),
+                                    (c, c_bits, c_rows[i])):
+                                want = ((-1) ** p * _at(G[p], w)
+                                        / _at(b0_powers[p + 1], w))
+                                scale = max(1, abs(want))
+                                assert abs(_entry(row, p + 1, bits) - want) \
+                                    <= tol * scale
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_tables_equal_direct_sums(self, records8, rootsets8, n):
-        prec = relations._numeric_prec(rootsets8, n)
+        # at the cap, within 2^-(prec - 16) relative to max(1, |sum|) as
+        # before the bits came from the tolerance; at the default
+        # tolerance, within the absolute bound _table_bits documents
+        prec = max(rootsets8[n - 1].precision_bits,
+                   rootsets8[n].precision_bits)
+        bound = mp.mpf(2) ** -(DEFAULT_TOL_BITS + relations.HEADROOM_BITS - 3)
         with mp.workprec(prec):
-            tol = mp.mpf(2) ** -(prec - 16)
             for key, host, target, rs in _hosts(records8, rootsets8, n):
                 others = rootsets8[target.n].roots
-                s_rows = relations._self_table(rs, prec)
-                c_rows = relations._cross_table(rootsets8[n - 1],
-                                                rootsets8[n], key, prec)
+                sums = {}
                 for i, w in enumerate(rs.roots):
                     for p in range(1, 6):
-                        self_sum = mp.fsum(1 / (w - r) ** p for k, r in
-                                           enumerate(rs.roots) if k != i)
-                        cross_sum = mp.fsum(1 / (w - t) ** p for t in others)
-                        for got, want in ((s_rows[i][p - 1], self_sum),
-                                          (c_rows[i][p - 1], cross_sum)):
-                            assert abs(got - want) <= tol * max(1, abs(want))
+                        sums[i, p] = (
+                            mp.fsum(1 / (w - r) ** p for k, r in
+                                    enumerate(rs.roots) if k != i),
+                            mp.fsum(1 / (w - t) ** p for t in others))
+                for tol_bits in (CAPPED, DEFAULT_TOL_BITS):
+                    tables = (relations._self_table(rs, tol_bits),
+                              relations._cross_table(
+                                  rootsets8[n - 1], rootsets8[n], key,
+                                  tol_bits))
+                    for (bits, rows), cap in zip(tables, (
+                            relations._fixed_bits(rs), relations._fixed_bits(
+                                rootsets8[n - 1], rootsets8[n]))):
+                        assert (bits == cap) == (tol_bits == CAPPED)
+                    for (i, p), want in sums.items():
+                        for (bits, rows), sum_ in zip(tables, want):
+                            got = _entry(rows[i], p, bits)
+                            if tol_bits == CAPPED:
+                                assert abs(got - sum_) <= \
+                                    mp.mpf(2) ** -(prec - 16) \
+                                    * max(1, abs(sum_))
+                            else:
+                                assert abs(got - sum_) <= bound
 
     def test_tables_live_with_their_sources(self, tmp_path, monkeypatch):
         records = family.generate(4)
@@ -249,15 +282,80 @@ class TestNumericMode:
                                              rootsets=rootsets8)
         assert all(r.status == PASS for r in reports), _statuses(reports)
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_modes_agree(self, records8, rootsets8, n):
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_modes_agree(self, records16, rootsets12, n):
         for verifier in (relations.verify_theorem,
                          relations.verify_kudryashov,
                          relations.verify_corollary):
-            exact = _statuses(verifier(records8, n, mode="exact"))
-            numeric = _statuses(verifier(records8, n, mode="numeric",
-                                         rootsets=rootsets8))
-            assert exact == numeric
+            exact = _statuses(verifier(records16, n, mode="exact"))
+            for exponent in (30, 50):
+                numeric = _statuses(verifier(
+                    records16, n, mode="numeric", rootsets=rootsets12,
+                    tolerance=mp.mpf(10) ** -exponent))
+                assert exact == numeric
+
+    def test_table_bits_follow_the_tolerance(self, records8, rootsets8):
+        # below the cap at 10^-30, at the cap at 10^-500; a report states
+        # the larger bits of the tables it read
+        for n in range(2, 9):
+            prev, cur = rootsets8[n - 1], rootsets8[n]
+            caps = {"T": relations._fixed_bits(prev, cur),
+                    "C": relations._fixed_bits(prev, cur),
+                    "K": relations._fixed_bits(cur)}
+            for verifier in (relations.verify_theorem,
+                             relations.verify_corollary,
+                             relations.verify_kudryashov):
+                for exponent in (30, 500):
+                    for rep in verifier(records8, n, mode="numeric",
+                                        rootsets=rootsets8,
+                                        tolerance=mp.mpf(10) ** -exponent):
+                        cap = caps[rep.details["family"][0]]
+                        bits = rep.details["table_bits"]
+                        assert bits < cap if exponent == 30 else bits == cap
+
+    def test_wrong_identity_fails_at_the_cut_bits(self, records16,
+                                                  rootsets12, monkeypatch):
+        # every right-hand side shifted by 10^-25: the tables, at the bits
+        # a 10^-30 check needs, must still resolve the shift
+        def shifted(rhs):
+            return lambda n: (Fraction(rhs(n)[0]) + Fraction(1, 10 ** 25),
+                              rhs(n)[1])
+
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            (*fam[:6], shifted(fam[6])) for fam in relations.FAMILIES))
+        for n in range(2, 13):
+            for verifier in (relations.verify_theorem,
+                             relations.verify_corollary,
+                             relations.verify_kudryashov):
+                reports = verifier(records16, n, mode="numeric",
+                                   rootsets=rootsets12)
+                assert all(r.status == FAIL for r in reports), \
+                    _statuses(reports)
+        for n in range(2, 9):
+            for j in range(len(rootsets12[n - 1].roots)):
+                rep = relations.pole_series_check(records16, n, j,
+                                                  rootsets12)
+                assert rep.status == FAIL
+                assert len(rep.witnesses) == 4  # a_0, a_1, a_2 and a_4
+
+    def test_one_table_per_root_set_and_pair(self, tmp_path, monkeypatch):
+        # relations, corollary, kudryashov and poleseries read one self
+        # table per root set and one cross table per consecutive pair
+        real_get, builds = relations.TABLES.get, Counter()
+
+        def spy(sources, kind, build, *args):
+            def counted():
+                if isinstance(kind, tuple) and kind[0] in ("S", "C"):
+                    builds[(kind[0], *map(id, sources))] += 1
+                return build()
+            return real_get(sources, kind, counted, *args)
+
+        monkeypatch.setattr(relations.TABLES, "get", spy)
+        assert cli.main(["verify", "--n-max", "6", "--mode", "numeric",
+                         "--out", str(tmp_path)]) == 0
+        assert set(builds.values()) == {1}
+        kinds = Counter(key[0] for key in builds)
+        assert kinds == {"S": 6, "C": 6}  # Q_1..Q_6; (Q_0, Q_1)..(Q_5, Q_6)
 
     def test_reports_margin_digits(self, records8, rootsets8):
         for n in range(2, 9):
@@ -285,11 +383,14 @@ class TestPoleSeries:
             assert rep.passed, rep.witnesses
 
     def test_reports_margin_digits(self, records8, rootsets8):
+        cap = relations._fixed_bits(rootsets8[4], rootsets8[5])
         rep = relations.pole_series_check(records8, 5, 2, rootsets8)
         assert rep.passed and rep.details["margin_digits"] > 0
+        assert rep.details["table_bits"] < cap
         rep = relations.pole_series_check(records8, 5, 2, rootsets8,
                                           tolerance=mp.mpf(10) ** -500)
         assert not rep.passed and rep.details["margin_digits"] < 0
+        assert rep.details["table_bits"] == cap
 
     def test_reports_a3(self, records8, rootsets8):
         rep = relations.pole_series_check(records8, 3, 0, rootsets8)

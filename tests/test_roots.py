@@ -210,6 +210,35 @@ class TestScreens:
                     verdicts.append(brute)
         assert True in verdicts and False in verdicts
 
+    def test_near_rational_screen_equals_full_loop(self, rootsets12):
+        def full_loop(x, tol):  # certify's guard before the double screen
+            for q in range(1, 65):
+                if abs(x - mp.mpf(int(mp.nint(x * q))) / q) < tol:
+                    return q
+            return None
+
+        with mp.workprec(256):
+            tol = mp.mpf(2) ** -128
+            crafted = [mp.mpf(p) / q + s * d
+                       for p, q in ((1, 3), (-7, 5), (22, 7), (5, 64),
+                                    (3, 1), (-1, 2))
+                       for s in (1, -1) for d in (tol / 2, 2 * tol)]
+            # x q next to a half-integer, just past the double resolution
+            crafted += [(mp.mpf(2 * k + 1) / 2 + mp.mpf(2) ** -60) / q
+                        for k, q in ((0, 1), (3, 7), (-5, 64))]
+            verdicts = [(roots._near_rational(x, tol), full_loop(x, tol))
+                        for x in crafted]
+        for rs in rootsets12.values():
+            with mp.workprec(rs.precision_bits):  # as certify calls it
+                tol = mp.mpf(2) ** (-rs.precision_bits // 2)
+                verdicts += [(roots._near_rational(z.real, tol),
+                              full_loop(z.real, tol)) for z in rs.roots
+                             if z != 0 and abs(z.imag) < tol]
+        assert len(verdicts) > 27 + 30  # 38 real roots for n <= 12
+        assert all(screened == full for screened, full in verdicts), verdicts
+        found = [full for _, full in verdicts]
+        assert {1, 2, 3, 5, 7, 64} <= set(found) and None in found
+
 
 class TestCertify:
     @pytest.mark.parametrize("n", range(1, 9))
