@@ -18,22 +18,33 @@ needed:
    coefficients, so each seed's mirror (the seed nearest its conjugate)
    must pair the seeds off, a real root being its own mirror. A real root
    is stepped in real arithmetic, a pair through its upper member, and
-   the partners are its exact conjugates. Each step runs at about twice
-   the bits the one before reached, and the top step repeats until a
-   further one could not change the roots. At each step every correction
-   must have shrunk roughly quadratically, and the roots with their
-   partners must stay pairwise farther apart than twice the largest
+   the partners are its exact conjugates. Each step evaluates R and R'
+   with the fixed-point kernel below, at the step's precision, runs at
+   about twice the bits the one before reached, and the top step repeats
+   until a further one could not change the roots. At each step every
+   correction must have shrunk roughly quadratically, and the roots with
+   their partners must stay pairwise farther apart than twice the largest
    correction, so that no two seeds converge to the same root.
 3. If the seeds do not pair off or a check fails, Aberth runs again in
    mpmath at the working precision plus 32 bits, from the float seeds, and
-   two Newton steps at doubled precision polish the result.
+   two Newton steps at doubled precision, on the kernel, polish the
+   result.
 
 Steps 1 and 3 share one Aberth kernel. Lifting to z builds each orbit of
 z -> omega z and z -> conj(z) from one cube root, and evaluates one
-residual per orbit: the other roots of the orbit are exact rotations and
-conjugations of it, rounded once. Lifting and certification screen their
-pair scans with float approximations sorted by real part, and measure only
-the pairs that survive the screen at full precision.
+residual per orbit, on the kernel at twice the working precision: the
+other roots of the orbit are exact rotations and conjugations of it,
+rounded once. Lifting and certification screen their pair scans with
+float approximations sorted by real part, and measure only the pairs that
+survive the screen at full precision.
+
+Steps 2 and 3's Newton steps and the lift's residuals evaluate R through
+one kernel, _fixed_horner: a Horner pass for R and R' together on Python
+integers at the asked bits plus GUARD_BITS fractional bits, with one
+conversion to mpf or mpc at the end. Its docstring derives an absolute
+error bound that stays within the standard bound of floating-point Horner
+at those bits. Only the float stage and the fallback's Aberth sweep use
+plain Horner.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .family import StructureViolation, YvRecord, expected_degree
 from .report import VerificationReport, timed
@@ -60,6 +72,7 @@ FLOAT_EPS = 2.0 ** -53  # unit roundoff of a hardware double
 LADDER_SLACK = 2 ** 16
 FIRST_STEP = 2 ** -20
 TOP_STEPS = 3
+GUARD_BITS = 8  # fractional bits _fixed_horner keeps past the caller's
 
 
 class RootFindingError(RuntimeError):
@@ -129,11 +142,79 @@ def cube_reduce(r: YvRecord) -> ReducedPoly:
 
 
 def _horner(coeffs, x):
-    """sum coeffs[k] x^k; works on floats, complex, mpf and mpc alike."""
+    """sum coeffs[k] x^k in the arithmetic of x: doubles and complex in the
+    float stage, mpc in the mpmath Aberth sweep of the fallback."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _fixed_horner(coeffs, x, bits, derivative=True):
+    """(R(x), R'(x)) for the integer coefficients coeffs of R, low to high,
+    in one Horner pass on Python ints; R'(x) is None unless derivative.
+
+    x, an mpf or an mpc, becomes integers at f = bits + GUARD_BITS - m
+    fractional bits, m being the largest exp + bitcount of x's nonzero
+    parts, so 2^(m-1) <= |x| < 2^(m+1/2). Each part is truncated to an
+    integer (a Gaussian integer pair if x is complex), each product is
+    truncated by >> f, and each coefficient enters exactly as c << f. The
+    results become mpf or mpc once, at the end, rounded to the working
+    precision, which callers hold at bits or above.
+
+    The error bound, before that rounding. Let d be the degree,
+    u = 2^-f = 2^(m - bits - GUARD_BITS) <= 2 |x| 2^-(bits + GUARD_BITS),
+    kappa = 1 for real x and sqrt2 for complex x, chi = 0 if x converts
+    exactly (an mpf of at most bits + GUARD_BITS bits does) and 1
+    otherwise, rho = |x| + chi kappa u >= |x^|, x^ the converted x, and
+    A(t) = sum |c_k| t^k. The exact partial values p_d = c_d,
+    p_k = c_k + x p_{k+1} and the computed ones differ by e_k with
+    e_k = x^ e_{k+1} + p_{k+1} (x^ - x) + t_k, where the truncation t_k is
+    below kappa u and t_{d-1} = 0 (c_d x^ is exact). Unrolled, with
+    sum_k rho^k |p_{k+1}| <= A'(rho),
+        |R^ - R(x)| <= kappa u (chi A'(rho) + sum_{k<=d-2} rho^k).
+    The derivative, q_{d-1} = c_d and q_k = p_{k+1} + x q_{k+1}, takes the
+    value errors e_{k+1} in as well; with sum_k rho^k |q_{k+1}| <=
+    A''(rho)/2 the same unrolling gives
+        |R'^ - R'(x)| <= kappa u (chi A''(rho) + sum_{k<=d-3} (k+2) rho^k).
+    Against floating-point Horner at bits bits, whose standard bound is
+    2 d 2^-bits A(|x|): for integers c_0 c_d != 0, as R has, rho^(k+1) <=
+    A(rho) for k <= d - 2, and rho A'(rho) <= d A(rho), so the first bound
+    is below 4 sqrt2 d A(rho) 2^-(bits + GUARD_BITS) < 0.023 d 2^-bits
+    A(|x|), since rho <= |x| (1 + 2^(2 - bits - GUARD_BITS)) and
+    d <= 2^(bits - 2); with the final rounding, 2^-bits |R^| at most, the
+    value stays within the standard bound for every d >= 1.
+    """
+    parts = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_,)
+    m = max((p[2] + p[3] for p in parts if p[1]), default=0)
+    f = bits + GUARD_BITS - m
+    d = len(coeffs) - 1
+    if len(parts) == 1:
+        a = to_fixed(parts[0], f)
+        p, q = coeffs[d] << f, 0
+        for k in range(d - 1, -1, -1):
+            if derivative:
+                q = (q * a >> f) + p
+            p = (p * a >> f) + (coeffs[k] << f)
+        value, slope = (p,), (q,)
+    else:
+        a, b = to_fixed(parts[0], f), to_fixed(parts[1], f)
+        # three products per complex one, exactly: with t = a (r + i),
+        # a r - b i = t - i (a + b) and b r + a i = t + r (b - a)
+        s, w = a + b, b - a
+        pr, pi, qr, qi = coeffs[d] << f, 0, 0, 0
+        for k in range(d - 1, -1, -1):
+            if derivative:
+                t = a * (qr + qi)
+                qr, qi = (t - qi * s >> f) + pr, (t + qr * w >> f) + pi
+            t = a * (pr + pi)
+            pr, pi = (t - pi * s >> f) + (coeffs[k] << f), t + pr * w >> f
+        value, slope = (pr, pi), (qr, qi)
+
+    def back(ints):  # rounded once, to the working precision
+        xs = [mp.mpf((v, -f)) for v in ints]
+        return mp.mpc(*xs) if len(xs) == 2 else xs[0]
+    return back(value), back(slope) if derivative else None
 
 
 def _aberth(newton, xs, eps):
@@ -313,14 +394,12 @@ def _newton_ladder(coeffs, xs, top):
     prev_rel, prev_level, level = None, None, 106
     while passed.count(top) < TOP_STEPS:
         with mp.workprec(level):
-            cs = [mp.mpf(c) for c in coeffs]
-            dcs = [mp.mpf(k * c) for k, c in enumerate(coeffs)][1:]
             corrs = []
             for x in xs:
-                dv = _horner(dcs, x)
+                v, dv = _fixed_horner(coeffs, x, level)
                 if dv == 0 or x == 0:
                     return None, passed, None
-                corrs.append(_horner(cs, x) / dv)
+                corrs.append(v / dv)
             rel = [abs(c) / abs(x) for c, x in zip(corrs, xs)]
             if prev_rel is None:
                 ok = max(rel) <= FIRST_STEP
@@ -362,14 +441,12 @@ def _mp_aberth(p: ReducedPoly, xs, prec):
                 f"Aberth did not converge for n={p.n}",
                 iterations=sweeps, worst_residual=worst, n=p.n)
     with mp.workprec(2 * prec):
-        coeffs = [mp.mpf(c) for c in p.y_coeffs]
-        dcoeffs = [mp.mpf(k * c) for k, c in enumerate(p.y_coeffs)][1:]
         polished, last = [], mp.mpf(0)
         for x in xs:
             x = mp.mpc(x)
             for _ in range(2):
-                dv = _horner(dcoeffs, x)
-                corr = _horner(coeffs, x) / dv if dv != 0 else 0
+                v, dv = _fixed_horner(p.y_coeffs, x, 2 * prec)
+                corr = v / dv if dv != 0 else 0
                 x = x - corr
             polished.append(x)
             last = max(last, abs(corr) / abs(x))
@@ -414,10 +491,12 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
 
 def _residual(coeffs, abs_coeffs, z, zero_root):
     """|z^e R(z^3)| relative to |z|^e R_abs(|z|^3), e = 1 iff zero_root:
-    the residual of z as a root of Q_n, scaled by the coefficient sizes."""
-    val = abs(_horner(coeffs, z ** 3))
+    the residual of z as a root of Q_n, scaled by the coefficient sizes.
+    coeffs and abs_coeffs are integers; both sums are _fixed_horner's at
+    the working precision."""
+    val = abs(_fixed_horner(coeffs, z ** 3, mp.mp.prec, False)[0])
     az = abs(z)
-    scale = _horner(abs_coeffs, az ** 3)
+    scale = _fixed_horner(abs_coeffs, az ** 3, mp.mp.prec, False)[0]
     if zero_root:
         val, scale = val * az, scale * az
     return val / scale if scale > 0 else val
@@ -490,9 +569,8 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
     """
     prec = working_precision(p.degree, precision_bits, _coeff_bits(p.y_coeffs))
     diagnostics = diagnostics or {}
+    abs_coeffs = [abs(c) for c in p.y_coeffs]
     with mp.workprec(2 * prec):
-        coeffs = [mp.mpf(c) for c in p.y_coeffs]
-        abs_coeffs = [abs(c) for c in coeffs]
         omega = mp.exp(2j * mp.pi / 3)
         omegas = (1, omega, mp.conj(omega))
         orbits = {}  # y -> (its cube roots, their residual)
@@ -507,7 +585,7 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
                 else:
                     base = mp.cbrt(abs(y)) * mp.exp(1j * mp.arg(y) / 3)
                 zs = [base * w for w in omegas]
-                res = _residual(coeffs, abs_coeffs, base, p.zero_root)
+                res = _residual(p.y_coeffs, abs_coeffs, base, p.zero_root)
             orbits[y] = zs, res
             roots.extend(zs)
             residuals.extend([res] * 3)

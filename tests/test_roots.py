@@ -59,7 +59,7 @@ class TestFindRoots:
 
 
 class TestLadder:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_agrees_with_circle_started_aberth(self, records16, n):
         rp = roots.cube_reduce(records16[n])
         prec = roots.working_precision(
@@ -132,10 +132,11 @@ class TestLadder:
                 2 * diagnostics["representatives"] - len(ys)
             assert sum(1 for z in rs.roots if z != 0 and mp.im(z) == 0) \
                 == len(near_real)
-            coeffs = [mp.mpf(c) for c in rp.y_coeffs]
-            abs_coeffs = [abs(c) for c in coeffs]
-            worst = max(roots._residual(coeffs, abs_coeffs, z, rp.zero_root)
-                        for z in rs.roots)
+            # Q_n itself by mpmath's Horner, apart from the root layer
+            q = list(reversed(records16[n].poly.coeffs))
+            q_abs = [abs(c) for c in q]
+            worst = max(abs(mp.polyval(q, z)) / mp.polyval(q_abs, abs(z))
+                        for z in rs.roots if z != 0)
         assert worst < mp.mpf(2) ** (-rs.precision_bits // 2)
 
     @pytest.mark.parametrize("n", [25, 30])
@@ -145,6 +146,108 @@ class TestLadder:
         rs = roots.roots_for_record(records[n])
         assert len(rs.roots) == expected_degree(n)
         assert roots.certify(rs, records[n]).passed
+
+
+# _fixed_horner's documented guard bits, stated here and not read from the
+# module, so that a kernel keeping fewer fails TestFixedHorner
+GUARD_BITS = 8
+
+
+def _man_exp(p):
+    """(man, exp) with p = man 2^exp, for an mpf p; man carries the sign."""
+    sign, man, exp, _ = p._mpf_
+    return -man if sign else man, exp
+
+
+def _dyadic(x):
+    """(re, im, e) with x = (re + i im) / 2^e exactly and e >= 0."""
+    (mr, er), (mi, ei) = _man_exp(x.real), _man_exp(x.imag)
+    e = max(0, -er, -ei)
+    return mr << (er + e), mi << (ei + e), e
+
+
+def _distance(v, exact, e):
+    """|v - (exact[0] + i exact[1]) / 2^e|, v an mpf or mpc read exactly,
+    as a 64-bit mpf."""
+    (mr, er), (mi, ei) = _man_exp(v.real), _man_exp(v.imag)
+    s = max(e, -er, -ei)
+    dr = (mr << (er + s)) - (exact[0] << (s - e))
+    di = (mi << (ei + s)) - (exact[1] << (s - e))
+    with mp.workprec(64):
+        return mp.hypot(mp.ldexp(dr, -s), mp.ldexp(di, -s))
+
+
+def _documented_bounds(coeffs, x, bits):
+    """_fixed_horner's bounds on R and R' at x, and the standard bound
+    2 d 2^-bits A(|x|) of floating-point Horner at bits bits."""
+    parts = [p for p in (x.real, x.imag) if p]
+    m = max((p.exp + p.bc for p in parts), default=0)
+    f = bits + GUARD_BITS - m
+    chi = int(any(p.exp + f < 0 for p in parts))  # x^ != x
+    d = len(coeffs) - 1
+
+    def at(terms, t):  # sum terms[k] t^k, nonnegative terms
+        acc = mp.mpf(0)
+        for c in reversed(terms):
+            acc = acc * t + c
+        return acc
+
+    a = [abs(c) for c in coeffs]
+    with mp.workprec(64):
+        kappa = 1 if isinstance(x, mp.mpf) else mp.sqrt(2)
+        u = mp.ldexp(1, -f)
+        rho = abs(x) + chi * kappa * u
+        a1 = at([k * c for k, c in enumerate(a)][1:], rho)  # A'(rho)
+        a2 = at([k * (k - 1) * c for k, c in enumerate(a)][2:], rho)
+        value = kappa * u * (chi * a1 + at([1] * (d - 1), rho))
+        slope = kappa * u * (chi * a2 + at(range(2, d), rho))
+        standard = 2 * d * mp.ldexp(1, -bits) * at(a, abs(x))
+    return value, slope, standard
+
+
+class TestFixedHorner:
+    def test_within_documented_bound(self, records16):
+        """Against _exact_horner, an exact integer evaluation at the dyadic
+        point, on the y-roots of n <= 12, points moved off them and their
+        moduli, at 106, 276 and 2 prec bits, each point as found and
+        rounded to the bits asked for."""
+        ratios = []
+        for n in range(2, 13):
+            rp = roots.cube_reduce(records16[n])
+            coeffs = rp.y_coeffs
+            dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+            d = len(coeffs) - 1
+            prec = roots.working_precision(
+                d, coeff_bits=roots._coeff_bits(coeffs))
+            ys = roots.find_roots(rp)
+            with mp.workprec(2 * prec):
+                points = [y.real if y.imag == 0 else y for y in ys]
+                points += [y * (1 + mp.mpc(1, 1) * mp.mpf(2) ** -30)
+                           for y in ys]
+                points += [abs(y) for y in ys]
+            for bits in (106, 276, 2 * prec):
+                with mp.workprec(bits):
+                    rounded = [+x for x in points] if bits < 2 * prec else []
+                for x in points + rounded:
+                    re, im, e = _dyadic(x)
+                    value = roots._exact_horner(coeffs, re, im, e)
+                    slope = roots._exact_horner(dcoeffs, re, im, e)
+                    with mp.workprec(1 << 16):  # the results unrounded
+                        v, dv = roots._fixed_horner(coeffs, x, bits)
+                        assert roots._fixed_horner(
+                            coeffs, x, bits, False) == (v, None)
+                    bound, dbound, standard = \
+                        _documented_bounds(coeffs, x, bits)
+                    err = _distance(v, value, e * d)
+                    with mp.workprec(64):
+                        assert err <= bound * (1 + mp.mpf(2) ** -40)
+                        assert err <= standard
+                        assert _distance(dv, slope, e * (d - 1)) \
+                            <= dbound * (1 + mp.mpf(2) ** -40)
+                        if bound:
+                            ratios.append(err / bound)
+        # the bound is sharp: a kernel twice as coarse would break it
+        assert len(ratios) > 1000 and max(ratios) > 0.5
 
 
 def _with_roots(rs, new_roots):
