@@ -171,24 +171,20 @@ def _suite_backlund(run: _Runner):
             for n in range(run.config.n_max)]
 
 
-def _pole_series(records, n, mode, rootsets, tolerance):
-    return [relations.pole_series_check(records, n, j, rootsets,
-                                        tolerance=tolerance)
-            for j in range(len(rootsets[n - 1].roots))]
-
-
 def _rooted_suite(run: _Runner, suite: str):
     """One report per n and route of a suite read from the root sets of
     Q_{n-1} and Q_n: the check's reports at n combined, or a FAIL report
     when a root set cannot be found. Prints one progress line per n."""
     config = run.config
     modes = ["exact", "numeric"] if config.mode == "both" else [config.mode]
+    first_n = 1
     if suite == "poleseries":  # a pole of w_n is a root of Q_{n-1}
-        first_n, modes, check = 2, ["numeric"], _pole_series
-    else:  # read per call: instrumentation may rebind these names
-        first_n, check = 1, {"relations": relations.verify_theorem,
-                             "corollary": relations.verify_corollary,
-                             "kudryashov": relations.verify_kudryashov}[suite]
+        first_n, modes = 2, ["numeric"]
+    # read per call: instrumentation may rebind these names
+    check = {"relations": relations.verify_theorem,
+             "corollary": relations.verify_corollary,
+             "kudryashov": relations.verify_kudryashov,
+             "poleseries": relations.pole_series_check}[suite]
     reports = []
     for n in range(first_n, config.n_max + 1):
         for mode in modes:

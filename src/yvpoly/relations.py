@@ -1,11 +1,17 @@
 """Inter-root relations between consecutive family members.
 
-Every relation family and every checked Laurent coefficient is a linear
-combination of two power sums at a root w of a host polynomial, for
-p = 1..5: the self sum S_p(w) over the host's other roots r of
-1/(w - r)^p, and the cross sum C_p(w) over the roots t of the neighbouring
-member of 1/(w - t)^p. The families are one data table, FAMILIES, read by
-one evaluator per route from tables of these sums built once per host:
+Every relation family is a linear combination of two power sums at a root
+w of a host polynomial, for p = 1..5: the self sum S_p(w) over the host's
+other roots r of 1/(w - r)^p, and the cross sum C_p(w) over the roots t of
+the neighbouring member of 1/(w - t)^p. The families are one data table,
+FAMILIES, read by one evaluator per route from tables of these sums built
+once per host. The pole series of the rational solutions w_n is no
+separate check: its Laurent coefficients a_0, a_1, a_2 and a_4 at the
+poles, the roots of Q_{n-1}, are the families T1, T2, T3 and T5, which
+`pole_series_check` judges under the suite name "poleseries". A failed
+report's witness names its family; a numeric one also names the root
+where the deviation is worst, an exact one gives the residue's
+coefficients.
 
 * exact mode -- integer arithmetic in Z[a]/(host(a)), the host monic, where
   a stands simultaneously for every root of the host. Both sums come from
@@ -112,6 +118,15 @@ class Tables:
 TABLES = Tables()
 
 
+def _cleared_rhs(rhs, n):
+    """(L, L c, L k) for rhs(n) = (c, k), L the lcm of their denominators:
+    the right-hand side in integers, as both routes judge it."""
+    const, k = map(F, rhs(n))
+    scale = lcm(const.denominator, k.denominator)
+    return (scale, const.numerator * (scale // const.denominator),
+            k.numerator * (scale // k.denominator))
+
+
 # ---------------------------------------------------------------------------
 # Exact route
 
@@ -201,19 +216,18 @@ def _exact_report(fam, records, n):
             "error": "UnexpectedCommonFactor", "message": str(exc),
             "gcd_degree": exc.gcd_degree})
     # cs S_p + cc C_p - (c + k a), times L and b0^p of each sum used
-    const, k = map(F, rhs(n))
-    scale = lcm(const.denominator, k.denominator)
+    scale, c, k = _cleared_rhs(rhs, n)
     coeff, (G, b0_powers), _ = used[0]
     lhs, factor = coeff * G[p - 1], b0_powers[p]  # factor: product of b0^p
     for coeff, (G, b0_powers), _ in used[1:]:
         lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
         factor = factor * b0_powers[p]
-    want = ctx.element(IntPoly((const.numerator * (scale // const.denominator),
-                                k.numerator * (scale // k.denominator))))
-    residue = (-1) ** (p - 1) * scale * lhs - want * factor
+    residue = ((-1) ** (p - 1) * scale * lhs
+               - ctx.element(IntPoly((c, k))) * factor)
     scaled_by = "·".join([str(scale)] + [f"{name}^{p}" for *_, name in used])
-    return _report(fam, n, "exact", residue.is_zero(),
-                   {"residue": residue.residue, "scaled_by": scaled_by})
+    return _report(fam, n, "exact", residue.is_zero(), {
+        "residue": list(map(str, residue.residue.coeffs)),
+        "scaled_by": scaled_by})
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +360,11 @@ def _cross_table(prev, cur, host_key, tol_bits):
     return bits, TABLES.get((prev, cur), ("C", bits), build)[host_key == "cur"]
 
 
-def _judge(fam, n, host, at, terms, tol):
-    """(ok, worst): whether fam holds within tol at the roots host.roots[i],
-    i in at, and the largest deviation |lhs - rhs| / max(1, |rhs|) among
-    them, as an mpf. terms holds (coefficient, bits, rows) per power sum
-    used.
+def _judge(fam, n, host, terms, tol):
+    """(ok, worst, index): whether fam holds within tol at every root of
+    host, the largest deviation |lhs - rhs| / max(1, |rhs|) among them, as
+    an mpf, and the index of a root where it is reached. terms holds
+    (coefficient, bits, rows) per power sum used.
 
     Each root is judged in integers at b, the largest bits of the tables:
     with L the lcm of the right-hand side's denominators, the rows shifted
@@ -359,14 +373,11 @@ def _judge(fam, n, host, at, terms, tol):
     |D|^2 den(tol)^2 < num(tol)^2 max(L 2^b, |L (c + k w) 2^b|)^2.
     """
     _, _, _, p, _, _, rhs = fam
-    const, k = map(F, rhs(n))
-    scale = lcm(const.denominator, k.denominator)
-    c = const.numerator * (scale // const.denominator)
-    k = k.numerator * (scale // k.denominator)
+    scale, c, k = _cleared_rhs(rhs, n)
     bits = max(b for _, b, _ in terms)
     one = (scale << bits) ** 2
-    worst_d, worst_s = 0, 1  # the worst |D|^2 / max(...)^2 so far
-    for i, (wx, wy) in zip(at, _to_fixed([host.roots[i] for i in at], bits)):
+    worst_d, worst_s, worst_i = 0, 1, 0  # the worst |D|^2 / max(...)^2 so far
+    for i, (wx, wy) in enumerate(_to_fixed(host.roots, bits)):
         re, im = (c << bits) + k * wx, k * wy
         d_re, d_im = -re, -im
         for coeff, b, rows in terms:
@@ -374,11 +385,11 @@ def _judge(fam, n, host, at, terms, tol):
             d_im += coeff * scale * (rows[i][2 * p - 1] << bits - b)
         d, s = d_re * d_re + d_im * d_im, max(one, re * re + im * im)
         if d * worst_s > worst_d * s:
-            worst_d, worst_s = d, s
+            worst_d, worst_s, worst_i = d, s, i
     man, exp = tol.man_exp
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     ok = num > 0 and worst_d * den * den < num * num * worst_s
-    return ok, mp.sqrt(mp.mpf(worst_d) / worst_s)
+    return ok, mp.sqrt(mp.mpf(worst_d) / worst_s), worst_i
 
 
 def _margin(tol, worst) -> float:
@@ -405,9 +416,9 @@ def _numeric_report(fam, rootsets, n, tol):
     terms = [(cs, *_self_table(host, tol_bits))] if cs else []
     if cc:
         terms.append((cc, *_cross_table(prev, cur, host_key, tol_bits)))
-    ok, worst = _judge(fam, n, host, range(len(host.roots)), terms, tol)
+    ok, worst, index = _judge(fam, n, host, terms, tol)
     dev = mp.nstr(worst, 8)
-    return _report(fam, n, "numeric", ok, {"deviation": dev},
+    return _report(fam, n, "numeric", ok, {"deviation": dev, "root": index},
                    deviation=dev, margin_digits=_margin(tol, worst),
                    table_bits=max(b for _, b, _ in terms))
 
@@ -418,7 +429,7 @@ def _numeric_report(fam, rootsets, n, tol):
 def _report(fam, n, mode, ok, witness, **details):
     rep = VerificationReport(suite=fam[0], n=n, details={
         "family": fam[1], "mode": mode, **details})
-    return rep if ok else rep.fail(witness)
+    return rep if ok else rep.fail({"family": fam[1], **witness})
 
 
 def _skipped(fam, n, mode):
@@ -426,8 +437,20 @@ def _skipped(fam, n, mode):
         "family": fam[1], "mode": mode, "reason": "host has no roots"})
 
 
+def _families(suite):
+    """The rows of FAMILIES a suite judges. The poleseries suite reads the
+    relations rows hosted by Q_{n-1}, T1, T2, T3 and T5, relabelled: at a
+    root omega of Q_{n-1}, a pole of w_n, the Laurent coefficient a_m of
+    w_n - 1/(z - omega) is (-1)^m (S_{m+1} - C_{m+1}), so these rows are
+    a_0, a_1, a_2 and a_4 (a_3 is not fixed by the local recursion)."""
+    if suite == "poleseries":
+        return [(suite, *fam[1:]) for fam in FAMILIES
+                if fam[0] == "relations" and fam[2] == "prev"]
+    return [fam for fam in FAMILIES if fam[0] == suite]
+
+
 def _verify(suite, records, n, mode, rootsets, tolerance):
-    families = [fam for fam in FAMILIES if fam[0] == suite]
+    families = _families(suite)
     if mode == "exact":
         return [_exact_report(fam, records, n) for fam in families]
     if mode != "numeric":
@@ -457,42 +480,9 @@ def verify_corollary(records: Sequence, n: int, mode: str = "exact",
     return _verify("corollary", records, n, mode, rootsets, tolerance)
 
 
-# ---------------------------------------------------------------------------
-# Laurent coefficients at a pole of w_n
-
-@timed
-def pole_series_check(records: Sequence, n: int, j: int,
-                      rootsets: dict, tolerance=None) -> VerificationReport:
-    """Coefficients of w_n - 1/(z - omega) at the j-th root omega of Q_{n-1}.
-
-    a_m = (-1)^m (S_{m+1} - C_{m+1}) at omega, so a_0, a_1, a_2 and a_4 are
-    checked against the closed forms of the theorem families T1, T2, T3 and
-    T5, the ones hosted by Q_{n-1}, in the integer rows the relation
-    reports read; a_3 is reported only (it is not determined by the local
-    recursion).
-    """
-    tol = _tolerance(tolerance)
-    prev, cur = rootsets[n - 1], rootsets[n]
-    omega = prev.roots[j]
-    rep = VerificationReport(suite="poleseries", n=n,
-                             details={"j": j, "omega": mp.nstr(omega, 20)})
-    tol_bits = _neg_log2(tol)
-    s_bits, s_rows = _self_table(prev, tol_bits)
-    c_bits, c_rows = _cross_table(prev, cur, "prev", tol_bits)
-    worst = mp.mpf(0)
-    for fam in FAMILIES:
-        if fam[0] == "relations" and fam[2] == "prev":
-            ok, dev = _judge(fam, n, prev, [j], [
-                (fam[4], s_bits, s_rows), (fam[5], c_bits, c_rows)], tol)
-            worst = max(worst, dev)
-            if not ok:
-                rep.fail({"m": fam[3] - 1, "deviation": mp.nstr(dev, 8)})
-    bits = max(s_bits, c_bits)
-    rep.details["margin_digits"] = _margin(tol, worst)
-    rep.details["table_bits"] = bits
-    re, im = ((c << bits - c_bits) - (s << bits - s_bits)
-              for c, s in zip(c_rows[j][6:8], s_rows[j][6:8]))
-    with mp.workprec(bits):  # a_3 = C_4 - S_4, not asserted
-        rep.details["a_3"] = mp.nstr(
-            mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))), 20)
-    return rep
+def pole_series_check(records: Sequence, n: int, mode: str = "numeric",
+                      rootsets: dict | None = None,
+                      tolerance=None) -> list:
+    """The Laurent coefficients a_0, a_1, a_2 and a_4 of w_n at every pole,
+    a root of Q_{n-1}: the relations rows T1, T2, T3 and T5 (_families)."""
+    return _verify("poleseries", records, n, mode, rootsets, tolerance)

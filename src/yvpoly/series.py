@@ -42,51 +42,39 @@ def inverse_power_sums(record, max_m: int) -> dict:
 # ---------------------------------------------------------------------------
 # Closed forms
 
+# (m, n mod 3) -> the coefficients of n^0, n^1, ... of the displayed
+# closed forms: the m-th inverse-root sum of Q_n, and the difference of the
+# sums of Q_{n-1} and Q_n (nonzero roots)
+CLOSED_FORMS = {
+    (3, 0): ("0 1/4", "0 -1/2"),
+    (3, 1): ("", "-1/4 1/4"),
+    (3, 2): ("-1/4 -1/4", "1/4 1/4"),
+    (6, 0): ("0 1/80 1/40", "0 -1/40"),
+    (6, 1): ("1/280 -1/560 -1/560", "1/112 -1/28 3/112"),
+    (6, 2): ("1/80 3/80 1/40", "-1/112 -1/28 -3/112"),
+    (9, 0): ("0 1/4480 1/640 1/448", "0 -1/2240 0 -1/224"),
+    (9, 1): ("1/11200 -1/22400 -1/22400",
+             "-11/11200 43/11200 -57/11200 1/448"),
+    (9, 2): ("-1/1120 -17/4480 -23/4480 -1/448",
+             "11/11200 43/11200 57/11200 1/448"),
+}
+
+
+def _closed_form(n: int, m: int, column: int) -> Fraction:
+    if (m, n % 3) not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for m={m}")
+    coeffs = CLOSED_FORMS[m, n % 3][column].split()
+    return _poly_eval([Fraction(c) for c in coeffs], n)
+
+
 def closed_form_value(n: int, m: int) -> Fraction:
     """The displayed polynomial-in-n value of the m-th inverse-root sum."""
-    r = n % 3
-    if m == 3:
-        if r == 0:
-            return Fraction(n, 4)
-        if r == 1:
-            return Fraction(0)
-        return Fraction(-(n + 1), 4)
-    if m == 6:
-        if r == 0:
-            return Fraction(n * n, 40) + Fraction(n, 80)
-        if r == 1:
-            return Fraction(-n * n, 560) - Fraction(n, 560) + Fraction(1, 280)
-        return Fraction(n * n, 40) + Fraction(3 * n, 80) + Fraction(1, 80)
-    if m == 9:
-        if r == 0:
-            return Fraction(n + 7 * n ** 2 + 10 * n ** 3, 4480)
-        if r == 1:
-            return Fraction(2 - n - n ** 2, 22400)
-        return Fraction(-20 - 85 * n - 115 * n ** 2 - 50 * n ** 3, 22400)
-    raise ValueError(f"no closed form for m={m}")
+    return _closed_form(n, m, 0)
 
 
 def difference_value(n: int, m: int) -> Fraction:
     """Closed form of sum(Q_{n-1}) - sum(Q_n), nonzero roots, m in {3,6,9}."""
-    r = n % 3
-    if r == 0:
-        if m == 3:
-            return Fraction(-n, 2)
-        if m == 6:
-            return Fraction(-n, 40)
-        if m == 9:
-            return Fraction(-n, 2240) - Fraction(n ** 3, 224)
-    else:
-        k = n - 1 if r == 1 else n + 1
-        sign = 1 if r == 1 else -1
-        if m == 3:
-            return Fraction(k, 4)
-        if m == 6:
-            return Fraction(k, 56) + sign * Fraction(3 * k * k, 112)
-        if m == 9:
-            return (Fraction(k, 2800) + sign * Fraction(9 * k * k, 5600)
-                    + Fraction(k ** 3, 448))
-    raise ValueError(f"no difference closed form for m={m}")
+    return _closed_form(n, m, 1)
 
 
 @timed

@@ -118,11 +118,11 @@ def test_criterion_6_pole_series(records30, rootsets16, announce):
     checked = 0
     tol = mp.mpf(10) ** -20
     for n in range(2, 11):
-        for j in range(len(rootsets16[n - 1].roots)):
-            rep = relations.pole_series_check(records30, n, j, rootsets16,
+        reports = relations.pole_series_check(records30, n,
+                                              rootsets=rootsets16,
                                               tolerance=tol)
-            ok = ok and rep.passed
-            checked += 1
+        ok = ok and len(reports) == 4 and all(r.passed for r in reports)
+        checked += len(rootsets16[n - 1].roots)
     announce(6, "pole Laurent coefficients, n <= 10", ok,
              f"{checked} poles")
 

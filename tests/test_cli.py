@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 import yvpoly
-from yvpoly import cli, painleve, relations, roots
+from yvpoly import cli, family, painleve, relations, roots
 
 
 def run(argv):
@@ -156,6 +157,42 @@ class TestVerify:
         assert witness["error"] == "NoConvergence"
         assert (witness["roots_n"], witness["iterations"]) == ("2", "400")
         assert witness["worst_residual"] == "1.0e-9"
+
+    def test_fail_witnesses_name_their_check(self, tmp_path, monkeypatch):
+        # every right-hand side shifted by 10^-25: each failed family names
+        # itself, a numeric one its worst root, an exact one its residue
+        def shifted(rhs):
+            return lambda n: (Fraction(rhs(n)[0]) + Fraction(1, 10 ** 25),
+                              rhs(n)[1])
+
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            (*fam[:6], shifted(fam[6])) for fam in relations.FAMILIES))
+        assert run(["verify", "--n-max", "5", "--mode", "both",
+                    "--suites", "relations,poleseries",
+                    "--out", str(tmp_path)]) == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        hosted_by_prev = ["T1", "T2", "T3", "T5"]
+        poles = [r for r in reports if r["suite"] == "poleseries"]
+        assert [r["n"] for r in poles] == [2, 3, 4, 5]
+        for rep in poles:
+            witnesses = rep["witnesses"]
+            assert [w["family"] for w in witnesses] == hosted_by_prev
+            poles_of_w = family.expected_degree(rep["n"] - 1)
+            assert all(0 <= int(w["root"]) < poles_of_w for w in witnesses)
+        for rep in reports:
+            if rep["suite"] != "relations" or rep["n"] < 2:
+                continue
+            witnesses = rep["witnesses"]
+            assert [w["family"] for w in witnesses] == hosted_by_prev + [
+                "T6", "T7", "T8", "T10"]
+            for w in witnesses:
+                if rep["details"]["mode"] == "numeric":
+                    host_n = rep["n"] - (w["family"] in hosted_by_prev)
+                    assert 0 <= int(w["root"]) < \
+                        family.expected_degree(host_n)
+                else:
+                    assert any(int(c) for c in w["residue"])
 
     def test_root_failure_is_found_once(self, monkeypatch):
         calls = []

@@ -219,7 +219,9 @@ class TestExactMode:
                      relations.verify_theorem(bad, 3, mode="exact")}
         witness = by_family["T2"].witnesses[0]  # rhs a / 6: L = 6
         assert witness["scaled_by"] == "6·Q_2'(a)^2·Q_3(a)^2"
-        assert isinstance(witness["residue"], IntPoly) and witness["residue"]
+        assert witness["family"] == "T2"
+        assert all(isinstance(c, str) for c in witness["residue"])
+        assert any(int(c) for c in witness["residue"])
 
     def test_every_factor_is_certified(self, monkeypatch):
         # fresh records, so no cached table hides a certificate
@@ -332,11 +334,12 @@ class TestNumericMode:
                 assert all(r.status == FAIL for r in reports), \
                     _statuses(reports)
         for n in range(2, 9):
-            for j in range(len(rootsets12[n - 1].roots)):
-                rep = relations.pole_series_check(records16, n, j,
-                                                  rootsets12)
-                assert rep.status == FAIL
-                assert len(rep.witnesses) == 4  # a_0, a_1, a_2 and a_4
+            reports = relations.pole_series_check(records16, n,
+                                                  rootsets=rootsets12)
+            # a_0, a_1, a_2 and a_4, each naming its family and worst pole
+            assert [r.status for r in reports] == [FAIL] * 4
+            assert [w["family"] for r in reports for w in r.witnesses] == \
+                ["T1", "T2", "T3", "T5"]
 
     def test_one_table_per_root_set_and_pair(self, tmp_path, monkeypatch):
         # relations, corollary, kudryashov and poleseries read one self
@@ -376,32 +379,31 @@ class TestNumericMode:
 
 
 class TestPoleSeries:
+    # a_0, a_1, a_2 and a_4 at every pole of w_n, a root of Q_{n-1}
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_all_poles(self, records8, rootsets8, n):
-        for j in range(len(rootsets8[n - 1].roots)):
-            rep = relations.pole_series_check(records8, n, j, rootsets8)
-            assert rep.passed, rep.witnesses
+        reports = relations.pole_series_check(records8, n, rootsets=rootsets8)
+        assert _statuses(reports) == dict.fromkeys(["T1", "T2", "T3", "T5"],
+                                                   PASS)
+        assert {r.suite for r in reports} == {"poleseries"}
 
     def test_reports_margin_digits(self, records8, rootsets8):
         cap = relations._fixed_bits(rootsets8[4], rootsets8[5])
-        rep = relations.pole_series_check(records8, 5, 2, rootsets8)
-        assert rep.passed and rep.details["margin_digits"] > 0
-        assert rep.details["table_bits"] < cap
-        rep = relations.pole_series_check(records8, 5, 2, rootsets8,
-                                          tolerance=mp.mpf(10) ** -500)
-        assert not rep.passed and rep.details["margin_digits"] < 0
-        assert rep.details["table_bits"] == cap
-
-    def test_reports_a3(self, records8, rootsets8):
-        rep = relations.pole_series_check(records8, 3, 0, rootsets8)
-        assert "a_3" in rep.details
+        for rep in relations.pole_series_check(records8, 5,
+                                               rootsets=rootsets8):
+            assert rep.passed and rep.details["margin_digits"] > 0
+            assert rep.details["table_bits"] < cap
+        for rep in relations.pole_series_check(records8, 5,
+                                               rootsets=rootsets8,
+                                               tolerance=mp.mpf(10) ** -500):
+            assert not rep.passed and rep.details["margin_digits"] < 0
+            assert rep.details["table_bits"] == cap
 
     def test_loose_tolerance_not_fooled(self, records8, rootsets8):
-        # with a ridiculous tolerance the check should still be meaningful:
-        # a deliberately wrong pole index against the wrong n fails fast
-        rep = relations.pole_series_check(records8, 3, 0, rootsets8,
-                                          tolerance=mp.mpf(10) ** -500)
-        assert not rep.passed
+        # a tolerance no root set reaches fails every coefficient
+        reports = relations.pole_series_check(records8, 3, rootsets=rootsets8,
+                                              tolerance=mp.mpf(10) ** -500)
+        assert [r.status for r in reports] == [FAIL] * 4
 
 
 class TestDeepExact:
