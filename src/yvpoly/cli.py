@@ -142,9 +142,6 @@ def _suite_valuation(run: _Runner):
 
 
 def _suite_wronskian(run: _Runner):
-    if run.config.n_max < 2:
-        return [VerificationReport(suite="wronskian", status=SKIPPED,
-                                   details={"reason": "needs n_max >= 2"})]
     return [family.wronskian_check(run.records, n)
             for n in range(1, run.config.n_max)]
 
@@ -177,16 +174,15 @@ def _rooted_suite(run: _Runner, suite: str):
     when a root set cannot be found. Prints one progress line per n."""
     config = run.config
     modes = ["exact", "numeric"] if config.mode == "both" else [config.mode]
-    first_n = 1
-    if suite == "poleseries":  # a pole of w_n is a root of Q_{n-1}
-        first_n, modes = 2, ["numeric"]
+    if suite == "poleseries":
+        modes = ["numeric"]
     # read per call: instrumentation may rebind these names
     check = {"relations": relations.verify_theorem,
              "corollary": relations.verify_corollary,
              "kudryashov": relations.verify_kudryashov,
              "poleseries": relations.pole_series_check}[suite]
     reports = []
-    for n in range(first_n, config.n_max + 1):
+    for n in range(MIN_N_MAX[suite], config.n_max + 1):
         for mode in modes:
             try:
                 rootsets = ({n - 1: run.rootset(n - 1), n: run.rootset(n)}
@@ -251,6 +247,11 @@ SUITE_RUNNERS = {
     "remark": _suite_remark,
 }
 
+# The least n_max (else 0) at which a suite has a check; below it the suite
+# is one SKIPPED report. A pole of w_n is a root of Q_{n-1}.
+MIN_N_MAX = {"wronskian": 2, "backlund": 1, "relations": 1, "corollary": 1,
+             "kudryashov": 1, "poleseries": 2, "series": 1}
+
 
 # ---------------------------------------------------------------------------
 # Commands
@@ -275,7 +276,10 @@ def cmd_verify(run: _Runner) -> int:
     failed = False
     for suite in config.suites:
         t0 = time.perf_counter()
-        reps = SUITE_RUNNERS[suite](run)
+        need = MIN_N_MAX.get(suite, 0)
+        reps = SUITE_RUNNERS[suite](run) if config.n_max >= need else [
+            VerificationReport(suite=suite, status=SKIPPED,
+                               details={"reason": f"needs n_max >= {need}"})]
         elapsed = time.perf_counter() - t0
         n_fail = sum(1 for r in reps if r.status == FAIL)
         n_skip = sum(1 for r in reps if r.status == SKIPPED)

@@ -8,8 +8,8 @@ polynomial with itself takes a squaring path that forms about half the leaf
 products. Polynomials whose support lives in a single residue class mod 3
 (the common case in this project) are multiplied through their compressed
 coefficient sequences. One routine, `_divmod_seq`, divides by a polynomial:
-`IntPoly.exact_div` uses its quotient and `quotient.QuotientContext` its
-remainder. Above a size cutoff it forms the quotient first and the
+`IntPoly.exact_div` uses its quotient and `quotient.QuotientContext.reduce`
+its remainder. Above a size cutoff it forms the quotient first and the
 remainder by one product.
 
 The family's coefficients ramp: those of Q_36 run from 1 bit at the leading

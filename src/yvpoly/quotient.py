@@ -1,13 +1,13 @@
-"""Arithmetic in Z[a]/(M(a)) for a fixed monic integer modulus M.
+"""Reduction in Z[a]/(M(a)) for a fixed monic integer modulus M.
 
-An element is the canonical remainder of an integer polynomial modulo M,
-as `intpoly._divmod_seq`, the package's one division routine, computes it;
-since M is monic, no coefficient is divided and reduction stays in the
-integers.
+A residue is a plain IntPoly, the canonical remainder modulo M that
+`intpoly._divmod_seq`, the package's one division routine, computes; since
+M is monic, no coefficient is divided and reduction stays in the integers.
+Callers add and multiply residues as IntPolys and reduce when they choose.
 Working modulo M evaluates an expression simultaneously at every root of M,
 so an identity holds at all roots iff its residue is the literal zero. The
 ring has no inverses: callers clear denominators instead, multiplying by
-elements whose invertibility they have certified separately.
+residues whose invertibility they have certified separately.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .intpoly import IntPoly, _divisor, _divmod_seq
 
 
 class QuotientContext:
-    """Fixed monic modulus; builds and canonicalizes residues."""
+    """Fixed monic modulus; reduces integer polynomials modulo it."""
 
     __slots__ = ("modulus", "_divisor")
 
@@ -28,56 +28,9 @@ class QuotientContext:
         self.modulus = modulus
         self._divisor = _divisor(modulus.coeffs)
 
-    def _reduce(self, coeffs) -> IntPoly:
-        return IntPoly(_divmod_seq(coeffs, self._divisor)[1])
-
-    def element(self, poly) -> "QuotientElement":
-        """The residue class of an IntPoly or an int."""
-        if isinstance(poly, int):
-            poly = IntPoly((poly,))
-        return QuotientElement(self, self._reduce(poly.coeffs))
-
-    def one(self) -> "QuotientElement":
-        return self.element(1)
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientContext) and self.modulus == other.modulus
+    def reduce(self, poly: IntPoly) -> IntPoly:
+        """The canonical remainder of poly modulo the modulus."""
+        return IntPoly(_divmod_seq(poly.coeffs, self._divisor)[1])
 
     def __repr__(self):
         return f"QuotientContext(degree={self.modulus.degree})"
-
-
-class QuotientElement:
-    __slots__ = ("ctx", "residue")
-
-    def __init__(self, ctx: QuotientContext, residue: IntPoly):
-        self.ctx = ctx
-        self.residue = residue
-
-    def is_zero(self) -> bool:
-        return not self.residue
-
-    def __eq__(self, other):
-        if isinstance(other, QuotientElement):
-            return self.ctx == other.ctx and self.residue == other.residue
-        return NotImplemented
-
-    def __repr__(self):
-        return f"QuotientElement({self.residue!r})"
-
-    def __neg__(self):
-        return QuotientElement(self.ctx, -self.residue)
-
-    def __add__(self, other):
-        return QuotientElement(self.ctx, self.residue + other.residue)
-
-    def __sub__(self, other):
-        return QuotientElement(self.ctx, self.residue - other.residue)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuotientElement(self.ctx, self.residue * other)
-        return QuotientElement(self.ctx, self.ctx._reduce(
-            (self.residue * other.residue).coeffs))
-
-    __rmul__ = __mul__

@@ -22,7 +22,8 @@ coefficients.
   it. A relation is checked with its rational right-hand side and every b0
   cleared: residue = 0 after multiplying by L b0^p, which is sound because
   gcd(host, host') = 1 and gcd(host, target) = 1 are proved first by a
-  Euclid run mod 2^61 - 1, so the factor is invertible.
+  Euclid run mod 2^61 - 1, so the factor is invertible. Residues are plain
+  IntPolys, reduced once per series coefficient and once per relation.
 
 * numeric mode -- tables over certified high-precision root sets: one
   reciprocal per unordered pair of a root set gives S_p at both ends, and
@@ -131,27 +132,30 @@ def _cleared_rhs(rhs, n):
 # Exact route
 
 def _taylor(poly: IntPoly, count: int, ctx: QuotientContext) -> list:
-    """poly^(i)(a) / i! for i < count: the coefficients of poly(a + u)."""
-    return [ctx.element(IntPoly(
+    """poly^(i)(a) / i! for i < count, reduced: the coefficients of
+    poly(a + u)."""
+    return [ctx.reduce(IntPoly(
         [comb(j, i) * c for j, c in enumerate(poly.coeffs)][i:]))
         for i in range(count)]
 
 
-def _series_quotient(a: list, b: list) -> tuple:
+def _series_quotient(a: list, b: list, ctx: QuotientContext) -> tuple:
     """(G, b0_powers) for A/B = sum g_m u^m, m < len(a), with no division:
     G_m = g_m b0^(m+1) = a_m b0^m - sum_{i=1..m} b_i b0^(i-1) G_{m-i}, and
-    b0_powers[k] = b0^k for k = 0..len(a)."""
-    b0_powers = [b[0].ctx.one()]
+    b0_powers[k] = b0^k for k = 0..len(a), all reduced. The powers and the
+    weights b_i b0^(i-1) are reused, so each is reduced once; each G_m sums
+    its m + 1 products unreduced and is reduced once."""
+    b0_powers = [IntPoly.one()]
     for _ in a:
-        b0_powers.append(b0_powers[-1] * b[0])
-    # b_i b0^(i-1), shared by every G_m
-    weights = [None] + [b[i] * b0_powers[i - 1] for i in range(1, len(a))]
+        b0_powers.append(ctx.reduce(b0_powers[-1] * b[0]))
+    weights = [None] + [ctx.reduce(b[i] * b0_powers[i - 1])
+                        for i in range(1, len(a))]
     G = []
     for m, a_m in enumerate(a):
         acc = a_m * b0_powers[m]
         for i in range(1, m + 1):
             acc = acc - weights[i] * G[m - i]
-        G.append(acc)
+        G.append(ctx.reduce(acc))
     return tuple(G), tuple(b0_powers)
 
 
@@ -169,7 +173,8 @@ def cross_sum_residue(host: IntPoly, target: IntPoly, p: int,
         ctx = QuotientContext(host)
     certify_coprime(target, host, "host and target")
     t = _taylor(target, p + 1, ctx)
-    return _series_quotient([(m + 1) * t[m + 1] for m in range(p)], t[:p])
+    return _series_quotient([(m + 1) * t[m + 1] for m in range(p)], t[:p],
+                            ctx)
 
 
 def self_sum_residue(host: IntPoly, p: int,
@@ -188,7 +193,7 @@ def self_sum_residue(host: IntPoly, p: int,
     certify_coprime(host.derivative(), host, "host and host'")
     c = _taylor(host, p + 2, ctx)
     return _series_quotient([(m + 1) * c[m + 2] for m in range(p)],
-                            c[1:p + 1])
+                            c[1:p + 1], ctx)
 
 
 @timed
@@ -215,18 +220,18 @@ def _exact_report(fam, records, n):
         return _report(fam, n, "exact", False, {
             "error": "UnexpectedCommonFactor", "message": str(exc),
             "gcd_degree": exc.gcd_degree})
-    # cs S_p + cc C_p - (c + k a), times L and b0^p of each sum used
+    # cs S_p + cc C_p - (c + k a), times L and b0^p of each sum used:
+    # lhs / factor = sum coeff G_{p-1} / b0^p, factor the product of b0^p
     scale, c, k = _cleared_rhs(rhs, n)
-    coeff, (G, b0_powers), _ = used[0]
-    lhs, factor = coeff * G[p - 1], b0_powers[p]  # factor: product of b0^p
-    for coeff, (G, b0_powers), _ in used[1:]:
+    lhs, factor = IntPoly(), IntPoly.one()
+    for coeff, (G, b0_powers), _ in used:
         lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
         factor = factor * b0_powers[p]
-    residue = ((-1) ** (p - 1) * scale * lhs
-               - ctx.element(IntPoly((c, k))) * factor)
+    residue = ctx.reduce((-1) ** (p - 1) * scale * lhs
+                         - IntPoly((c, k)) * factor)
     scaled_by = "·".join([str(scale)] + [f"{name}^{p}" for *_, name in used])
-    return _report(fam, n, "exact", residue.is_zero(), {
-        "residue": list(map(str, residue.residue.coeffs)),
+    return _report(fam, n, "exact", not residue, {
+        "residue": list(map(str, residue.coeffs)),
         "scaled_by": scaled_by})
 
 

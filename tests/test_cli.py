@@ -248,6 +248,25 @@ class TestVerify:
         assert [r["status"] for r in reports] == ["skipped", "skipped"]
         assert reports[1]["details"]["reason"] == "needs n_max >= 23"
 
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_suite_with_no_check_is_skipped(self, tmp_path, n_max):
+        # a suite with nothing to check at this n_max writes one SKIPPED
+        # report with its reason, never an empty "ok"
+        need = {"wronskian": 2, "poleseries": 2, "backlund": 1,
+                "relations": 1, "corollary": 1, "kudryashov": 1, "series": 1}
+        assert run(["verify", "--n-max", str(n_max),
+                    "--out", str(tmp_path)]) == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        for suite in cli.SUITE_RUNNERS:
+            got = [r for r in reports if r["suite"] == suite]
+            assert got, suite
+            if need.get(suite, 0) > n_max:
+                assert [(r["status"], r["details"]["reason"]) for r in got] \
+                    == [("skipped", f"needs n_max >= {need[suite]}")]
+            elif suite != "remark":
+                assert {r["status"] for r in got} == {"pass"}, suite
+
     def test_exact_route_covers_every_n(self, tmp_path):
         code = run(["verify", "--n-max", "9", "--mode", "both",
                     "--suites", "kudryashov", "--out", str(tmp_path)])

@@ -33,10 +33,10 @@ DEFAULT_TOL_BITS = relations._neg_log2(mp.mpf(10) ** -30)  # 100
 CAPPED = relations._neg_log2(mp.mpf(10) ** -500)  # past every table's cap
 
 
-def _at(element, w):
+def _at(residue, w):
     """The residue polynomial evaluated at w, at the working precision."""
     acc = mp.mpc(0)
-    for c in reversed(element.residue.coeffs):
+    for c in reversed(residue.coeffs):
         acc = acc * w + c
     return acc
 
@@ -50,12 +50,12 @@ class TestResidues:
                                                    QuotientContext(q1))
         # modulo alpha: G_0 = 0 over b0 = 4
         assert len(G) == 1
-        assert G[0].residue == IntPoly()
-        assert b0_powers[1].residue == IntPoly([4])
+        assert G[0] == IntPoly()
+        assert b0_powers[1] == IntPoly([4])
         # and back, over the root 0 of Q_1 at a root alpha of Q_2: 1 / alpha
         G, b0_powers = relations.cross_sum_residue(q2, q1, 1)
-        assert G[0].residue == IntPoly([1])
-        assert b0_powers[1].residue == IntPoly([0, 1])
+        assert G[0] == IntPoly([1])
+        assert b0_powers[1] == IntPoly([0, 1])
 
     def test_self_sum_quadratic_host(self, records8):
         # Q_2 = z^3 + 4, p = 1: S_1(alpha) = Q_2''(alpha) / (2 Q_2'(alpha))
@@ -63,10 +63,49 @@ class TestResidues:
         ctx = QuotientContext(records8[2].poly)
         G, b0_powers = relations.self_sum_residue(records8[2].poly, 1, ctx)
         assert len(G) == 1
-        assert G[0].residue == IntPoly([0, 3])
-        assert b0_powers[1].residue == IntPoly([0, 0, 3])
+        assert G[0] == IntPoly([0, 3])
+        assert b0_powers[1] == IntPoly([0, 0, 3])
         # S_1 = G_0 / b0 = 1 / alpha, cross-multiplied
-        assert G[0] * ctx.element(IntPoly.z()) == b0_powers[1]
+        assert ctx.reduce(G[0] * IntPoly.z()) == b0_powers[1]
+
+    @pytest.mark.parametrize("sums", ["self", "cross"])
+    def test_series_quotient_reduces_once_per_coefficient(self, records8,
+                                                          monkeypatch, sums):
+        # b0^1..b0^p, the weights b_i b0^(i-1) (i = 1..p-1) and each G_m are
+        # reduced once, and the residues equal those of a route that
+        # reduces after every product
+        host, target, p = records8[5].poly, records8[6].poly, 5
+        ctx = QuotientContext(host)
+        if sums == "self":
+            c = relations._taylor(host, p + 2, ctx)
+            a, b = [(m + 1) * c[m + 2] for m in range(p)], c[1:p + 1]
+        else:
+            t = relations._taylor(target, p + 1, ctx)
+            a, b = [(m + 1) * t[m + 1] for m in range(p)], t[:p]
+
+        def mul(u, v):
+            return ctx.reduce(u * v)
+
+        powers = [IntPoly.one()]
+        for _ in a:
+            powers.append(mul(powers[-1], b[0]))
+        eager = []
+        for m, a_m in enumerate(a):
+            acc = mul(a_m, powers[m])
+            for i in range(1, m + 1):
+                acc = acc - mul(mul(b[i], powers[i - 1]), eager[m - i])
+            eager.append(acc)
+        calls = []
+        reduce = QuotientContext.reduce
+
+        def spy(self, poly):
+            calls.append(poly)
+            return reduce(self, poly)
+
+        monkeypatch.setattr(QuotientContext, "reduce", spy)
+        G, b0_powers = relations._series_quotient(a, b, ctx)
+        assert len(calls) == p + (p - 1) + p
+        assert (G, b0_powers) == (tuple(eager), tuple(powers))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kernels_agree_at_every_power(self, records8, rootsets8, n):
@@ -423,3 +462,13 @@ class TestDeepExact:
                                          rootsets=rootsets16))
             assert set(exact.values()) == {PASS}, exact
             assert exact == numeric
+
+    def test_every_family_passes_at_20(self):
+        # hosts Q_19 and Q_20, of degrees 190 and 210, divide quotient-first
+        records = family.generate(20)
+        reports = [rep for verifier in (relations.verify_theorem,
+                                        relations.verify_corollary,
+                                        relations.verify_kudryashov)
+                   for rep in verifier(records, 20, mode="exact")]
+        assert len(reports) == len(relations.FAMILIES) == 17
+        assert {r.status for r in reports} == {PASS}
