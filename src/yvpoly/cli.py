@@ -61,9 +61,11 @@ class RunConfig:
         if not self.suites:
             raise ValueError("no suites given")
         if isinstance(self.m_list, str):
-            self.m_list = [int(m) for m in self.m_list.split(",")]
-        if any(m < 1 for m in self.m_list):
-            raise ValueError("each m must be >= 1")
+            self.m_list = self.m_list.split(",")
+        for m in self.m_list:
+            if not str(m).strip().isdecimal() or int(m) < 1:
+                raise ValueError(f"--m-list: {m!r} is not an integer >= 1")
+        self.m_list = [int(m) for m in self.m_list]
 
     @property
     def tolerance(self):
@@ -319,15 +321,14 @@ def cmd_verify(run: _Runner) -> int:
     return 1 if failed else 0
 
 
-def _finder_line(rs) -> str:
-    """How the root finder got rs, for stderr."""
-    last = "-" if rs.final_correction is None \
-        else mp.nstr(rs.final_correction, 3)
+def _finder_line(rs, rep) -> str:
+    """How the root finder got rs, for stderr; rep is certify's report."""
     y_roots = (len(rs.roots) - rs.includes_zero) // 3
     return (f"n={rs.n}: {rs.float_iterations} float sweeps, ladder "
             f"{'>'.join(map(str, rs.ladder)) or '-'} bits on "
             f"{rs.representatives} of {y_roots} y-roots, fallback "
-            f"{'yes' if rs.fallback else 'no'}, last step {last}, "
+            f"{'yes' if rs.fallback else 'no'}, inclusion digits "
+            f"{rep.details['inclusion_digits'] or '-'}, "
             f"max residual {mp.nstr(rs.max_residual, 3)}")
 
 
@@ -343,8 +344,8 @@ def cmd_roots(run: _Runner) -> int:
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue
-        print(_finder_line(rs), file=sys.stderr)
         rep = rootsmod.certify(rs, r)
+        print(_finder_line(rs, rep), file=sys.stderr)
         rootsmod.export_csv(rs, out / f"roots_{r.n}.csv")
         rootsmod.export_svg(rs, out / f"roots_{r.n}.svg")
         tag = "certified" if rep.passed else "CERTIFICATION FAILED"

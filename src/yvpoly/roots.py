@@ -1,50 +1,24 @@
 """High-precision root extraction for the family, with certification.
 
-Root finding runs in the y = z^3 domain on the compressed coefficients
-(one third the degree, and the threefold symmetry of the full root set is
-then exact by construction). Full precision is spent only where it is
-needed:
+Roots are found in the y = z^3 domain on the compressed coefficients (one
+third the degree; the threefold symmetry of the full root set is then
+exact by construction), spending full precision only where it is needed:
 
-1. Aberth-Ehrlich simultaneous correction in hardware doubles, from a
-   seeded circle. y is scaled by 2^s, s from the log2 Fujiwara bound, so
-   coefficients past the float range (n >= 25) still convert. Each
-   Newton quotient R/R' comes from Horner's rule in doubles until |R| is
-   within that rule's rounding bound, and from exact integer evaluation
-   at the double point after that, because the coefficients cancel so
-   badly near the roots that doubles alone resolve nothing past n ~ 25.
-   A root stops when its step no longer changes it.
-2. Newton steps at doubling precision, from 106 bits up to twice the
-   working precision, on one root of each conjugate pair: R has real
-   coefficients, so each seed's mirror (the seed nearest its conjugate)
-   must pair the seeds off, a real root being its own mirror. A real root
-   is stepped in real arithmetic, a pair through its upper member, and
-   the partners are its exact conjugates. Each step evaluates R and R'
-   with the fixed-point kernel below, at the step's precision, runs at
-   about twice the bits the one before reached, and the top step repeats
-   until a further one could not change the roots. At each step every
-   correction must have shrunk roughly quadratically, and the roots with
-   their partners must stay pairwise farther apart than twice the largest
-   correction, so that no two seeds converge to the same root.
-3. If the seeds do not pair off or a check fails, Aberth runs again in
-   mpmath at the working precision plus 32 bits, from the float seeds, and
-   two Newton steps at doubled precision, on the kernel, polish the
-   result.
+1. Aberth-Ehrlich in hardware doubles from a seeded circle, on R(2^s u)
+   so that coefficients past the float range (n >= 25) still convert, and
+   with exact integer evaluation where doubles lose R to cancellation.
+2. Newton steps at doubling precision up to twice the working precision,
+   on one root of each conjugate pair; the top step's evaluation gives
+   each root an inclusion disc (_radii), and the step repeats while a
+   disc is wider than 2^-prec |y| and still shrinks.
+3. If the seeds do not pair off, or the discs stay wide or meet, Aberth
+   in mpmath from the float seeds, polished by two Newton steps whose
+   last gives the discs; if these do not hold either, the run fails.
 
-Steps 1 and 3 share one Aberth kernel. Lifting to z builds each orbit of
-z -> omega z and z -> conj(z) from one cube root, and evaluates one
-residual per orbit, on the kernel at twice the working precision: the
-other roots of the orbit are exact rotations and conjugations of it,
-rounded once. Lifting and certification screen their pair scans with
-float approximations sorted by real part, and measure only the pairs that
-survive the screen at full precision.
-
-Steps 2 and 3's Newton steps and the lift's residuals evaluate R through
-one kernel, _fixed_horner: a Horner pass for R and R' together on Python
-integers at the asked bits plus GUARD_BITS fractional bits, with one
-conversion to mpf or mpc at the end. Its docstring derives an absolute
-error bound that stays within the standard bound of floating-point Horner
-at those bits. Only the float stage and the fallback's Aberth sweep use
-plain Horner.
+Narrow disjoint discs hold one simple root each. They are the one
+acceptance test, checked again after the lift to z, which builds each
+orbit of z -> omega z and z -> conj(z) from one cube root. R is evaluated
+by _fixed_horner, whose docstring derives the error bound the discs use.
 """
 
 from __future__ import annotations
@@ -58,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_float
 
 from .family import StructureViolation, YvRecord, expected_degree
 from .report import VerificationReport, timed
@@ -66,12 +40,6 @@ from .report import VerificationReport, timed
 DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
 FLOAT_EPS = 2.0 ** -53  # unit roundoff of a hardware double
-# A ladder correction may exceed the quadratic prediction by this factor;
-# the first must be below FIRST_STEP, and the top level runs at most
-# TOP_STEPS times.
-LADDER_SLACK = 2 ** 16
-FIRST_STEP = 2 ** -20
-TOP_STEPS = 3
 GUARD_BITS = 8  # fractional bits _fixed_horner keeps past the caller's
 
 
@@ -119,7 +87,7 @@ class RootSet:
     ladder: tuple = ()  # precision (bits) of each Newton step that passed
     fallback: bool = False  # whether the mpmath Aberth fallback ran
     representatives: int = 0  # y-roots the ladder stepped, one per pair
-    final_correction: object = None  # largest relative last Newton step
+    radii: tuple = ()  # of each root's inclusion disc (lift_cube_roots)
 
 
 def working_precision(degree: int, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -367,69 +335,110 @@ def _mirror_pairs(seeds):
     return reps
 
 
-def _with_conjugates(xs):
-    """xs, each mpc followed by its conjugate. Exact only at a precision
-    no lower than that of xs."""
-    out = []
-    for x in xs:
-        out.append(x)
-        if isinstance(x, mp.mpc):
-            out.append(mp.conj(x))
-    return out
+def _log2_abs(x):
+    """log2 |x| of an mpf or mpc x to float rounding; -inf at 0, inf at nan."""
+    parts = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_,)
+    f = math.hypot(*map(to_float, parts))
+    if 2.0 ** -1000 < f < 2.0 ** 1000:
+        return math.log2(f)
+    _, man, exp, _ = abs(x)._mpf_
+    return math.log2(man) + exp if man else (math.inf if exp else -math.inf)
+
+
+def _pow2_sum(logs):
+    """An mpf at least sum 2^l over the float log2s logs, inf if one is:
+    each l is raised by 2^-40 (1 + |l|), for its rounding and the sum's."""
+    logs = [l + 2.0 ** -40 * (1 + abs(l)) for l in logs if l > -math.inf]
+    if math.inf in logs:
+        return mp.inf
+    k = math.floor(max(logs))
+    return mp.ldexp(math.fsum(2.0 ** (l - k) for l in logs), k)
+
+
+def _radii(coeffs, points, steps, bits):
+    """Radii of inclusion discs about y - c for the first len(steps) of the
+    points y, which approximate all d roots of the monic R, (v, c) being
+    _fixed_horner's R(y) at bits bits and the Newton step from y. Discs of
+    radius d |R(y_i)| / prod_{j != i} |y_i - y_j| about distinct y_i cover
+    the roots, and k meeting none of the rest hold exactly k (Bini and
+    Fiorentino, Numer. Algorithms 23 (2000)); the move by c and its
+    rounding add |c| + 2^(1-bits) |y|. |R(y)| <= |v| + E <= 2 max(|v|, E),
+    E = 2 d 2^-bits A(|y|) <= 2 d (d + 1) 2^-bits max |a_k| |y|^k the
+    kernel's bound. Distances are _float_bounds', or measured where that
+    is not positive; float log2s are raised by 2^-40 (1 + |l|) each."""
+    d = len(coeffs) - 1
+    approx = [complex(y) for y in points]
+    top = [abs(a).bit_length() for a in coeffs]  # |a_k| < 2^top[k]
+    radii = []
+    with mp.workprec(53):
+        for i, (v, c) in enumerate(steps):
+            y, a = points[i], approx[i]
+            t = max(_log2_abs(y), -bits)
+            err = 1 + math.log2(d * (d + 1)) - bits + max(
+                e + k * t for k, e in enumerate(top))
+            terms = [math.log2(d), max(_log2_abs(v), err) + 1] + [
+                -math.log2(lo) if (lo := _float_bounds(a, b)[0]) > 0
+                else -_log2_abs(y - points[j])
+                for j, b in enumerate(approx) if j != i]
+            log_r = math.fsum(l + 2.0 ** -40 * (1 + abs(l)) for l in terms)
+            radii.append(_pow2_sum([log_r, _log2_abs(c),
+                                    math.floor(t) + 3 - bits]))
+    return radii
+
+
+def _inclusion(ys, radii, prec, separation=None):
+    """Whether each y of ys has a disc within 2^-prec |y|, none meeting, and
+    min -log10(radius / |y|) but at an exact zero of radius 0, or None."""
+    with mp.workprec(2 * prec):
+        separation = _min_separation(ys) if separation is None else separation
+    logs = [_log2_abs(r) - _log2_abs(y) for y, r in zip(ys, radii) if y or r]
+    return (len(radii) == len(ys) and max(logs, default=-math.inf) <= -prec
+            and separation > 2 * max(radii, default=0),
+            round(-max(logs) * math.log10(2), 2) if logs else None)
 
 
 def _newton_ladder(coeffs, xs, top):
     """Newton steps on the orbit representatives xs (mpf for a real root,
     mpc in the upper half plane for a pair) from 106 bits up to top bits,
-    each at about twice the precision the previous one reached, and
-    repeated at top (at most TOP_STEPS times) until a further step could
-    not change the roots; see the module docstring for the checks.
-
-    Returns (roots, the precision of each step that passed, the last
-    relative correction), roots being every root as mpc at top bits, each
-    pair's upper member followed by its conjugate; roots is None if a
-    check failed.
-    """
-    passed = []
-    prev_rel, prev_level, level = None, None, 106
-    while passed.count(top) < TOP_STEPS:
+    each above and at about twice the precision the previous one reached,
+    repeated at top while a disc is wider than 2^-(top/2) |y| and narrower
+    than at the previous top step. Returns (roots, each step's precision,
+    their radii), roots being every root as mpc, each pair's upper member
+    followed by its conjugate; None after R' = 0, y = 0 or wide discs."""
+    passed, level, best = [], 106, -math.inf
+    while True:
         with mp.workprec(level):
-            corrs = []
+            steps = []
             for x in xs:
                 v, dv = _fixed_horner(coeffs, x, level)
                 if dv == 0 or x == 0:
-                    return None, passed, None
-                corrs.append(v / dv)
-            rel = [abs(c) / abs(x) for c, x in zip(corrs, xs)]
-            if prev_rel is None:
-                ok = max(rel) <= FIRST_STEP
-            else:
-                # below the floor, rounding at prev_level dominates the step
-                floor = LADDER_SLACK * mp.mpf(2) ** (-prev_level // 2)
-                ok = all(r <= max(min(q / 2, LADDER_SLACK * q * q), floor)
-                         for r, q in zip(rel, prev_rel))
-            # levels never fall, so the conjugates here are exact
-            if not (ok and _min_separation(_with_conjugates(xs))
-                    > 2 * max(map(abs, corrs))):
-                return None, passed, None
-            xs = [x - c for x, c in zip(xs, corrs)]
-            worst = max(rel)
+                    return None, passed, ()
+                steps.append((v, v / dv))
+            new = [x - c for x, (_, c) in zip(xs, steps)]
+            worst = max(abs(c) / abs(x) for x, (_, c) in zip(xs, steps))
         passed.append(level)
-        if level == top and LADDER_SLACK * worst ** 2 <= mp.mpf(2) ** -top:
-            with mp.workprec(top):  # below top, mpc and conj would round
-                return ([mp.mpc(y) for y in _with_conjugates(xs)], passed,
-                        worst)
-        # the roots now hold about twice the bits the step corrected, and
-        # the next step doubles them again; 64 bits spare for cancellation
-        bits = -mp.mag(worst) if worst else top
-        prev_rel, prev_level = rel, level
-        level = min(top, max(level, 4 * bits + 64))
-    return None, passed, None
+        if level < top:
+            # the roots now hold about twice the bits the step corrected, and
+            # the next step doubles them again; 64 bits spare for cancellation
+            bits = -mp.mag(worst) if worst else top
+            level, xs = min(top, max(level + 1, 4 * bits + 64)), new
+            continue
+        with mp.workprec(top):  # below top, mpc and conj would round
+            radii = _radii(coeffs, xs + [mp.conj(x) for x in xs
+                                         if isinstance(x, mp.mpc)], steps, top)
+            held, digits = _inclusion(xs, radii, top // 2, mp.inf)
+            if held:
+                zs = [(w, r) for y, r in zip(new, radii) for w in
+                      ((y, mp.conj(y)) if isinstance(y, mp.mpc) else (y,))]
+                return [mp.mpc(w) for w, _ in zs], passed, [r for _, r in zs]
+        if not digits > best:
+            return None, passed, ()
+        best, xs = digits, new
 
 
 def _mp_aberth(p: ReducedPoly, xs, prec):
     """The fallback: Aberth at prec + 32 bits from xs, then two Newton
-    steps at 2 prec. Returns (roots, last relative correction)."""
+    steps at 2 prec. Returns (roots, their radii from the last step)."""
     with mp.workprec(prec + 32):
         coeffs = [mp.mpf(c) for c in p.y_coeffs]
         xs = [mp.mpc(x) for x in xs]
@@ -441,27 +450,21 @@ def _mp_aberth(p: ReducedPoly, xs, prec):
                 f"Aberth did not converge for n={p.n}",
                 iterations=sweeps, worst_residual=worst, n=p.n)
     with mp.workprec(2 * prec):
-        polished, last = [], mp.mpf(0)
-        for x in xs:
-            x = mp.mpc(x)
-            for _ in range(2):
+        for _ in range(2):
+            points, steps = xs, []
+            for x in points:
                 v, dv = _fixed_horner(p.y_coeffs, x, 2 * prec)
-                corr = v / dv if dv != 0 else 0
-                x = x - corr
-            polished.append(x)
-            last = max(last, abs(corr) / abs(x))
-    return polished, last
+                steps.append((v, v / dv if dv != 0 else mp.mpc(0)))
+            xs = [x - c for x, (_, c) in zip(points, steps)]
+        return xs, _radii(p.y_coeffs, points, steps, 2 * prec)
 
 
 def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                seed: int = 0, *, diagnostics: dict | None = None) -> list:
-    """All simple roots of R(y), accurate at twice the working precision.
-
-    The seed perturbs the starting circle. Returns a list of mpc. A dict
-    passed as diagnostics receives how they were found: the RootSet fields
-    float_iterations, ladder, fallback, final_correction and
-    representatives.
-    """
+    """All roots of R(y), as mpc, each alone in an inclusion disc of radius
+    at most 2^-prec |y|, so simple; else CertificationFailure. The seed
+    perturbs the starting circle; a dict diagnostics receives the RootSet
+    fields float_iterations, ladder, fallback, radii and representatives."""
     d = p.degree
     if d < 1:
         return []
@@ -475,28 +478,32 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
             else mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
 
     reps = _mirror_pairs(seeds) or []
-    roots, ladder, last = None, [], None
+    roots, ladder, radii = None, [], ()
     if reps:
-        roots, ladder, last = _newton_ladder(
+        roots, ladder, radii = _newton_ladder(
             p.y_coeffs, [y(u) for u in reps], 2 * prec)
-    fallback = roots is None
+    fallback = not (roots and _inclusion(roots, radii, prec)[0])
     if fallback:
-        roots, last = _mp_aberth(p, [y(u) for u in seeds], prec)
+        roots, radii = _mp_aberth(p, [y(u) for u in seeds], prec)
+        if not _inclusion(roots, radii, prec)[0]:
+            raise CertificationFailure(f"inclusion discs fail at n={p.n}",
+                                       iterations=sweeps, n=p.n)
     if diagnostics is not None:
         diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
-                           fallback=fallback, final_correction=last,
+                           fallback=fallback, radii=tuple(radii),
                            representatives=len(reps))
     return roots
 
 
-def _residual(coeffs, abs_coeffs, z, zero_root):
-    """|z^e R(z^3)| relative to |z|^e R_abs(|z|^3), e = 1 iff zero_root:
-    the residual of z as a root of Q_n, scaled by the coefficient sizes.
-    coeffs and abs_coeffs are integers; both sums are _fixed_horner's at
-    the working precision."""
-    val = abs(_fixed_horner(coeffs, z ** 3, mp.mp.prec, False)[0])
-    az = abs(z)
-    scale = _fixed_horner(abs_coeffs, az ** 3, mp.mp.prec, False)[0]
+def _residual(coeffs, abs_coeffs, z, az, zero_root):
+    """|z^e R(z^3)| / (az^e R_abs(az^3)), az = |z|, e = 1 iff zero_root: z's
+    residual as a root of Q_n, by _fixed_horner at the working precision,
+    in real arithmetic for a real z, over a scale summed at 64 bits."""
+    y = z ** 3
+    val = abs(_fixed_horner(coeffs, y if mp.im(z) else mp.re(y),
+                            mp.mp.prec, False)[0])
+    with mp.workprec(64):
+        scale = _fixed_horner(abs_coeffs, az ** 3, 64, False)[0]
     if zero_root:
         val, scale = val * az, scale * az
     return val / scale if scale > 0 else val
@@ -526,12 +533,9 @@ def _sorted_screen(approx):
 
 
 def _min_separation(points):
-    """min |p_i - p_j| at the current precision, equal to a full scan.
-
-    Only pairs whose float lower bound does not exceed the smallest float
-    upper bound are measured exactly. Sweeps over the real parts find
-    that bound and those pairs.
-    """
+    """min |p_i - p_j| at the current precision, equal to a full scan:
+    only pairs whose float lower bound does not exceed the smallest float
+    upper bound, found by sweeps over the real parts, are measured."""
     if len(points) < 2:
         return mp.inf
     approx = [complex(z) for z in points]
@@ -559,76 +563,70 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
                     precision_bits: int = DEFAULT_PRECISION_BITS, *,
                     diagnostics: dict | None = None) -> RootSet:
     """Each y-root contributes its three cube roots; zero appended if stripped.
-
     The cube roots of y are its base root times 1, omega and conj(omega);
     those of a later y-root that is y's exact conjugate are their
     conjugates. The residual is evaluated once per such orbit, at the base
-    root, and copied to the orbit's other roots: each is an exact image of
-    it rounded once at 2 prec, which moves its residual by about 2^-2prec.
-    diagnostics, as filled in by find_roots, is copied onto the RootSet.
-    """
+    root, and copied to its other roots, exact images rounded once at 2
+    prec. diagnostics, as filled in by find_roots, is copied onto the
+    RootSet, a y-disc's radius r becoming (r / |y| + 2^(4 - 2 prec)) |z|,
+    as |(1 + s)^(1/3) - 1| <= t for |s| <= t < 1, plus rounding; zero's
+    radius is 0, as R(0) != 0, and without radii the others are inf."""
     prec = working_precision(p.degree, precision_bits, _coeff_bits(p.y_coeffs))
-    diagnostics = diagnostics or {}
+    diagnostics = dict(diagnostics or {})
+    y_radii = diagnostics.pop("radii", [mp.inf] * len(y_roots))
     abs_coeffs = [abs(c) for c in p.y_coeffs]
     with mp.workprec(2 * prec):
         omega = mp.exp(2j * mp.pi / 3)
         omegas = (1, omega, mp.conj(omega))
-        orbits = {}  # y -> (its cube roots, their residual)
-        roots, residuals = [], []
-        for y in y_roots:
+        orbits = {}  # y -> (its cube roots, their residual, |z|)
+        roots, residuals, radii = [], [], []
+        for y, r in zip(y_roots, y_radii):
             mirror = orbits.get(mp.conj(y))
             if mirror is not None:
-                zs, res = [mp.conj(z) for z in mirror[0]], mirror[1]
+                zs, res, size = [mp.conj(z) for z in mirror[0]], *mirror[1:]
             else:
+                size = mp.cbrt(abs(y))
                 if mp.im(y) == 0:  # real base, so the images are conjugates
-                    base = mp.mpc(mp.sign(mp.re(y)) * mp.cbrt(abs(y)))
+                    base = mp.mpc(mp.sign(mp.re(y)) * size)
                 else:
-                    base = mp.cbrt(abs(y)) * mp.exp(1j * mp.arg(y) / 3)
+                    base = size * mp.exp(1j * mp.arg(y) / 3)
                 zs = [base * w for w in omegas]
-                res = _residual(p.y_coeffs, abs_coeffs, base, p.zero_root)
-            orbits[y] = zs, res
+                res = _residual(p.y_coeffs, abs_coeffs, base, size,
+                                p.zero_root)
+            orbits[y] = zs, res, size
             roots.extend(zs)
             residuals.extend([res] * 3)
+            log_size = _log2_abs(size)
+            radii += [_pow2_sum([_log2_abs(r) - 2 * log_size,
+                                 4 - 2 * prec + log_size])] * 3
         if p.zero_root:
             roots.append(mp.mpc(0))
             residuals.append(mp.mpf(0))
-        residuals = tuple(residuals)
-        max_residual = max(residuals) if residuals else mp.mpf(0)
+            radii.append(mp.mpf(0))
         min_sep = _min_separation(roots)
-    rs = RootSet(
+    return RootSet(
         n=p.n, roots=tuple(roots), precision_bits=prec,
-        residuals=residuals, max_residual=max_residual,
-        min_separation=min_sep, includes_zero=p.zero_root, **diagnostics)
-    threshold = mp.mpf(2) ** (-prec // 2)
-    if rs.roots and rs.max_residual > threshold:
-        raise CertificationFailure(
-            f"residual {mp.nstr(rs.max_residual, 5)} above threshold at n={p.n}",
-            iterations=diagnostics.get("float_iterations"),
-            worst_residual=rs.max_residual, n=p.n)
-    return rs
+        residuals=tuple(residuals),
+        max_residual=max(residuals, default=mp.mpf(0)),
+        min_separation=min_sep, includes_zero=p.zero_root,
+        radii=tuple(radii), **diagnostics)
 
 
 def roots_for_record(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
                      seed: int = 0) -> RootSet:
     rp = cube_reduce(r)
-    if rp.degree < 1 and not rp.zero_root:
-        return RootSet(n=r.n, roots=(), precision_bits=precision_bits,
-                       residuals=(), max_residual=mp.mpf(0),
-                       min_separation=mp.inf, includes_zero=False)
     diagnostics = {}
     y_roots = find_roots(rp, precision_bits, seed=seed,
-                         diagnostics=diagnostics) if rp.degree >= 1 else []
+                         diagnostics=diagnostics)
     return lift_cube_roots(y_roots, rp, precision_bits,
                            diagnostics=diagnostics)
 
 
 def _closed_under(roots, images, tol):
     """Greedy nearest-neighbour matching; must be an unambiguous bijection.
-
     A float screen with slack for rounding picks a superset of the roots
     within tol of each image, from the roots sorted by real part; the
-    exact test decides among those.
-    """
+    exact test decides among those."""
     approx = [complex(r) for r in roots]
     ftol = math.nextafter(float(tol), math.inf)
     screen = _sorted_screen(approx)
@@ -674,19 +672,20 @@ def _near_rational(x, tol):
 
 @timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
-    """Count, residual, separation, rotation/conjugation closure, and a
-    numeric guard that no nonzero real root sits near a small rational."""
+    """Count; one inclusion disc per root within 2^-prec |z| of it, no two
+    meeting, so each holds one simple root; rotation/conjugation closure;
+    a guard that no nonzero real root sits near a small rational. Details:
+    inclusion_digits, min -log10(radius / |z|) over the nonzero roots."""
     rep = VerificationReport(suite="roots", n=rs.n)
     expected = expected_degree(r.n)
     if len(rs.roots) != expected:
         rep.fail({"check": "count", "got": len(rs.roots), "want": expected})
+    held, rep.details["inclusion_digits"] = _inclusion(
+        rs.roots, rs.radii, rs.precision_bits, rs.min_separation)
     with mp.workprec(rs.precision_bits):
         tol = mp.mpf(2) ** (-rs.precision_bits // 2)
-        if rs.roots and rs.max_residual > tol:
-            rep.fail({"check": "residual",
-                      "max_residual": mp.nstr(rs.max_residual, 8)})
-        if len(rs.roots) > 1 and not rs.min_separation > 0:
-            rep.fail({"check": "separation"})
+        if not held:
+            rep.fail({"check": "inclusion", "radii": len(rs.radii)})
         if rs.roots:
             omega = mp.exp(2j * mp.pi / 3)
             if not _closed_under(rs.roots, [z * omega for z in rs.roots], tol):

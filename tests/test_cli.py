@@ -35,13 +35,18 @@ class TestConfig:
     @pytest.mark.parametrize("argv", [
         ["gen", "--n-max", "-1"], ["verify", "--precision-bits", "10"],
         ["verify", "--tolerance", "3"], ["sums", "--m-list", "3,x"],
-        ["verify", "--suites", ","]])
+        ["verify", "--suites", ","], ["sums", "--m-list", "3,,6"]])
     def test_bad_value_is_a_usage_error(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"yvpoly {argv[0]}: error: ")
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    def test_bad_m_list_entry_is_named(self, tmp_path, capsys):
+        assert run(["sums", "--m-list", "3,,6", "--out", str(tmp_path)]) == 2
+        assert "--m-list: '' is not an integer >= 1" in \
+            capsys.readouterr().err
 
 
 class TestParser:
@@ -157,6 +162,22 @@ class TestVerify:
         assert witness["error"] == "NoConvergence"
         assert (witness["roots_n"], witness["iterations"]) == ("2", "400")
         assert witness["worst_residual"] == "1.0e-9"
+
+    def test_uncertified_discs_are_a_fail_report(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(roots, "_radii", lambda coeffs, points, steps,
+                            bits: [mp.inf] * len(steps))
+        code = run(["verify", "--n-max", "2", "--mode", "numeric",
+                    "--suites", "relations", "--out", str(tmp_path)])
+        assert code == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        # Q_1 = z has only its exact zero root, which needs no disc
+        assert [r["status"] for r in reports] == ["pass", "fail"]
+        witness = reports[1]["witnesses"][0]
+        assert (witness["check"], witness["error"], witness["roots_n"]) == \
+            ("roots", "CertificationFailure", "2")
+        assert witness["message"] == "inclusion discs fail at n=2"
 
     def test_fail_witnesses_name_their_check(self, tmp_path, monkeypatch):
         # every right-hand side shifted by 10^-25: each failed family names

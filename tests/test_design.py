@@ -1,4 +1,5 @@
-"""Guards on the package source: every function it defines is used by it."""
+"""Guards on the package source: every function and module constant it
+defines is used by it."""
 
 import ast
 from pathlib import Path
@@ -9,10 +10,11 @@ SRC = Path(yvpoly.__file__).parent
 
 
 def _unused(sources: dict) -> list:
-    """The top-level functions and methods of top-level classes in sources
-    ({file name: source}) that no name, attribute or import in any of them
-    refers to outside the function's own def. Dunders are exempt, and so is
-    cmd_*, which the CLI finds by name."""
+    """The top-level functions, methods of top-level classes and names
+    assigned at module level in sources ({file name: source}) that no name,
+    attribute or import in any of them refers to outside the function's own
+    def or the name's own assignment. Dunders are exempt, and so is cmd_*,
+    which the CLI finds by name."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     refs = []  # (identifier, file name, line)
     for name, tree in trees.items():
@@ -24,18 +26,25 @@ def _unused(sources: dict) -> list:
                 refs.append((ident, name, node.lineno))
     unused = []
     for name, tree in trees.items():
-        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                defs += [m for m in cls.body if isinstance(m, ast.FunctionDef)]
-        for fn in defs:
-            if (fn.name.startswith("__") and fn.name.endswith("__")
-                    or fn.name.startswith("cmd_")):
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs += [(m.name, m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defs += [(t.id, node) for target in targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name)]
+        for ident_name, node in sorted(defs, key=lambda d: d[1].lineno):
+            if (ident_name.startswith("__") and ident_name.endswith("__")
+                    or ident_name.startswith("cmd_")):
                 continue
-            if not any(ident == fn.name and not (
-                    where == name and fn.lineno <= line <= fn.end_lineno)
+            if not any(ident == ident_name and not (
+                    where == name and node.lineno <= line <= node.end_lineno)
                     for ident, where, line in refs):
-                unused.append(f"{name}:{fn.lineno} {fn.name}")
+                unused.append(f"{name}:{node.lineno} {ident_name}")
     return unused
 
 
@@ -45,10 +54,15 @@ def test_finder_sees_unused_helpers():
                 "def recursive(n):\n    return recursive(n - 1)\n\n"
                 "class C:\n    def method(self):\n        return used()\n"
                 "    def __repr__(self):\n        return ''\n\n"
-                "def cmd_run():\n    pass\n",
-        "b.py": "from a import C\n\nC().method()\n",
+                "def cmd_run():\n    pass\n\n"
+                "SLACK = 2 ** 16  # read nowhere\n"
+                "STEP: float = 2.0 ** -20\n"
+                "LIMIT, SPARE = 3, (\n    LIMIT)\n"
+                "__all__ = []\n",
+        "b.py": "from a import C, STEP\n\nC().method()\n",
     }
-    assert _unused(sources) == ["a.py:4 recursive"]
+    assert _unused(sources) == ["a.py:4 recursive", "a.py:16 SLACK",
+                                "a.py:18 LIMIT", "a.py:18 SPARE"]
 
 
 def test_every_function_is_used_in_the_package():

@@ -1,3 +1,5 @@
+import dataclasses
+
 from mpmath import mp
 
 import pytest
@@ -52,9 +54,9 @@ class TestFindRoots:
             a = roots.roots_for_record(records8[n], 128, seed=7)
             b = roots.roots_for_record(records8[n], 128, seed=7)
             assert a.roots == b.roots and a.ladder and a.representatives
-            assert (a.float_iterations, a.ladder, a.final_correction,
+            assert (a.float_iterations, a.ladder, a.radii,
                     a.representatives) == \
-                (b.float_iterations, b.ladder, b.final_correction,
+                (b.float_iterations, b.ladder, b.radii,
                  b.representatives)
 
 
@@ -73,10 +75,56 @@ class TestLadder:
         assert type(found) is list
         assert not diagnostics["fallback"]
         assert diagnostics["ladder"][-1] == 2 * prec
+        # the top step repeats only while a disc is wide and still shrinks
+        assert diagnostics["ladder"].count(2 * prec) == (2 if n == 16 else 1)
+        radii = diagnostics["radii"]
+        rs = roots.lift_cube_roots(found, rp, diagnostics=diagnostics)
         with mp.workprec(2 * prec):
             for y in found:
                 assert min(abs(y - r) for r in reference) \
                     < mp.mpf(2) ** -prec * abs(y)
+            # the discs are sound: each reference root lies in exactly one
+            # y-disc, and each of its cube roots in exactly one z-disc
+            omega = mp.exp(2j * mp.pi / 3)
+            for r in reference:
+                assert _discs_holding(r, found, radii) == 1
+                for k in range(3):
+                    z = mp.cbrt(abs(r)) * mp.exp(1j * mp.arg(r) / 3) \
+                        * omega ** k
+                    assert _discs_holding(z, rs.roots, rs.radii) == 1
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_discs_hold_the_roots_of_polyroots(self, records16, n):
+        rp = roots.cube_reduce(records16[n])
+        diagnostics = {}
+        found = roots.find_roots(rp, diagnostics=diagnostics)
+        with mp.workdps(180):  # far inside the discs, about 1e-120 |y|
+            others = mp.polyroots(list(reversed(rp.y_coeffs)),
+                                  maxsteps=200, extraprec=600)
+            assert len(others) == len(found)
+            for r in others:
+                assert _discs_holding(r, found, diagnostics["radii"]) == 1
+
+    def test_every_root_has_a_narrow_disc(self, rootsets12):
+        for rs in rootsets12.values():
+            assert len(rs.radii) == len(rs.roots)
+            with mp.workprec(rs.precision_bits):
+                assert all(q <= mp.ldexp(abs(z), -rs.precision_bits)
+                           for z, q in zip(rs.roots, rs.radii))
+                assert rs.min_separation > 2 * max(rs.radii, default=0)
+
+    def test_wide_discs_fall_back_then_fail(self, records8, monkeypatch):
+        widths = []
+
+        def wide(coeffs, points, steps, bits):
+            widths.append(bits)
+            return [mp.inf] * len(steps)
+
+        monkeypatch.setattr(roots, "_radii", wide)
+        with pytest.raises(roots.CertificationFailure) as exc:
+            roots.roots_for_record(records8[5])
+        assert exc.value.n == 5
+        assert len(widths) == 2  # the ladder's top step, then the fallback
 
     def test_colliding_seeds_fall_back_and_certify(self, records8,
                                                    monkeypatch):
@@ -89,6 +137,7 @@ class TestLadder:
         monkeypatch.setattr(roots, "_float_seeds", colliding)
         rs = roots.roots_for_record(records8[6], seed=0)
         assert rs.fallback and len(rs.roots) == expected_degree(6)
+        assert len(rs.radii) == len(rs.roots)
         assert roots.certify(rs, records8[6]).passed
 
     def test_unpaired_seed_falls_back_and_certifies(self, records8,
@@ -105,7 +154,7 @@ class TestLadder:
         monkeypatch.setattr(roots, "_float_seeds", unpaired)
         rs = roots.roots_for_record(records8[6], seed=0)
         assert rs.fallback and not rs.ladder and rs.representatives == 0
-        assert len(rs.roots) == expected_degree(6)
+        assert len(rs.roots) == len(rs.radii) == expected_degree(6)
         assert roots.certify(rs, records8[6]).passed
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -146,6 +195,11 @@ class TestLadder:
         rs = roots.roots_for_record(records[n])
         assert len(rs.roots) == expected_degree(n)
         assert roots.certify(rs, records[n]).passed
+
+
+def _discs_holding(point, centres, radii):
+    """How many of the discs about centres with radii hold point."""
+    return sum(1 for c, q in zip(centres, radii) if abs(point - c) <= q)
 
 
 # _fixed_horner's documented guard bits, stated here and not read from the
@@ -362,6 +416,25 @@ class TestCertify:
         rs = rootsets8[7]
         rep = roots.certify(_with_roots(rs, _perturbed(rs)), records8[7])
         assert {"check": "omega_closure"} in rep.witnesses
+
+    def test_detects_overlapping_discs(self, records8, rootsets8):
+        rs = rootsets8[7]
+        with mp.workprec(2 * rs.precision_bits):
+            moved = list(rs.roots)
+            moved[4] = moved[3] + rs.radii[3]  # on the rim of root 3's disc
+            broken = dataclasses.replace(
+                rs, roots=tuple(moved),
+                min_separation=roots._min_separation(moved))
+        assert roots.certify(rs, records8[7]).passed
+        rep = roots.certify(broken, records8[7])
+        assert {"check": "inclusion", "radii": len(rs.radii)} \
+            in rep.witnesses
+
+    def test_detects_missing_radii(self, records8, rootsets8):
+        rep = roots.certify(dataclasses.replace(rootsets8[7], radii=()),
+                            records8[7])
+        assert {"check": "inclusion", "radii": 0} in rep.witnesses
+        assert rep.details["inclusion_digits"] is None
 
     def test_detects_duplicated_root(self, records8, rootsets8):
         rs = rootsets8[7]
