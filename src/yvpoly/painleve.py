@@ -28,7 +28,7 @@ class DegenerateDenominator(Exception):
     """The Backlund denominator expression vanished identically."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no hash: == cross-multiplies
 class RationalSolution:
     n: int
     numerator: IntPoly

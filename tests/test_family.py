@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -56,7 +57,7 @@ class TestGeneration:
         coeffs = list(records16[n - 1].poly.coeffs)
         coeffs[where] += 1
         with pytest.raises((NonZeroRemainder, NonIntegerQuotient)):
-            family._step(IntPoly(coeffs), records16[n].poly, IntPoly.z())
+            family._step(IntPoly(coeffs), records16[n].poly, IntPoly.z(), n)
 
     def test_shorter_run_is_a_prefix(self, records16):
         shorter = family.generate(6)
@@ -97,7 +98,14 @@ class TestChecks:
 
     def test_wronskian(self, records16):
         for n in range(1, 10):
-            assert family.wronskian_check(records16, n).passed
+            rep = family.wronskian_check(records16, n)
+            assert rep.passed and rep.details == {"proved_in": "generate"}
+        assert records16[0].wronskian is records16[1].wronskian is None
+
+    @pytest.mark.parametrize("n", [0, 16])
+    def test_wronskian_needs_neighbours(self, records16, n):
+        with pytest.raises(ValueError, match="need records n-1..n\\+1"):
+            family.wronskian_check(records16, n)
 
     def test_mod4(self, records16):
         for r in records16[:9]:
@@ -106,6 +114,67 @@ class TestChecks:
     def test_irrationality_premises(self, records16):
         for r in records16[:9]:
             assert family.verify_irrationality_premises(r).passed
+
+
+def textbook_wronskian(a, b, c, n):
+    """Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' == (2n+1) Q_n^2, product by
+    product, for (a, b, c) = (Q_{n-1}, Q_n, Q_{n+1})."""
+    return c.derivative() * a - c * a.derivative() == (2 * n + 1) * (b * b)
+
+
+@pytest.fixture(scope="module")
+def records26():
+    return family.generate(26)
+
+
+class TestWronskianProof:
+    @pytest.mark.parametrize("n", [*range(1, 21), 25])
+    def test_step_verdict_matches_textbook(self, records26, n):
+        a, b, c = (r.poly for r in records26[n - 1:n + 2])
+        assert family._step(a, b, IntPoly.z(), n) == (
+            c, textbook_wronskian(a, b, c, n))
+        assert records26[n + 1].wronskian is True
+
+    def test_exact_division_with_false_verdict(self, records16):
+        # Q_1 replaced by 1: the division is exact, but the quotient is the
+        # numerator z Q_3, and the identity fails
+        q2, z = records16[2].poly, IntPoly.z()
+        nxt, ok = family._step(IntPoly.one(), q2, z, 2)
+        assert nxt == z * records16[3].poly
+        assert ok is False
+        assert not textbook_wronskian(IntPoly.one(), q2, nxt, 2)
+
+    @pytest.mark.parametrize("verdict", [False, None])
+    def test_false_verdict_is_a_fail_report(self, records16, tmp_path,
+                                            monkeypatch, capsys, verdict):
+        bad = list(records16)
+        bad[5] = dataclasses.replace(bad[5], wronskian=verdict)
+        monkeypatch.setattr(family, "generate", lambda n_max: bad[:n_max + 1])
+        code = cli.main(["verify", "--n-max", "6", "--suites", "wronskian",
+                         "--out", str(tmp_path)])
+        assert code == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [(r["n"], r["status"], r["witnesses"]) for r in reports] == [
+            (n, "fail", [{"n": "4"}]) if n == 4 else (n, "pass", [])
+            for n in range(1, 6)]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_check_forms_no_product(self, records16, monkeypatch):
+        calls = []
+        real = IntPoly.__mul__
+
+        def spy(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", spy)
+        family.generate(3)
+        assert calls  # the spy sees the recurrence's products
+        calls.clear()
+        for n in range(1, 16):
+            assert family.wronskian_check(records16, n).passed
+        assert calls == []
 
 
 class TestSerialization:

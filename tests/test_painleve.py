@@ -93,6 +93,15 @@ class TestSolutions:
         b = RationalSolution(1, IntPoly([-2]), IntPoly([0, 2]))
         assert a == b
 
+    def test_equal_solutions_are_unhashable(self, records8):
+        # == cross-multiplies, so a field-wise hash would split equal values
+        a = rational_solution(records8, 3)
+        b = backlund_next(rational_solution(records8, 2), 2)
+        assert a == b
+        assert (a.numerator, a.denominator) != (b.numerator, b.denominator)
+        with pytest.raises(TypeError, match="unhashable"):
+            {a, b}
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_residual_vanishes(self, records8, n):
         assert pII_residual(rational_solution(records8, n)).passed
