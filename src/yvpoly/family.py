@@ -4,19 +4,22 @@ The family is produced by the differential-difference recurrence
 
     Q_{n+1} Q_{n-1} = z Q_n^2 - 4 (Q_n Q_n'' - (Q_n')^2),   Q_0 = 1, Q_1 = z,
 
-where each step is an exact integer-polynomial division by Q_{n-1}. Every
-record carries the cube-compressed coefficients, the lowest coefficient x_n
-and its 2-adic valuation p_n, all checked at construction, and whether the
-Wronskian Q_n' Q_{n-2} - Q_n Q_{n-2}' = (2n-1) Q_{n-1}^2 held in the step.
+run on the scaled forms Q_n = z^e 4^M R_n(z^3/4), e = 1 iff n = 1 mod 3:
+R_n in Z[v] is the paper's theorem 4^m | a_m, and each step is an exact
+division in Z[v] by R_{n-1} (`_step`). Every record carries the
+cube-compressed coefficients, the lowest coefficient x_n and its 2-adic
+valuation p_n, all checked at construction, and whether the Wronskian
+Q_n' Q_{n-2} - Q_n Q_{n-2}' = (2n-1) Q_{n-1}^2 held in the step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 from .report import FAIL, PASS, VerificationReport, timed
 
 
@@ -69,21 +72,10 @@ def cube_compress(poly: IntPoly, n: int) -> tuple:
     if (poly.degree or 0) != d or (n > 0 and poly.degree is None):
         raise StructureViolation(f"degree {poly.degree} != {d} at n={n}")
     eps = 1 if n % 3 == 1 else 0
-    coeffs = poly.coeffs
-    if eps:
-        if coeffs and coeffs[0] != 0:
-            raise StructureViolation(f"missing z factor at n={n}")
-        coeffs = coeffs[1:]
-    for i, c in enumerate(coeffs):
-        if c and i % 3 != 0:
-            raise StructureViolation(f"stray z^{i + eps} term at n={n}")
-    inner_deg = d - eps
-    out = [coeffs[inner_deg - 3 * s] for s in range(inner_deg // 3 + 1)]
-    return tuple(out)
-
-
-def _two_adic_valuation(x: int) -> int:
-    return (x & -x).bit_length() - 1
+    for i, c in enumerate(poly.coeffs):
+        if c and i % 3 != eps:
+            raise StructureViolation(f"stray z^{i} term at n={n}")
+    return poly.coeffs[eps::3][::-1]
 
 
 def make_record(n: int, poly: IntPoly, wronskian: bool | None = None) -> YvRecord:
@@ -95,41 +87,72 @@ def make_record(n: int, poly: IntPoly, wronskian: bool | None = None) -> YvRecor
     x_n = compressed[-1]
     if x_n == 0:
         raise IntegrityError(f"lowest coefficient of Q_{n} vanishes")
-    p_n = _two_adic_valuation(x_n)
+    p_n = (x_n & -x_n).bit_length() - 1  # 2-adic valuation
     if p_n != expected_valuation(n):
         raise IntegrityError(
             f"2-adic valuation {p_n} != {expected_valuation(n)} at n={n}")
     return YvRecord(n, poly, compressed, x_n, p_n, wronskian)
 
 
-def _step(prev: IntPoly, cur: IntPoly, z: IntPoly, n: int) -> tuple:
-    """Q_{n+1}, and whether Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2."""
-    # Q Q'' - Q'^2 = (Q^2)''/2 - 2 Q'^2: two squarings, no general product
-    s = cur * cur
-    d1 = cur.derivative()
-    num = z * s - 2 * s.derivative().derivative() + 8 * (d1 * d1)
-    del d1
-    nxt = num.exact_div(prev)
-    # exact_div proved num = Q_{n+1} Q_{n-1}, so the Wronskian is
-    # 2 Q_{n+1}' Q_{n-1} - num': one product, formed once num and s are gone
-    want = (num.derivative() + (2 * n + 1) * s).coeffs
-    del num, s
-    got = (nxt.derivative() * prev).coeffs
-    return nxt, len(got) == len(want) and all(2 * g == w for g, w in zip(got, want))
+def _scaled(poly: IntPoly) -> tuple:
+    """(R, e), poly = z^e 4^M R(z^3/4); NonIntegerQuotient unless R in Z[v]."""
+    coeffs = poly.coeffs
+    e, top = (len(coeffs) - 1) % 3, (len(coeffs) - 1) // 3
+    for i, c in enumerate(coeffs):
+        if c and (i % 3 != e or c & ((1 << 2 * (top - i // 3)) - 1)):
+            raise NonIntegerQuotient(
+                f"coefficient {c} of z^{i} has no integral scaled form")
+    return IntPoly([c >> 2 * (top - k) for k, c in enumerate(coeffs[e::3])]), e
+
+
+def _step(prev: IntPoly, cur: IntPoly, n: int) -> tuple:
+    """Q_{n+1}, and whether Q_{n+1}' Q_{n-1} - Q_{n+1} Q_{n-1}' = (2n+1) Q_n^2.
+
+    Q_{n-1} <-> (P, e') and Q_n <-> (R, e) by `_scaled`. The z-derivative
+    of z^e 4^K F(z^3/4) is z^(e-1) 4^K (D_e F)(z^3/4), D_e F = sum (e + 3k)
+    f_k v^k, so with S = R^2 the recurrence's right side is z^(2e-2)
+    4^(2M+1) N(z^3/4), N = v S - D_{2e-1} D_{2e} S / 2 + 2 (D_e R)^2, and
+    Q_{n+1} <-> (R'', e''): e'' = 2e + 1 - e' mod 3, R'' = (N / v^delta) / P
+    exactly, delta = (e'' + e' - 2e + 2) / 3.
+    """
+    (p, e0), (r, e) = _scaled(prev), _scaled(cur)
+    s = r * r
+    d = IntPoly([(e + 3 * k) * c for k, c in enumerate(r.coeffs)])  # D_e R
+    t = (d * d).coeffs
+    # (2e-1+3k)(2e+3k) is a product of consecutive integers: the half is exact
+    vs = (0,) + s.coeffs  # v S, a shift
+    num = [a - ((2 * e - 1 + 3 * k) * (2 * e + 3 * k) >> 1) * b + 2 * c
+           for k, (a, b, c) in enumerate(zip_longest(vs, s.coeffs, t,
+                                                      fillvalue=0))]
+    del r, s, t, d
+    e2 = (2 * e + 1 - e0) % 3
+    delta = (e2 + e0 - 2 * e + 2) // 3
+    if any(num[:delta]):
+        raise NonZeroRemainder("v^delta does not divide the scaled numerator")
+    nxt = IntPoly(num[delta:]).exact_div(p).coeffs
+    # exact_div proved v^delta R'' P = N, so the Wronskian is
+    # 2 v^delta (D_{e''} R'') P = D_{2e-2} N + (2n+1) v S: one product
+    want = [(2 * e - 2 + 3 * k) * c + (2 * n + 1) * a
+            for k, (c, a) in enumerate(zip(num, vs))]
+    del num, vs
+    got = IntPoly([(e2 + 3 * k) * c for k, c in enumerate(nxt)]) * p
+    ok = [0] * delta + [2 * g for g in got.coeffs] == want
+    del got, want
+    out = [0] * (e2 + 3 * len(nxt) - 2)  # z^e'' 4^M'' R''(z^3/4), by shifts
+    out[e2::3] = [c << 2 * (len(nxt) - 1 - k) for k, c in enumerate(nxt)]
+    return IntPoly(out), ok
 
 
 def generate(n_max: int) -> list:
-    """Records for n = 0..n_max, invariants and Wronskians checked when built."""
+    """Records for n = 0..n_max, invariants and Wronskians checked when built;
+    each step's R_{n+1} is integral by construction, 4^m | a_m proved."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    z = IntPoly.z()
-    records = [make_record(0, IntPoly.one())]
-    if n_max >= 1:
-        records.append(make_record(1, z))
+    records = [make_record(0, IntPoly.one()), make_record(1, IntPoly.z())]
     for n in range(1, n_max):
         records.append(make_record(
-            n + 1, *_step(records[n - 1].poly, records[n].poly, z, n)))
-    return records
+            n + 1, *_step(records[n - 1].poly, records[n].poly, n)))
+    return records[:n_max + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ its remainder. Above a size cutoff it forms the quotient first and the
 remainder by one product.
 
 The family's coefficients ramp: those of Q_36 run from 1 bit at the leading
-term to about 2,200 bits at the constant one. Both kernels are laid out so
-that the big-integer products they form stay small on such a ramp.
+term to about 2,200 bits at the constant one, 1,800 in generation's scaled
+form. Both kernels keep the big-integer products small on such a ramp.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from typing import Iterable, Sequence
 # (coefficients up to 353 bits) 0.17/0.14/0.13/0.13/0.14/0.16/0.15 s.
 KARATSUBA_THRESHOLD = 8
 
-# Divisor degree above which _divmod_seq forms the quotient first. Timed on
-# every division in generate(36) and in the exact relations at n = 8, 12,
-# 16 and 20, the quotient-first path took 2.5x the loop's time at degrees
-# 25-49, 1.2x at 100-149, 0.9-1.0x at 175-224 and 0.6-0.7x from 400 up.
-DIVISION_CUTOFF = 180
+# Nonzero lower divisor terms (the tail of _divisor) above which _divmod_seq
+# forms the quotient first. Summed over generate(36)'s 35 divisions, best of
+# 5 each in 5 sweeps, cutoffs 20/90/120/180 took 0.90-1.00/0.96-1.02/
+# 0.95-1.05/1.09-1.22x the time at 60. The exact relations' z-form hosts
+# cross over near 60 too (Q_18 has 57 terms, Q_19 62): their choices stay.
+DIVISION_CUTOFF = 60
 
 
 class NonZeroRemainder(ArithmeticError):
@@ -185,16 +186,16 @@ def _divmod_seq(num: Sequence[int], divisor: tuple) -> tuple:
     leading term at a time. Raises NonIntegerQuotient when a quotient
     coefficient is not an integer; a monic divisor never does.
 
-    Above DIVISION_CUTOFF the loop updates only the entries from deg(den)
-    up, the ones later quotient coefficients read, and the remainder is
-    num - q den by one Karatsuba product. The entries it skips pair the
-    low coefficients of q and den, which are the largest in this family.
+    Above DIVISION_CUTOFF lower terms of den, the loop updates only the
+    entries from deg(den) up, the ones later quotient coefficients read,
+    and the remainder is num - q den by one Karatsuba product. The entries
+    it skips pair the low coefficients of q and den, the largest here.
     """
     dd, lead, tail, den = divisor
     rem = list(num)
     if len(rem) <= dd:
         return [], rem
-    quotient_first = dd > DIVISION_CUTOFF
+    quotient_first = len(tail) > DIVISION_CUTOFF
     q = [0] * (len(rem) - dd)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + dd]
@@ -311,13 +312,18 @@ def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
     Euclid over GF(p), p = 2**61 - 1. Sound only if p does not divide den's
     leading coefficient, which is checked: a common factor over Q then keeps
     its degree mod p, so a constant gcd mod p proves there is none (Brown,
-    JACM 1971).
+    JACM 1971). For num = z^o F(z^3), den = z^o' G(z^3) it runs on F and G:
+    the gcd has degree min(o, o') + 3 deg gcd(F, G).
     """
     p = (1 << 61) - 1
     if den.leading % p == 0:
         raise UnexpectedCommonFactor(f"{what}: {p} divides the leading "
                                      "coefficient, no certificate")
-    a, b = [c % p for c in den.coeffs], [c % p for c in num.coeffs]
+    a, b, shared, stride = den.coeffs, num.coeffs, 0, 1
+    if _stride3_class(a) is not None and _stride3_class(b) is not None:
+        oa, ob = (next(i for i, c in enumerate(x) if c) for x in (a, b))
+        a, b, shared, stride = a[oa::3], b[ob::3], min(oa, ob), 3
+    a, b = [c % p for c in a], [c % p for c in b]
     while any(b):
         while not b[-1]:
             b.pop()
@@ -328,9 +334,10 @@ def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
                 a[s + k] = (a[s + k] - q * bk) % p
             a.pop()
         a, b = b, a
-    if len(a) > 1:
+    degree = shared + stride * (len(a) - 1)
+    if degree:
         raise UnexpectedCommonFactor(
-            f"{what}: gcd mod {p} has degree {len(a) - 1}", len(a) - 1)
+            f"{what}: gcd mod {p} has degree {degree}", degree)
 
 
 def newton_power_sums(a: IntPoly, max_m: int) -> list:

@@ -57,7 +57,69 @@ class TestGeneration:
         coeffs = list(records16[n - 1].poly.coeffs)
         coeffs[where] += 1
         with pytest.raises((NonZeroRemainder, NonIntegerQuotient)):
-            family._step(IntPoly(coeffs), records16[n].poly, IntPoly.z(), n)
+            family._step(IntPoly(coeffs), records16[n].poly, n)
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 14])
+    def test_unscalable_input_names_its_coefficient(self, records16, n):
+        # prev's z^0 term off by 1 (4^M no longer divides it, or a term of
+        # the wrong class mod 3), or cur's a_1 off by 1 (4 no longer divides)
+        prev, cur = records16[n - 1].poly, records16[n].poly
+        coeffs = list(prev.coeffs)
+        coeffs[0] += 1
+        with pytest.raises(NonIntegerQuotient, match="of z\\^0 has no"):
+            family._step(IntPoly(coeffs), cur, n)
+        coeffs, top = list(cur.coeffs), cur.degree - 3
+        coeffs[top] += 1
+        with pytest.raises(NonIntegerQuotient, match=f"of z\\^{top} "):
+            family._step(prev, IntPoly(coeffs), n)
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 14])
+    def test_division_rejects_previous_off_by_4_to_the_m(self, records16, n):
+        # the lowest nonzero coefficient of Q_{n-1} off by 4^M: the scaled
+        # form is integral with its constant term off by 1, so the monic
+        # division itself must find the remainder
+        coeffs = list(records16[n - 1].poly.coeffs)
+        low = (len(coeffs) - 1) % 3
+        coeffs[low] += 4 ** ((len(coeffs) - 1) // 3)
+        with pytest.raises(NonZeroRemainder, match="exact division"):
+            family._step(IntPoly(coeffs), records16[n].poly, n)
+
+    @pytest.mark.parametrize("n", [4, 7, 13])
+    def test_step_rejects_numerator_not_divisible_by_v(self, records16, n):
+        # Q_{n-1} replaced by z: e = e' = 1 gives delta = 1, but N(0) =
+        # R(0)^2 is not 0, as z Q_n^2 - 4 (Q_n Q_n'' - Q_n'^2) is not
+        # divisible by z
+        with pytest.raises(NonZeroRemainder, match="v\\^delta"):
+            family._step(IntPoly.z(), records16[n].poly, n)
+
+    def test_scaled_forms_are_integral_and_monic(self, records16):
+        for r in records16:
+            rr, eps = family._scaled(r.poly)
+            assert eps == (1 if r.n % 3 == 1 else 0)
+            assert rr.leading == 1 and 3 * rr.degree + eps == r.poly.degree
+            assert r.poly.coeffs[eps::3] == tuple(
+                c << 2 * (rr.degree - k) for k, c in enumerate(rr.coeffs))
+
+    def test_step_products_stay_scaled(self, monkeypatch):
+        # at n = 30 the largest scaled coefficient of Q_31 has 1,265 bits
+        # and the z-form one 1,593; a z-form step squared z Q_30
+        records = family.generate(31)
+        calls = []
+        real = IntPoly.__mul__
+
+        def spy(self, other):
+            calls.append((self, other))
+            return real(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", spy)
+        nxt, ok = family._step(records[29].poly, records[30].poly, 30)
+        assert nxt == records[31].poly and ok
+        # R^2, (D_e R)^2 and the Wronskian's product; v S is a shift
+        assert len(calls) == 3 and [a is b for a, b in calls] == [
+            True, True, False]
+        assert max(c.bit_length() for pair in calls for f in pair
+                   for c in f.coeffs) <= 1300
+        assert max(c.bit_length() for c in records[31].poly.coeffs) > 1500
 
     def test_shorter_run_is_a_prefix(self, records16):
         shorter = family.generate(6)
@@ -89,6 +151,18 @@ class TestChecks:
     def test_divisibility(self, records16):
         for r in records16[2:]:
             assert family.check_divisibility(r).passed
+
+    def test_divisibility_detects_a_1_off_by_one(self, records16):
+        # generate proves 4^m | a_m by construction; the check still reads
+        # the record: a_1 + 1 is odd, so m = 1 is the witness
+        q = records16[5].poly
+        coeffs = list(q.coeffs)
+        coeffs[q.degree - 3] += 1
+        bad = family.make_record(5, IntPoly(coeffs))
+        rep = family.check_divisibility(bad)
+        assert not rep.passed
+        assert rep.witnesses == [{"m": 1, "a_m": bad.compressed[1]}]
+        assert bad.compressed[1] % 2 == 1
 
     def test_valuations(self, records16):
         rep = family.valuation_checks(records16)
@@ -131,7 +205,7 @@ class TestWronskianProof:
     @pytest.mark.parametrize("n", [*range(1, 21), 25])
     def test_step_verdict_matches_textbook(self, records26, n):
         a, b, c = (r.poly for r in records26[n - 1:n + 2])
-        assert family._step(a, b, IntPoly.z(), n) == (
+        assert family._step(a, b, n) == (
             c, textbook_wronskian(a, b, c, n))
         assert records26[n + 1].wronskian is True
 
@@ -139,7 +213,7 @@ class TestWronskianProof:
         # Q_1 replaced by 1: the division is exact, but the quotient is the
         # numerator z Q_3, and the identity fails
         q2, z = records16[2].poly, IntPoly.z()
-        nxt, ok = family._step(IntPoly.one(), q2, z, 2)
+        nxt, ok = family._step(IntPoly.one(), q2, 2)
         assert nxt == z * records16[3].poly
         assert ok is False
         assert not textbook_wronskian(IntPoly.one(), q2, nxt, 2)

@@ -34,6 +34,22 @@ class TestCoprimeCertificate:
         with pytest.raises(UnexpectedCommonFactor, match="has degree 1"):
             certify_coprime(IntPoly([-1, 0, 1]), IntPoly([-2, 1, 1]), "test")
 
+    def test_compressed_pair_reports_its_z_degree(self):
+        # (z^3 + 1)(z^3 + 2) and (z^3 + 1)(z^3 + 5): supports in class 0,
+        # so Euclid runs on v^2 + 3v + 2 and v^2 + 6v + 5, gcd v + 1
+        with pytest.raises(UnexpectedCommonFactor) as exc:
+            certify_coprime(IntPoly([2, 0, 0, 3, 0, 0, 1]),
+                            IntPoly([5, 0, 0, 6, 0, 0, 1]), "test")
+        assert exc.value.gcd_degree == 3
+
+    def test_compressed_pair_sharing_only_z_is_rejected(self):
+        # z (z^3 + 2) and z (z^3 + 1): coprime compressed rests, common z
+        with pytest.raises(UnexpectedCommonFactor) as exc:
+            certify_coprime(IntPoly([0, 2, 0, 0, 1]),
+                            IntPoly([0, 1, 0, 0, 1]), "test")
+        assert exc.value.gcd_degree == 1
+        certify_coprime(IntPoly([2, 0, 0, 1]), IntPoly([0, 1, 0, 0, 1]), "")
+
     def test_rejects_leading_coefficient_divisible_by_prime(self):
         p = (1 << 61) - 1
         with pytest.raises(UnexpectedCommonFactor, match="no certificate"):
