@@ -7,23 +7,21 @@ exact by construction), spending full precision only where it is needed:
 1. Aberth-Ehrlich in hardware doubles from a seeded circle, on R(2^s u)
    so that coefficients past the float range (n >= 25) still convert, and
    with exact integer evaluation where doubles lose R to cancellation.
-2. Newton steps at doubling precision up to twice the working precision,
-   on one root of each conjugate pair; the top step's evaluation gives
-   each root an inclusion disc (_radii), and the step repeats while a
-   disc is wider than 2^-prec |y| and still shrinks.
-3. If the seeds do not pair off, or the discs stay wide or meet, Aberth
-   in mpmath from the float seeds, polished by two Newton steps whose
-   last gives the discs; if these do not hold either, the run fails.
+2. The seeds pair off under conjugation, and Newton steps at doubling
+   precision up to twice the working precision refine one root of each
+   pair; the top step's evaluation gives each root an inclusion disc, and
+   the step repeats while the discs fail and still shrink.
+3. Failing that, Aberth in mpmath from the float seeds, whose roots take
+   the same pairing and ladder; if they fail too, the run fails.
 
-Narrow disjoint discs hold one simple root each. They are the one
-acceptance test, checked again after the lift to z, which builds each
-orbit of z -> omega z and z -> conj(z) from one cube root. R is evaluated
-by _fixed_horner, whose docstring derives the error bound the discs use.
+Narrow disjoint discs hold one simple root each: the one acceptance test,
+checked again after the lift to z, which builds each orbit of z -> omega z
+and z -> conj(z) from one cube root, in the layout RootSet states. R is
+evaluated by _fixed_horner, whose docstring derives the discs' error bound.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -75,6 +73,10 @@ class ReducedPoly:
 
 @dataclass(frozen=True)
 class RootSet:
+    """The roots of Q_n in one layout: per y-root a triple (b, b omega,
+    b conj(omega)) of images of its cube root b rounded once at 2 prec;
+    the triples of a conjugate pair of y-roots adjacent, the second the
+    exact conjugate of the first; real bases exactly real; zero last."""
     n: int
     roots: tuple  # mp.mpc values
     precision_bits: int
@@ -312,12 +314,12 @@ def _float_seeds(p: ReducedPoly, seed: int):
 
 
 def _mirror_pairs(seeds):
-    """The orbit representatives of the float seeds under conjugation.
+    """The representatives of the seeds (complex or mpc) under conjugation.
 
     A seed's mirror is the seed nearest its conjugate. The mirrors must
     form an involution whose pairs straddle the real axis. Returns the
-    seeds that are their own mirror, as real floats, and the upper member
-    of each pair, as complex; None if the seeds do not pair off so.
+    seeds that are their own mirror, as their real parts, and the upper
+    member of each pair; None if the seeds do not pair off so.
     """
     mirror = [min(range(len(seeds)),
                   key=lambda j: abs(seeds[j] - u.conjugate()))
@@ -397,22 +399,23 @@ def _inclusion(ys, radii, prec, separation=None):
             round(-max(logs) * math.log10(2), 2) if logs else None)
 
 
-def _newton_ladder(coeffs, xs, top):
+def _newton_ladder(coeffs, xs, level, top):
     """Newton steps on the orbit representatives xs (mpf for a real root,
-    mpc in the upper half plane for a pair) from 106 bits up to top bits,
+    mpc in the upper half plane for a pair) from level up to top bits,
     each above and at about twice the precision the previous one reached,
-    repeated at top while a disc is wider than 2^-(top/2) |y| and narrower
-    than at the previous top step. Returns (roots, each step's precision,
-    their radii), roots being every root as mpc, each pair's upper member
-    followed by its conjugate; None after R' = 0, y = 0 or wide discs."""
-    passed, level, best = [], 106, -math.inf
+    repeated at top while the discs fail _inclusion at top/2 bits but are
+    narrower than at the previous top step. Returns (roots, each step's
+    precision, their radii), roots being every root as mpc, each pair's
+    upper member followed by its conjugate; None after R' = 0, y = 0 or
+    discs that fail and no longer narrow."""
+    passed, best = [], -math.inf
     while True:
         with mp.workprec(level):
             steps = []
             for x in xs:
                 v, dv = _fixed_horner(coeffs, x, level)
                 if dv == 0 or x == 0:
-                    return None, passed, ()
+                    return None
                 steps.append((v, v / dv))
             new = [x - c for x, (_, c) in zip(xs, steps)]
             worst = max(abs(c) / abs(x) for x, (_, c) in zip(xs, steps))
@@ -426,19 +429,19 @@ def _newton_ladder(coeffs, xs, top):
         with mp.workprec(top):  # below top, mpc and conj would round
             radii = _radii(coeffs, xs + [mp.conj(x) for x in xs
                                          if isinstance(x, mp.mpc)], steps, top)
-            held, digits = _inclusion(xs, radii, top // 2, mp.inf)
-            if held:
-                zs = [(w, r) for y, r in zip(new, radii) for w in
-                      ((y, mp.conj(y)) if isinstance(y, mp.mpc) else (y,))]
-                return [mp.mpc(w) for w, _ in zs], passed, [r for _, r in zs]
+            zs = [(w, r) for y, r in zip(new, radii) for w in
+                  ((y, mp.conj(y)) if isinstance(y, mp.mpc) else (y,))]
+            roots, radii = [mp.mpc(w) for w, _ in zs], [r for _, r in zs]
+            held, digits = _inclusion(roots, radii, top // 2)
+        if held:
+            return roots, passed, radii
         if not digits > best:
-            return None, passed, ()
+            return None
         best, xs = digits, new
 
 
 def _mp_aberth(p: ReducedPoly, xs, prec):
-    """The fallback: Aberth at prec + 32 bits from xs, then two Newton
-    steps at 2 prec. Returns (roots, their radii from the last step)."""
+    """The fallback's seeds: Aberth at prec + 32 bits from xs, as mpc."""
     with mp.workprec(prec + 32):
         coeffs = [mp.mpf(c) for c in p.y_coeffs]
         xs = [mp.mpc(x) for x in xs]
@@ -449,22 +452,16 @@ def _mp_aberth(p: ReducedPoly, xs, prec):
             raise NoConvergence(
                 f"Aberth did not converge for n={p.n}",
                 iterations=sweeps, worst_residual=worst, n=p.n)
-    with mp.workprec(2 * prec):
-        for _ in range(2):
-            points, steps = xs, []
-            for x in points:
-                v, dv = _fixed_horner(p.y_coeffs, x, 2 * prec)
-                steps.append((v, v / dv if dv != 0 else mp.mpc(0)))
-            xs = [x - c for x, (_, c) in zip(points, steps)]
-        return xs, _radii(p.y_coeffs, points, steps, 2 * prec)
+    return xs
 
 
 def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                seed: int = 0, *, diagnostics: dict | None = None) -> list:
-    """All roots of R(y), as mpc, each alone in an inclusion disc of radius
-    at most 2^-prec |y|, so simple; else CertificationFailure. The seed
-    perturbs the starting circle; a dict diagnostics receives the RootSet
-    fields float_iterations, ladder, fallback, radii and representatives."""
+    """All roots of R(y), as mpc in _newton_ladder's layout, each alone in
+    an inclusion disc of radius at most 2^-prec |y|, so simple; else
+    CertificationFailure. The seed perturbs the starting circle; a dict
+    diagnostics receives the RootSet fields float_iterations, ladder,
+    fallback, radii and representatives, of the route that gave them."""
     d = p.degree
     if d < 1:
         return []
@@ -477,17 +474,17 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
         return mp.ldexp(u, s) if isinstance(u, float) \
             else mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
 
-    reps = _mirror_pairs(seeds) or []
-    roots, ladder, radii = None, [], ()
-    if reps:
-        roots, ladder, radii = _newton_ladder(
-            p.y_coeffs, [y(u) for u in reps], 2 * prec)
-    fallback = not (roots and _inclusion(roots, radii, prec)[0])
+    reps = _mirror_pairs(seeds)
+    found = reps and _newton_ladder(p.y_coeffs, [y(u) for u in reps], 106,
+                                    2 * prec)
+    fallback = not found
     if fallback:
-        roots, radii = _mp_aberth(p, [y(u) for u in seeds], prec)
-        if not _inclusion(roots, radii, prec)[0]:
+        reps = _mirror_pairs(_mp_aberth(p, [y(u) for u in seeds], prec))
+        found = reps and _newton_ladder(p.y_coeffs, reps, prec + 32, 2 * prec)
+        if not found:
             raise CertificationFailure(f"inclusion discs fail at n={p.n}",
                                        iterations=sweeps, n=p.n)
+    roots, ladder, radii = found
     if diagnostics is not None:
         diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
                            fallback=fallback, radii=tuple(radii),
@@ -519,30 +516,21 @@ def _float_bounds(a, b):
     return dist - err, dist + err
 
 
-def _sorted_screen(approx):
-    """The indices of approx ordered by real part, the real parts in that
-    order, and err, at least twice the rounding term of _float_bounds for
-    any pair of approx. Since |a - b| >= |re a - re b|, a pair whose real
-    parts lie farther apart than w + err has float lower bound above w.
-    None if an approximation is out of the float range."""
-    if not all(abs(a) < 2.0 ** 1000 for a in approx):
-        return None
-    order = sorted(range(len(approx)), key=lambda k: approx[k].real)
-    err = 2.0 ** -48 * max(map(abs, approx)) + 2.0 ** -1069
-    return order, [approx[k].real for k in order], err
-
-
 def _min_separation(points):
     """min |p_i - p_j| at the current precision, equal to a full scan:
     only pairs whose float lower bound does not exceed the smallest float
-    upper bound, found by sweeps over the real parts, are measured."""
+    upper bound, found by sweeps over the points sorted by real part, are
+    measured. Since |a - b| >= |re a - re b|, a pair whose real parts lie
+    farther apart than w + err has float lower bound above w, err being
+    at least twice the rounding term of _float_bounds for any pair."""
     if len(points) < 2:
         return mp.inf
     approx = [complex(z) for z in points]
-    screen = _sorted_screen(approx)
-    if screen is None:
+    if not all(abs(a) < 2.0 ** 1000 for a in approx):
         return min(abs(a - b) for a, b in itertools.combinations(points, 2))
-    order, keys, err = screen
+    order = sorted(range(len(approx)), key=lambda k: approx[k].real)
+    keys = [approx[k].real for k in order]
+    err = 2.0 ** -48 * max(map(abs, approx)) + 2.0 ** -1069
 
     def sweep(width):  # pairs with real parts within width(); may shrink
         for i, ki in enumerate(order):
@@ -562,15 +550,13 @@ def _min_separation(points):
 def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
                     precision_bits: int = DEFAULT_PRECISION_BITS, *,
                     diagnostics: dict | None = None) -> RootSet:
-    """Each y-root contributes its three cube roots; zero appended if stripped.
-    The cube roots of y are its base root times 1, omega and conj(omega);
-    those of a later y-root that is y's exact conjugate are their
-    conjugates. The residual is evaluated once per such orbit, at the base
-    root, and copied to its other roots, exact images rounded once at 2
-    prec. diagnostics, as filled in by find_roots, is copied onto the
-    RootSet, a y-disc's radius r becoming (r / |y| + 2^(4 - 2 prec)) |z|,
-    as |(1 + s)^(1/3) - 1| <= t for |s| <= t < 1, plus rounding; zero's
-    radius is 0, as R(0) != 0, and without radii the others are inf."""
+    """The cube roots of y_roots, in find_roots' layout, laid out as RootSet
+    states; the residual is evaluated once per orbit, at its base root,
+    and copied to the orbit's other roots. diagnostics, as filled in by
+    find_roots, is copied onto the RootSet, a y-disc's radius r becoming
+    (r / |y| + 2^(4 - 2 prec)) |z|, as |(1 + s)^(1/3) - 1| <= t for
+    |s| <= t < 1, plus rounding; zero's radius is 0, as R(0) != 0, and
+    without radii the others are inf."""
     prec = working_precision(p.degree, precision_bits, _coeff_bits(p.y_coeffs))
     diagnostics = dict(diagnostics or {})
     y_radii = diagnostics.pop("radii", [mp.inf] * len(y_roots))
@@ -622,31 +608,30 @@ def roots_for_record(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
                            diagnostics=diagnostics)
 
 
-def _closed_under(roots, images, tol):
-    """Greedy nearest-neighbour matching; must be an unambiguous bijection.
-    A float screen with slack for rounding picks a superset of the roots
-    within tol of each image, from the roots sorted by real part; the
-    exact test decides among those."""
-    approx = [complex(r) for r in roots]
-    ftol = math.nextafter(float(tol), math.inf)
-    screen = _sorted_screen(approx)
-    used = [False] * len(roots)
-    for img in images:
-        a = complex(img)
-        if screen is None or not abs(a) < 2.0 ** 1000:
-            near = range(len(roots))
-        else:
-            order, keys, err = screen
-            width = ftol + err + 2.0 ** -48 * abs(a)
-            near = order[bisect.bisect_left(keys, a.real - width):
-                         bisect.bisect_right(keys, a.real + width)]
-        hits = [k for k in near
-                if _float_bounds(approx[k], a)[0] <= ftol
-                and abs(roots[k] - img) < tol]
-        if len(hits) != 1 or used[hits[0]]:
-            return False
-        used[hits[0]] = True
-    return all(used)
+def _closure(rs: RootSet):
+    """(closed under z -> omega z, closed under conjugation), checked
+    triple by triple against the layout RootSet states, at the 2 prec bits
+    its images are rounded at. A set so laid out is closed."""
+    zs = list(rs.roots)
+    if rs.includes_zero and not (zs and zs.pop() == 0) or len(zs) % 3:
+        return False, False
+    triples = [zs[k:k + 3] for k in range(0, len(zs), 3)] + [[]]
+
+    def turned(a, b, c):  # b and c are a's two images, in either order
+        p, q = a * omega, a * mp.conj(omega)
+        return [b, c] in ([p, q], [q, p])
+
+    k, mirrored = 0, True
+    with mp.workprec(2 * rs.precision_bits):
+        omega = mp.exp(2j * mp.pi / 3)
+        rotated = all(turned(*t) for t in triples[:-1])
+        while mirrored and triples[k]:
+            a, b, c = triples[k]
+            pair = mp.im(a) != 0  # then its image is the next triple
+            mirrored = [mp.conj(z) for z in (a, b, c)] == \
+                (triples[k + 1] if pair else [a, c, b])
+            k += 1 + pair
+    return rotated, mirrored
 
 
 def _near_rational(x, tol):
@@ -673,9 +658,11 @@ def _near_rational(x, tol):
 @timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count; one inclusion disc per root within 2^-prec |z| of it, no two
-    meeting, so each holds one simple root; rotation/conjugation closure;
-    a guard that no nonzero real root sits near a small rational. Details:
-    inclusion_digits, min -log10(radius / |z|) over the nonzero roots."""
+    meeting, so each holds one simple root; rotation/conjugation closure
+    in RootSet's layout (_closure), so a set closed only in another order
+    fails; a guard that no nonzero real root sits near a small rational.
+    Details: inclusion_digits, min -log10(radius / |z|) over the nonzero
+    roots."""
     rep = VerificationReport(suite="roots", n=rs.n)
     expected = expected_degree(r.n)
     if len(rs.roots) != expected:
@@ -686,12 +673,10 @@ def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
         tol = mp.mpf(2) ** (-rs.precision_bits // 2)
         if not held:
             rep.fail({"check": "inclusion", "radii": len(rs.radii)})
-        if rs.roots:
-            omega = mp.exp(2j * mp.pi / 3)
-            if not _closed_under(rs.roots, [z * omega for z in rs.roots], tol):
-                rep.fail({"check": "omega_closure"})
-            if not _closed_under(rs.roots, [mp.conj(z) for z in rs.roots], tol):
-                rep.fail({"check": "conjugation_closure"})
+        for check, closed in zip(("omega_closure", "conjugation_closure"),
+                                 _closure(rs)):
+            if not closed:
+                rep.fail({"check": check})
         for z in rs.roots:
             if z == 0 or abs(mp.im(z)) >= tol:
                 continue

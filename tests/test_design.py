@@ -1,5 +1,5 @@
-"""Guards on the package source: every function and module constant it
-defines is used by it."""
+"""Guards on the package source: every function, module constant and
+module-level import it defines is used by it."""
 
 import ast
 from pathlib import Path
@@ -13,8 +13,10 @@ def _unused(sources: dict) -> list:
     """The top-level functions, methods of top-level classes and names
     assigned at module level in sources ({file name: source}) that no name,
     attribute or import in any of them refers to outside the function's own
-    def or the name's own assignment. Dunders are exempt, and so is cmd_*,
-    which the CLI finds by name."""
+    def or the name's own assignment; and the names that module-level
+    imports bind and nothing else in their module reads. Dunders are
+    exempt, and so are cmd_*, which the CLI finds by name, __future__
+    imports, and imports re-exported through __all__."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     refs = []  # (identifier, file name, line)
     for name, tree in trees.items():
@@ -45,6 +47,21 @@ def _unused(sources: dict) -> list:
                     where == name and node.lineno <= line <= node.end_lineno)
                     for ident, where, line in refs):
                 unused.append(f"{name}:{node.lineno} {ident_name}")
+        exported = [elt.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)
+                    for elt in ast.walk(node.value)
+                    if isinstance(elt, ast.Constant)]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read and bound not in exported:
+                        unused.append(f"{name}:{node.lineno} {bound}")
     return unused
 
 
@@ -60,9 +77,24 @@ def test_finder_sees_unused_helpers():
                 "LIMIT, SPARE = 3, (\n    LIMIT)\n"
                 "__all__ = []\n",
         "b.py": "from a import C, STEP\n\nC().method()\n",
+        "c.py": "from __future__ import annotations\n"
+                "import bisect\n"
+                "import os.path\n"
+                "import mpmath as mp\n"
+                "from typing import Sequence\n"
+                "from a import used, C as K\n"
+                "from b import STEP\n"
+                "__all__ = ['STEP']\n\n"
+                "def f(xs: Sequence):\n"
+                "    return os.path.join(mp.pi, xs)\n\n"
+                "f([])\n",
     }
+    # b.py's STEP is imported and never read; it still counts as a use of
+    # a.py's STEP
     assert _unused(sources) == ["a.py:4 recursive", "a.py:16 SLACK",
-                                "a.py:18 LIMIT", "a.py:18 SPARE"]
+                                "a.py:18 LIMIT", "a.py:18 SPARE",
+                                "b.py:1 STEP", "c.py:2 bisect",
+                                "c.py:6 used", "c.py:6 K"]
 
 
 def test_every_function_is_used_in_the_package():

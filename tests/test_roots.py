@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 from mpmath import mp
 
@@ -69,7 +70,8 @@ class TestLadder:
         s = roots._scale_exponent(rp.y_coeffs)
         circle = [mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
                   for u in roots._circle(rp.y_coeffs, s, 0)]
-        reference, _ = roots._mp_aberth(rp, circle, prec)
+        # Aberth alone, apart from the ladder under test
+        reference = roots._mp_aberth(rp, circle, prec)
         diagnostics = {}
         found = roots.find_roots(rp, seed=0, diagnostics=diagnostics)
         assert type(found) is list
@@ -83,9 +85,14 @@ class TestLadder:
             for y in found:
                 assert min(abs(y - r) for r in reference) \
                     < mp.mpf(2) ** -prec * abs(y)
-            # the discs are sound: each reference root lies in exactly one
-            # y-disc, and each of its cube roots in exactly one z-disc
+            # the discs are sound: each reference root, polished by mpmath's
+            # own Newton steps, lies in exactly one y-disc, and each of its
+            # cube roots in exactly one z-disc
             omega = mp.exp(2j * mp.pi / 3)
+            q = list(reversed(rp.y_coeffs))
+            for _ in range(2):
+                reference = [r - mp.fdiv(*mp.polyval(q, r, derivative=True))
+                             for r in reference]
             for r in reference:
                 assert _discs_holding(r, found, radii) == 1
                 for k in range(3):
@@ -124,36 +131,27 @@ class TestLadder:
         with pytest.raises(roots.CertificationFailure) as exc:
             roots.roots_for_record(records8[5])
         assert exc.value.n == 5
-        assert len(widths) == 2  # the ladder's top step, then the fallback
+        # one top step on the double seeds, one on the Aberth seeds
+        assert len(widths) == 2
 
     def test_colliding_seeds_fall_back_and_certify(self, records8,
                                                    monkeypatch):
-        real = roots._float_seeds
-
-        def colliding(p, seed):
-            s, xs, sweeps = real(p, seed)
-            return s, [xs[0]] + xs[:-1], sweeps  # xs[0] twice, xs[-1] lost
-
-        monkeypatch.setattr(roots, "_float_seeds", colliding)
+        monkeypatch.setattr(roots, "_float_seeds",
+                            _forced_seeds(roots._float_seeds, "colliding"))
         rs = roots.roots_for_record(records8[6], seed=0)
         assert rs.fallback and len(rs.roots) == expected_degree(6)
         assert len(rs.radii) == len(rs.roots)
         assert roots.certify(rs, records8[6]).passed
 
     def test_unpaired_seed_falls_back_and_certifies(self, records8,
-                                                    monkeypatch):
-        real = roots._float_seeds
-
-        def unpaired(p, seed):
-            s, xs, sweeps = real(p, seed)
-            top = max(range(len(xs)), key=lambda k: xs[k].imag)
-            xs[top] = complex(xs[top].real, 0)  # its mirror loses its match
-            assert roots._mirror_pairs(xs) is None
-            return s, xs, sweeps
-
-        monkeypatch.setattr(roots, "_float_seeds", unpaired)
+                                                    rootsets8, monkeypatch):
+        monkeypatch.setattr(roots, "_float_seeds",
+                            _forced_seeds(roots._float_seeds, "unpaired"))
         rs = roots.roots_for_record(records8[6], seed=0)
-        assert rs.fallback and not rs.ladder and rs.representatives == 0
+        # the Aberth roots pair off and climb the ladder from their own bits
+        prec = rs.precision_bits
+        assert rs.fallback and rs.ladder == (prec + 32, 2 * prec)
+        assert rs.representatives == rootsets8[6].representatives
         assert len(rs.roots) == len(rs.radii) == expected_degree(6)
         assert roots.certify(rs, records8[6]).passed
 
@@ -163,13 +161,9 @@ class TestLadder:
         diagnostics = {}
         ys = roots.find_roots(rp, diagnostics=diagnostics)
         assert not diagnostics["fallback"]
-        calls = []
-        real = roots._residual
-        monkeypatch.setattr(roots, "_residual",
-                            lambda *args: calls.append(1) or real(*args))
-        rs = roots.lift_cube_roots(ys, rp, diagnostics=diagnostics)
-        assert len(calls) == rs.representatives  # one residual per orbit
+        rs = _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch)
         assert rs.roots == rootsets12[n].roots
+        _assert_layout(rs, ys)
         with mp.workprec(2 * rs.precision_bits):
             assert {mp.conj(z) for z in rs.roots} == set(rs.roots)
             assert {mp.conj(y) for y in ys} == set(ys)
@@ -188,6 +182,21 @@ class TestLadder:
                         for z in rs.roots if z != 0)
         assert worst < mp.mpf(2) ** (-rs.precision_bits // 2)
 
+    @pytest.mark.parametrize("seeds, n", [("colliding", 6), ("unpaired", 6),
+                                          ("colliding", 12)])
+    def test_fallback_keeps_the_orbit_layout(self, records16, rootsets12,
+                                             seeds, n, monkeypatch):
+        monkeypatch.setattr(roots, "_float_seeds",
+                            _forced_seeds(roots._float_seeds, seeds))
+        rp = roots.cube_reduce(records16[n])
+        diagnostics = {}
+        ys = roots.find_roots(rp, diagnostics=diagnostics)
+        assert diagnostics["fallback"]
+        rs = _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch)
+        assert rs.representatives == rootsets12[n].representatives
+        _assert_layout(rs, ys)
+        assert roots.certify(rs, records16[n]).passed
+
     @pytest.mark.parametrize("n", [25, 30])
     def test_past_float_range_certifies(self, n):
         records = family.generate(n)
@@ -195,6 +204,61 @@ class TestLadder:
         rs = roots.roots_for_record(records[n])
         assert len(rs.roots) == expected_degree(n)
         assert roots.certify(rs, records[n]).passed
+
+
+def _forced_seeds(real, how):
+    """_float_seeds whose seeds do not pair off: "colliding" repeats the
+    first seed in place of the last, "unpaired" moves the topmost seed onto
+    the real axis, so that its mirror loses its match."""
+    def forced(p, seed):
+        s, xs, sweeps = real(p, seed)
+        if how == "colliding":
+            xs = [xs[0]] + xs[:-1]
+        else:
+            top = max(range(len(xs)), key=lambda k: xs[k].imag)
+            xs[top] = complex(xs[top].real, 0)
+        assert roots._mirror_pairs(xs) is None
+        return s, xs, sweeps
+    return forced
+
+
+def _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch):
+    """lift_cube_roots, checking that it evaluates one residual per orbit."""
+    calls = []
+    real = roots._residual
+    monkeypatch.setattr(roots, "_residual",
+                        lambda *args: calls.append(1) or real(*args))
+    rs = roots.lift_cube_roots(ys, rp, diagnostics=diagnostics)
+    assert len(calls) == rs.representatives
+    return rs
+
+
+def _assert_layout(rs, ys):
+    """RootSet's layout, bit for bit: per y-root of ys the triple (b, b
+    omega, b conj(omega)), a real y's triple its own conjugate with b
+    exactly real, a pair's two triples adjacent and exact conjugates, zero
+    last; every root with a negligible imaginary part exactly real."""
+    zs = list(rs.roots)
+    assert rs.includes_zero == (zs[-1:] == [0])
+    zs = zs[:len(zs) - rs.includes_zero]
+    assert len(zs) == 3 * len(ys)
+    triples = [zs[k:k + 3] for k in range(0, len(zs), 3)]
+    with mp.workprec(2 * rs.precision_bits):
+        omega = mp.exp(2j * mp.pi / 3)
+        k = 0
+        while k < len(triples):
+            b, *images = triples[k]
+            assert images == [b * omega, b * mp.conj(omega)]
+            if mp.im(ys[k]) == 0:
+                assert mp.im(b) == 0
+                assert [mp.conj(z) for z in images] == images[::-1]
+                k += 1
+            else:
+                assert ys[k + 1] == mp.conj(ys[k])
+                assert triples[k + 1] == [mp.conj(z) for z in triples[k]]
+                k += 2
+        tol = mp.mpf(2) ** -rs.precision_bits
+        assert all(mp.im(z) == 0 for z in rs.roots if abs(mp.im(z)) < tol)
 
 
 def _discs_holding(point, centres, radii):
@@ -334,38 +398,10 @@ class TestScreens:
                         for b in rs.roots[:i])
         assert rs.min_separation == brute
 
-    def test_closed_under_across_a_float_rounding_boundary(self):
-        with mp.workprec(256):
-            # 1 + 2^-53 rounds to the double 1, the image to 1 + 2^-52
-            points = [mp.mpc(1 + mp.mpf(2) ** -53), mp.mpc(-1)]
-            images = [points[0] + mp.mpf(2) ** -200, points[1]]
-            assert complex(points[0]) != complex(images[0])
-            assert roots._closed_under(points, images, mp.mpf(2) ** -128)
-
     def test_min_separation_past_float_range(self):
         points = [mp.mpc(2.5, 1), mp.mpc(mp.mpf("1e400")), mp.mpc(1),
                   mp.mpc(2, 1)]
         assert roots._min_separation(points) == mp.mpf("0.5")
-
-    def test_closed_under_equals_full_scan(self, rootsets8):
-        sets = [(rs, rs.roots) for rs in rootsets8.values() if rs.roots]
-        sets += [(rootsets8[7], _perturbed(rootsets8[7])),
-                 (rootsets8[7], _duplicated(rootsets8[7])),
-                 (rootsets8[3], rootsets8[3].roots[:-1])]
-        verdicts = []
-        for rs, points in sets:
-            with mp.workprec(rs.precision_bits):  # as certify calls it
-                tol = mp.mpf(2) ** (-rs.precision_bits // 2)
-                omega = mp.exp(2j * mp.pi / 3)
-                for images in ([z * omega for z in points],
-                               [mp.conj(z) for z in points]):
-                    hits = [[k for k, z in enumerate(points)
-                             if abs(z - img) < tol] for img in images]
-                    brute = all(len(h) == 1 for h in hits) and \
-                        sorted(h[0] for h in hits) == list(range(len(points)))
-                    assert roots._closed_under(points, images, tol) == brute
-                    verdicts.append(brute)
-        assert True in verdicts and False in verdicts
 
     def test_near_rational_screen_equals_full_loop(self, rootsets12):
         def full_loop(x, tol):  # certify's guard before the double screen
@@ -397,6 +433,9 @@ class TestScreens:
         assert {1, 2, 3, 5, 7, 64} <= set(found) and None in found
 
 
+CLOSURE = [{"check": "omega_closure"}, {"check": "conjugation_closure"}]
+
+
 class TestCertify:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_passes(self, records8, rootsets8, n):
@@ -410,12 +449,26 @@ class TestCertify:
             residuals=rs.residuals[:-1], max_residual=rs.max_residual,
             min_separation=rs.min_separation, includes_zero=rs.includes_zero)
         rep = roots.certify(broken, records8[3])
-        assert not rep.passed
+        assert rep.witnesses == [{"check": "count", "got": 5, "want": 6},
+                                 {"check": "inclusion", "radii": 0},
+                                 *CLOSURE]
 
     def test_detects_perturbed_root(self, records8, rootsets8):
         rs = rootsets8[7]
         rep = roots.certify(_with_roots(rs, _perturbed(rs)), records8[7])
-        assert {"check": "omega_closure"} in rep.witnesses
+        assert rep.witnesses == [{"check": "inclusion", "radii": 0}, *CLOSURE]
+
+    def test_closure_is_read_from_the_layout(self, records8, rootsets8):
+        rs = rootsets8[7]
+        order = list(range(len(rs.roots)))
+        random.Random(0).shuffle(order)
+        shuffled = dataclasses.replace(
+            rs, roots=tuple(rs.roots[k] for k in order),
+            residuals=tuple(rs.residuals[k] for k in order),
+            radii=tuple(rs.radii[k] for k in order))
+        assert set(shuffled.roots) == set(rs.roots)  # closed as a set
+        rep = roots.certify(shuffled, records8[7])
+        assert rep.witnesses == CLOSURE
 
     def test_detects_overlapping_discs(self, records8, rootsets8):
         rs = rootsets8[7]
@@ -439,8 +492,7 @@ class TestCertify:
     def test_detects_duplicated_root(self, records8, rootsets8):
         rs = rootsets8[7]
         rep = roots.certify(_with_roots(rs, _duplicated(rs)), records8[7])
-        assert {"check": "omega_closure"} in rep.witnesses
-        assert {"check": "conjugation_closure"} in rep.witnesses
+        assert rep.witnesses == [{"check": "inclusion", "radii": 0}, *CLOSURE]
 
 
 class TestExports:
