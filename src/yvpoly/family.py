@@ -69,7 +69,7 @@ def cube_compress(poly: IntPoly, n: int) -> tuple:
     poly must be z**eps times a polynomial in z**3, eps = 1 iff n = 1 mod 3.
     """
     d = expected_degree(n)
-    if (poly.degree or 0) != d or (n > 0 and poly.degree is None):
+    if poly.degree != d:
         raise StructureViolation(f"degree {poly.degree} != {d} at n={n}")
     eps = 1 if n % 3 == 1 else 0
     for i, c in enumerate(poly.coeffs):

@@ -255,8 +255,10 @@ class IntPoly:
             return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def __hash__(self):  # a constant hashes as the int it equals
+        if self.degree:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"

@@ -6,7 +6,7 @@ exact by construction), spending full precision only where it is needed:
 
 1. Aberth-Ehrlich in hardware doubles from a seeded circle, on R(2^s u)
    so that coefficients past the float range (n >= 25) still convert, and
-   with exact integer evaluation where doubles lose R to cancellation.
+   with integer evaluation where doubles lose R to cancellation.
 2. The seeds pair off under conjugation, and Newton steps at doubling
    precision up to twice the working precision refine one root of each
    pair; the top step's evaluation gives each root an inclusion disc, and
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import to_fixed, to_float
+from mpmath.libmp import from_float, mpf_shift, to_fixed, to_float
 
 from .family import StructureViolation, YvRecord, expected_degree
 from .report import VerificationReport, timed
@@ -39,6 +39,12 @@ DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
 FLOAT_EPS = 2.0 ** -53  # unit roundoff of a hardware double
 GUARD_BITS = 8  # fractional bits _fixed_horner keeps past the caller's
+# Bits below |y| that the float stage's integer steps keep of y = 2^s u,
+# so a part far below |y| costs no more than a zero one. Against exact
+# steps at the double u, _float_seeds for n = 2..30 at seeds 0-3 (116 root
+# sets) changed (s, seeds, sweeps) in 76 sets at 128 bits, 4 at 160 and
+# none at 200 or 256.
+FLOAT_STAGE_BITS = 200
 
 
 class RootFindingError(RuntimeError):
@@ -120,20 +126,45 @@ def _horner(coeffs, x):
     return acc
 
 
+def _int_horner(coeffs, parts, bits, derivative=True):
+    """(R(x), R'(x), f) by Horner's rule on Python ints, for the integer
+    coefficients coeffs of R, low to high, and finite x given by its raw mpf
+    parts, (x,) or (re, im): R(x) and R'(x), zeros unless derivative, are
+    tuples of integers over 2^f, f = max(bits - m, 0), m the largest exp +
+    bitcount of the nonzero parts, so 2^(m-1) <= |x| < 2^(m+1/2). Each part
+    and each product is truncated to f fractional bits; c enters as c << f."""
+    m = max((p[2] + p[3] for p in parts if p[1]), default=0)
+    f = max(bits - m, 0)
+    if len(parts) == 1:
+        a = to_fixed(parts[0], f)
+        p, q = coeffs[-1] << f, 0
+        for c in reversed(coeffs[:-1]):
+            if derivative:
+                q = (q * a >> f) + p
+            p = (p * a >> f) + (c << f)
+        return (p,), (q,), f
+    a, b = to_fixed(parts[0], f), to_fixed(parts[1], f)
+    # three products per complex one, exactly: with t = a (r + i),
+    # a r - b i = t - i (a + b) and b r + a i = t + r (b - a)
+    s, w = a + b, b - a
+    pr, pi, qr, qi = coeffs[-1] << f, 0, 0, 0
+    for c in reversed(coeffs[:-1]):
+        if derivative:
+            t = a * (qr + qi)
+            qr, qi = (t - qi * s >> f) + pr, (t + qr * w >> f) + pi
+        t = a * (pr + pi)
+        pr, pi = (t - pi * s >> f) + (c << f), t + pr * w >> f
+    return (pr, pi), (qr, qi), f
+
+
 def _fixed_horner(coeffs, x, bits, derivative=True):
     """(R(x), R'(x)) for the integer coefficients coeffs of R, low to high,
-    in one Horner pass on Python ints; R'(x) is None unless derivative.
-
-    x, an mpf or an mpc, becomes integers at f = bits + GUARD_BITS - m
-    fractional bits, m being the largest exp + bitcount of x's nonzero
-    parts, so 2^(m-1) <= |x| < 2^(m+1/2). Each part is truncated to an
-    integer (a Gaussian integer pair if x is complex), each product is
-    truncated by >> f, and each coefficient enters exactly as c << f. The
-    results become mpf or mpc once, at the end, rounded to the working
-    precision, which callers hold at bits or above.
+    by _int_horner at bits + GUARD_BITS bits, x an mpf or an mpc; R'(x) is
+    None unless derivative. The results become mpf or mpc once, at the end,
+    rounded to the working precision, which callers hold at bits or above.
 
     The error bound, before that rounding. Let d be the degree,
-    u = 2^-f = 2^(m - bits - GUARD_BITS) <= 2 |x| 2^-(bits + GUARD_BITS),
+    u = 2^-f <= 2^(m - bits - GUARD_BITS) <= 2 |x| 2^-(bits + GUARD_BITS),
     kappa = 1 for real x and sqrt2 for complex x, chi = 0 if x converts
     exactly (an mpf of at most bits + GUARD_BITS bits does) and 1
     otherwise, rho = |x| + chi kappa u >= |x^|, x^ the converted x, and
@@ -156,30 +187,7 @@ def _fixed_horner(coeffs, x, bits, derivative=True):
     value stays within the standard bound for every d >= 1.
     """
     parts = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_,)
-    m = max((p[2] + p[3] for p in parts if p[1]), default=0)
-    f = bits + GUARD_BITS - m
-    d = len(coeffs) - 1
-    if len(parts) == 1:
-        a = to_fixed(parts[0], f)
-        p, q = coeffs[d] << f, 0
-        for k in range(d - 1, -1, -1):
-            if derivative:
-                q = (q * a >> f) + p
-            p = (p * a >> f) + (coeffs[k] << f)
-        value, slope = (p,), (q,)
-    else:
-        a, b = to_fixed(parts[0], f), to_fixed(parts[1], f)
-        # three products per complex one, exactly: with t = a (r + i),
-        # a r - b i = t - i (a + b) and b r + a i = t + r (b - a)
-        s, w = a + b, b - a
-        pr, pi, qr, qi = coeffs[d] << f, 0, 0, 0
-        for k in range(d - 1, -1, -1):
-            if derivative:
-                t = a * (qr + qi)
-                qr, qi = (t - qi * s >> f) + pr, (t + qr * w >> f) + pi
-            t = a * (pr + pi)
-            pr, pi = (t - pi * s >> f) + (coeffs[k] << f), t + pr * w >> f
-        value, slope = (pr, pi), (qr, qi)
+    value, slope, f = _int_horner(coeffs, parts, bits + GUARD_BITS, derivative)
 
     def back(ints):  # rounded once, to the working precision
         xs = [mp.mpf((v, -f)) for v in ints]
@@ -236,45 +244,27 @@ def _horner_newton(coeffs, eps):
     return newton
 
 
-def _exact_horner(coeffs, re, im, e):
-    """2^(e m) sum coeffs[k] y^k for y = (re + i im) / 2^e, m = degree,
-    exactly, as the integer pair (real, imaginary)."""
-    m = len(coeffs) - 1
-    pr, pi = coeffs[m], 0
-    for k in range(m - 1, -1, -1):
-        pr, pi = pr * re - pi * im + (coeffs[k] << (e * (m - k))), \
-            pr * im + pi * re
-    return pr, pi
-
-
 def _float_newton(coeffs, s):
-    """newton(u) for _aberth on R(2^s u) in doubles, u = y / 2^s.
-
-    Horner's rule in doubles where it resolves R; where |R(u)| is within
-    its rounding bound, R and R' are evaluated exactly in integers at the
-    double u, so the step is correctly rounded however ill-conditioned R
-    is there (past n ~ 20, doubles alone stall far from the roots).
-    """
+    """newton(u) for _aberth on R(2^s u) in doubles, u = y / 2^s: Horner's
+    rule in doubles where it resolves R, else R/R' from _int_horner at y
+    kept to FLOAT_STAGE_BITS bits below |y|, one int/int division rounded to
+    a double, however ill-conditioned R is there (past n ~ 20, doubles
+    alone stall far from the roots)."""
     d = len(coeffs) - 1
     # exact int/int division rounds each scaled coefficient once
     fast = _horner_newton([c / (1 << (s * (d - k)))
                            for k, c in enumerate(coeffs)], FLOAT_EPS)
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
 
     def newton(u):
         step = fast(u)
         if step is not None:
             return step
-        (nr, dr), (ni, di) = (u.real.as_integer_ratio(),
-                              u.imag.as_integer_ratio())
-        f = max(dr, di).bit_length() - 1  # u = (re + i im) / 2^f
-        re, im = nr * (1 << f) // dr, ni * (1 << f) // di
-        e = max(f - s, 0)  # y = 2^s u = (re + i im) / 2^e after the shift
-        re, im = re << max(s - f, 0), im << max(s - f, 0)
-        pr, pi = _exact_horner(coeffs, re, im, e)
-        qr, qi = _exact_horner(dcoeffs, re, im, e)
-        # R/R' = (p / 2^(e d)) / (q / 2^(e (d-1))); divide by 2^s for u
-        den = (qr * qr + qi * qi) << (e + s)
+        if not cmath.isfinite(u):
+            raise OverflowError("the iterate left the doubles")  # nudged
+        y = [mpf_shift(from_float(p), s) for p in (u.real, u.imag)]
+        (pr, pi), (qr, qi), _ = _int_horner(coeffs, y, FLOAT_STAGE_BITS)
+        # R/R' = (pr + i pi) / (qr + i qi), both over 2^f; divide by 2^s for u
+        den = (qr * qr + qi * qi) << s
         return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
     return newton
 

@@ -146,6 +146,11 @@ class TestIntegrity:
         with pytest.raises(family.IntegrityError):
             family.make_record(2, IntPoly([4, 0, 0, 1, 0, 0, 1]))
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_polynomial_rejected(self, n):
+        with pytest.raises(family.StructureViolation):
+            family.make_record(n, IntPoly())
+
 
 class TestChecks:
     def test_divisibility(self, records16):

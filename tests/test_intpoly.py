@@ -42,6 +42,11 @@ class TestArithmetic:
     def test_zero_annihilates(self):
         assert P(1, 2, 3) * IntPoly.zero() == IntPoly.zero()
 
+    def test_constants_hash_as_the_ints_they_equal(self):
+        assert IntPoly() == 0 and P(5) == 5 and P(-3) == -3
+        assert len({0, IntPoly()}) == len({5, P(5)}) == len({-3, P(-3)}) == 1
+        assert len({P(1, 2), P(1, 2), P(2, 1)}) == 2
+
     @given(a=small_polys, b=small_polys, c=small_polys)
     def test_distributivity(self, a, b, c):
         assert (a + b) * c == a * c + b * c

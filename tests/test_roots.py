@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import math
 import random
 
 from mpmath import mp
@@ -284,6 +286,18 @@ def _dyadic(x):
     return mr << (er + e), mi << (ei + e), e
 
 
+def _exact_horner(coeffs, re, im, e):
+    """2^(e m) sum coeffs[k] y^k for y = (re + i im) / 2^e, m = degree,
+    exactly, as the integer pair (real, imaginary): the reference the
+    integer kernel is held to."""
+    m = len(coeffs) - 1
+    pr, pi = coeffs[m], 0
+    for k in range(m - 1, -1, -1):
+        pr, pi = pr * re - pi * im + (coeffs[k] << (e * (m - k))), \
+            pr * im + pi * re
+    return pr, pi
+
+
 def _distance(v, exact, e):
     """|v - (exact[0] + i exact[1]) / 2^e|, v an mpf or mpc read exactly,
     as a 64-bit mpf."""
@@ -348,8 +362,8 @@ class TestFixedHorner:
                     rounded = [+x for x in points] if bits < 2 * prec else []
                 for x in points + rounded:
                     re, im, e = _dyadic(x)
-                    value = roots._exact_horner(coeffs, re, im, e)
-                    slope = roots._exact_horner(dcoeffs, re, im, e)
+                    value = _exact_horner(coeffs, re, im, e)
+                    slope = _exact_horner(dcoeffs, re, im, e)
                     with mp.workprec(1 << 16):  # the results unrounded
                         v, dv = roots._fixed_horner(coeffs, x, bits)
                         assert roots._fixed_horner(
@@ -366,6 +380,68 @@ class TestFixedHorner:
                             ratios.append(err / bound)
         # the bound is sharp: a kernel twice as coarse would break it
         assert len(ratios) > 1000 and max(ratios) > 0.5
+
+
+def _exact_step(coeffs, s, u):
+    """R(y) / R'(y) / 2^s at y = 2^s u, from an exact evaluation at the
+    double u, rounded once to a double."""
+    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    re, im, e = _dyadic(mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s)))
+    pr, pi = _exact_horner(coeffs, re, im, e)
+    qr, qi = _exact_horner(dcoeffs, re, im, e)
+    den = (qr * qr + qi * qi) << (e + s)
+    return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+
+
+def _exact_float_newton(coeffs, s):
+    """roots._float_newton with each step the doubles do not resolve taken
+    from an exact evaluation at the double iterate."""
+    d = len(coeffs) - 1
+    fast = roots._horner_newton([c / (1 << (s * (d - k)))
+                                 for k, c in enumerate(coeffs)],
+                                roots.FLOAT_EPS)
+
+    def newton(u):
+        step = fast(u)
+        return _exact_step(coeffs, s, u) if step is None else step
+    return newton
+
+
+class TestFloatStage:
+    def test_integer_steps_keep_the_exact_seeds(self, records16, monkeypatch):
+        """The float stage's integer pass, at FLOAT_STAGE_BITS bits of y,
+        gives the (s, seeds, sweeps) of exact steps, n = 2..16, seeds 0-3."""
+        reduced = [roots.cube_reduce(records16[n]) for n in range(2, 17)]
+        shipped = [roots._float_seeds(p, seed)
+                   for seed in range(4) for p in reduced]
+        monkeypatch.setattr(roots, "_float_newton", _exact_float_newton)
+        assert [roots._float_seeds(p, seed)
+                for seed in range(4) for p in reduced] == shipped
+
+    def test_far_and_lopsided_iterates(self, records16, monkeypatch):
+        """Integer steps alone at |y| = 2^300, past FLOAT_STAGE_BITS, where
+        y is kept whole and the step is exact; at an imaginary part 2^-1000
+        of the real part, which the pass drops; none at an infinite one."""
+        coeffs = roots.cube_reduce(records16[12]).y_coeffs
+        s = roots._scale_exponent(coeffs)
+        kernel, fs = roots._int_horner, []
+
+        def spy(*args):  # the fractional bits of each integer pass
+            value, slope, f = kernel(*args)
+            fs.append(f)
+            return value, slope, f
+        monkeypatch.setattr(roots, "_int_horner", spy)
+        monkeypatch.setattr(roots, "_horner_newton",
+                            lambda coeffs, eps: lambda u: None)
+        newton = roots._float_newton(coeffs, s)
+        far = 2.0 ** (300 - s) * cmath.exp(1j)
+        assert newton(far) == _exact_step(coeffs, s, far)
+        lopsided = complex(0.5, 2.0 ** -1001)
+        exact = _exact_step(coeffs, s, lopsided)
+        assert abs(newton(lopsided) - exact) <= 2.0 ** -52 * abs(exact)
+        assert fs == [0, roots.FLOAT_STAGE_BITS - s]
+        with pytest.raises(ArithmeticError):  # _aberth nudges it
+            newton(complex(math.inf, 1.0))
 
 
 def _with_roots(rs, new_roots):
