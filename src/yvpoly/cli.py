@@ -82,14 +82,14 @@ class _Runner:
         self.records = family.generate(config.n_max)
 
     def rootset(self, n: int):
-        """The root set of Q_n, found once. A RootFindingError is kept and
-        raised again on every later request for this n."""
+        """The root set of Q_n, found once. A CertificationFailure is kept
+        and raised again on every later request for this n."""
         bits, seed, record = (self.config.precision_bits, self.config.seed,
                               self.records[n])
         return relations.TABLES.get(
             (record,), ("roots", bits, seed),
             lambda: rootsmod.roots_for_record(record, bits, seed=seed),
-            rootsmod.RootFindingError)
+            rootsmod.CertificationFailure)
 
     def solution(self, n: int):
         """w_n, built once from Q_{n-1} and Q_n."""
@@ -101,11 +101,9 @@ class _Runner:
 def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
     exc.__traceback__ = None  # see relations.Tables
     rep = VerificationReport(suite=suite, n=n)
-    worst = exc.worst_residual
     return rep.fail({
         "check": "roots", "error": type(exc).__name__, "message": str(exc),
-        "roots_n": exc.n, "iterations": exc.iterations,
-        "worst_residual": None if worst is None else mp.nstr(worst, 8)})
+        "roots_n": exc.n, "iterations": exc.iterations})
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def _rooted_suite(run: _Runner, suite: str):
             try:
                 rootsets = ({n - 1: run.rootset(n - 1), n: run.rootset(n)}
                             if mode == "numeric" else None)
-            except rootsmod.RootFindingError as exc:
+            except rootsmod.CertificationFailure as exc:
                 rep = _root_failure_report(suite, n, exc)
             else:
                 rep = combine(suite, n, check(
@@ -334,7 +332,7 @@ def cmd_roots(run: _Runner) -> int:
     for r in run.records[1:]:
         try:
             rs = run.rootset(r.n)
-        except rootsmod.RootFindingError as exc:
+        except rootsmod.CertificationFailure as exc:
             exc.__traceback__ = None  # see relations.Tables
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1

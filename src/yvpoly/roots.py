@@ -11,8 +11,8 @@ exact by construction), spending full precision only where it is needed:
    precision up to twice the working precision refine one root of each
    pair; the top step's evaluation gives each root an inclusion disc, and
    the step repeats while the discs fail and still shrink.
-3. Failing that, Aberth in mpmath from the float seeds, whose roots take
-   the same pairing and ladder; if they fail too, the run fails.
+3. Failing that, the same two steps once more from the circle of seed + 1;
+   if they fail too, the run fails.
 
 Narrow disjoint discs hold one simple root each: the one acceptance test,
 checked again after the lift to z, which builds each orbit of z -> omega z
@@ -47,22 +47,13 @@ GUARD_BITS = 8  # fractional bits _fixed_horner keeps past the caller's
 FLOAT_STAGE_BITS = 200
 
 
-class RootFindingError(RuntimeError):
+class CertificationFailure(RuntimeError):
     """A root set that could not be found or certified, with its witness."""
 
-    def __init__(self, message, iterations=None, worst_residual=None, n=None):
+    def __init__(self, message, iterations=None, n=None):
         super().__init__(message)
         self.iterations = iterations
-        self.worst_residual = worst_residual
         self.n = n
-
-
-class NoConvergence(RootFindingError):
-    pass
-
-
-class CertificationFailure(RootFindingError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -91,21 +82,18 @@ class RootSet:
     min_separation: object
     includes_zero: bool
     # How the roots were found (see the module docstring).
-    float_iterations: int = 0  # Aberth sweeps in hardware doubles
+    float_iterations: int = 0  # Aberth sweeps in hardware doubles, all starts
     ladder: tuple = ()  # precision (bits) of each Newton step that passed
-    fallback: bool = False  # whether the mpmath Aberth fallback ran
+    fallback: bool = False  # whether the second start, from seed + 1, ran
     representatives: int = 0  # y-roots the ladder stepped, one per pair
     radii: tuple = ()  # of each root's inclusion disc (lift_cube_roots)
 
 
-def working_precision(degree: int, precision_bits: int = DEFAULT_PRECISION_BITS,
-                      coeff_bits: int = 0) -> int:
-    # coeff_bits keeps the exact-integer -> float conversion faithful
-    return max(precision_bits, 128, 4 * degree, coeff_bits + 64)
-
-
-def _coeff_bits(coeffs) -> int:
-    return max((abs(c).bit_length() for c in coeffs if c), default=1)
+def working_precision(degree: int,
+                      precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
+    # R is only ever evaluated on its integer coefficients (_fixed_horner),
+    # so their size asks for no bits; the roots' closeness grows with d
+    return max(precision_bits, 128, 4 * degree)
 
 
 def cube_reduce(r: YvRecord) -> ReducedPoly:
@@ -119,7 +107,7 @@ def cube_reduce(r: YvRecord) -> ReducedPoly:
 
 def _horner(coeffs, x):
     """sum coeffs[k] x^k in the arithmetic of x: doubles and complex in the
-    float stage, mpc in the mpmath Aberth sweep of the fallback."""
+    float stage."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -195,14 +183,14 @@ def _fixed_horner(coeffs, x, bits, derivative=True):
     return back(value), back(slope) if derivative else None
 
 
-def _aberth(newton, xs, eps):
-    """Aberth-Ehrlich simultaneous correction of xs in place.
+def _aberth(newton, xs):
+    """Aberth-Ehrlich simultaneous correction of the complex xs in place,
+    in doubles.
 
-    Generic over the arithmetic of xs (complex or mpc), with unit roundoff
-    eps. newton(x) returns p(x)/p'(x), or None once p(x) is down to its
+    newton(x) returns p(x)/p'(x), or None once p(x) is down to its
     rounding error. A root stops moving then, or once its step falls
-    below 8 eps |x|; stopped roots still repel the others. Returns
-    (sweeps, whether every root stopped).
+    below 8 FLOAT_EPS |x|; stopped roots still repel the others. Returns
+    the sweeps, at most MAX_ITERATIONS.
     """
     moving = list(range(len(xs)))
     sweep = 0
@@ -214,7 +202,7 @@ def _aberth(newton, xs, eps):
             try:
                 step = newton(xi)
             except ArithmeticError:  # p'(x) = 0 or overflow: nudge x
-                xs[i] = xi + 8 * eps * (1 + abs(xi))
+                xs[i] = xi + 8 * FLOAT_EPS * (1 + abs(xi))
                 still.append(i)
                 continue
             if step is None:
@@ -223,14 +211,14 @@ def _aberth(newton, xs, eps):
             denom = 1 - step * s
             corr = step if denom == 0 else step / denom
             xs[i] = xi - corr
-            if abs(corr) > 8 * eps * abs(xi):
+            if abs(corr) > 8 * FLOAT_EPS * abs(xi):
                 still.append(i)
         moving = still
-    return sweep, not moving
+    return sweep
 
 
 def _horner_newton(coeffs, eps):
-    """newton(x) for _aberth by Horner's rule in the arithmetic of x; None
+    """newton(x) for _aberth by Horner's rule in complex doubles; None
     within the rounding bound 8 d eps sum |a_k| |x|^k."""
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     abs_coeffs = [abs(c) for c in coeffs]
@@ -297,14 +285,11 @@ def _float_seeds(p: ReducedPoly, seed: int):
     """Aberth in doubles on R(2^s u); returns (s, roots in u, sweeps)."""
     s = _scale_exponent(p.y_coeffs)
     xs = _circle(p.y_coeffs, s, seed)
-    sweeps, _ = _aberth(_float_newton(p.y_coeffs, s), xs, FLOAT_EPS)
-    if not all(cmath.isfinite(x) for x in xs):
-        xs = _circle(p.y_coeffs, s, seed)  # seeds for the mpmath fallback
-    return s, xs, sweeps
+    return s, xs, _aberth(_float_newton(p.y_coeffs, s), xs)
 
 
 def _mirror_pairs(seeds):
-    """The representatives of the seeds (complex or mpc) under conjugation.
+    """The representatives of the finite complex seeds under conjugation.
 
     A seed's mirror is the seed nearest its conjugate. The mirrors must
     form an involution whose pairs straddle the real axis. Returns the
@@ -389,16 +374,16 @@ def _inclusion(ys, radii, prec, separation=None):
             round(-max(logs) * math.log10(2), 2) if logs else None)
 
 
-def _newton_ladder(coeffs, xs, level, top):
+def _newton_ladder(coeffs, xs, top):
     """Newton steps on the orbit representatives xs (mpf for a real root,
-    mpc in the upper half plane for a pair) from level up to top bits,
-    each above and at about twice the precision the previous one reached,
-    repeated at top while the discs fail _inclusion at top/2 bits but are
-    narrower than at the previous top step. Returns (roots, each step's
-    precision, their radii), roots being every root as mpc, each pair's
-    upper member followed by its conjugate; None after R' = 0, y = 0 or
-    discs that fail and no longer narrow."""
-    passed, best = [], -math.inf
+    mpc in the upper half plane for a pair) from 106 bits, the precision
+    of two doubles, up to top bits, each above and at about twice the
+    precision the previous one reached, repeated at top while the discs
+    fail _inclusion at top/2 bits but are narrower than at the previous top
+    step. Returns (roots, each step's precision, their radii), roots being
+    every root as mpc, each pair's upper member followed by its conjugate;
+    None after R' = 0, y = 0 or discs that fail and no longer narrow."""
+    passed, best, level = [], -math.inf, 106
     while True:
         with mp.workprec(level):
             steps = []
@@ -430,54 +415,41 @@ def _newton_ladder(coeffs, xs, level, top):
         best, xs = digits, new
 
 
-def _mp_aberth(p: ReducedPoly, xs, prec):
-    """The fallback's seeds: Aberth at prec + 32 bits from xs, as mpc."""
-    with mp.workprec(prec + 32):
-        coeffs = [mp.mpf(c) for c in p.y_coeffs]
-        xs = [mp.mpc(x) for x in xs]
-        eps = mp.mpf(2) ** -(prec + 32)
-        sweeps, converged = _aberth(_horner_newton(coeffs, eps), xs, eps)
-        if not converged:
-            worst = max(abs(_horner(coeffs, x)) for x in xs)
-            raise NoConvergence(
-                f"Aberth did not converge for n={p.n}",
-                iterations=sweeps, worst_residual=worst, n=p.n)
-    return xs
-
-
 def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                seed: int = 0, *, diagnostics: dict | None = None) -> list:
     """All roots of R(y), as mpc in _newton_ladder's layout, each alone in
     an inclusion disc of radius at most 2^-prec |y|, so simple; else
-    CertificationFailure. The seed perturbs the starting circle; a dict
-    diagnostics receives the RootSet fields float_iterations, ladder,
-    fallback, radii and representatives, of the route that gave them."""
+    CertificationFailure. The seed perturbs the starting circle: if the
+    float seeds from it are not all finite, do not pair off or give discs
+    that fail, a second start from the circle of seed + 1 takes the same
+    steps. A dict diagnostics receives the RootSet fields float_iterations,
+    ladder, fallback, radii and representatives."""
     d = p.degree
     if d < 1:
         return []
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    prec = working_precision(d, precision_bits, _coeff_bits(p.y_coeffs))
-    s, seeds, sweeps = _float_seeds(p, seed)
+    prec, sweeps = working_precision(d, precision_bits), 0
 
     def y(u):  # the seed u, in units of 2^s, as mpf if real
         return mp.ldexp(u, s) if isinstance(u, float) \
             else mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
 
-    reps = _mirror_pairs(seeds)
-    found = reps and _newton_ladder(p.y_coeffs, [y(u) for u in reps], 106,
-                                    2 * prec)
-    fallback = not found
-    if fallback:
-        reps = _mirror_pairs(_mp_aberth(p, [y(u) for u in seeds], prec))
-        found = reps and _newton_ladder(p.y_coeffs, reps, prec + 32, 2 * prec)
-        if not found:
-            raise CertificationFailure(f"inclusion discs fail at n={p.n}",
-                                       iterations=sweeps, n=p.n)
+    for start in (seed, seed + 1):
+        s, seeds, spent = _float_seeds(p, start)
+        sweeps += spent
+        reps = all(map(cmath.isfinite, seeds)) and _mirror_pairs(seeds)
+        found = reps and _newton_ladder(p.y_coeffs, [y(u) for u in reps],
+                                        2 * prec)
+        if found:
+            break
+    else:
+        raise CertificationFailure(f"inclusion discs fail at n={p.n}",
+                                   iterations=sweeps, n=p.n)
     roots, ladder, radii = found
     if diagnostics is not None:
         diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
-                           fallback=fallback, radii=tuple(radii),
+                           fallback=start != seed, radii=tuple(radii),
                            representatives=len(reps))
     return roots
 
@@ -547,7 +519,7 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
     (r / |y| + 2^(4 - 2 prec)) |z|, as |(1 + s)^(1/3) - 1| <= t for
     |s| <= t < 1, plus rounding; zero's radius is 0, as R(0) != 0, and
     without radii the others are inf."""
-    prec = working_precision(p.degree, precision_bits, _coeff_bits(p.y_coeffs))
+    prec = working_precision(p.degree, precision_bits)
     diagnostics = dict(diagnostics or {})
     y_radii = diagnostics.pop("radii", [mp.inf] * len(y_roots))
     abs_coeffs = [abs(c) for c in p.y_coeffs]

@@ -139,9 +139,8 @@ class TestVerify:
 
         def failing(record, *args, **kwargs):
             if record.n == 2:
-                raise roots.NoConvergence("Aberth did not converge for n=2",
-                                          iterations=400,
-                                          worst_residual=mp.mpf("1e-9"), n=2)
+                raise roots.CertificationFailure(
+                    "inclusion discs fail at n=2", iterations=400, n=2)
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
@@ -159,9 +158,8 @@ class TestVerify:
                           ("relations", 3): "fail", ("poleseries", 2): "fail",
                           ("poleseries", 3): "fail"}
         witness = reports[1]["witnesses"][0]
-        assert witness["error"] == "NoConvergence"
+        assert witness["error"] == "CertificationFailure"
         assert (witness["roots_n"], witness["iterations"]) == ("2", "400")
-        assert witness["worst_residual"] == "1.0e-9"
 
     def test_uncertified_discs_are_a_fail_report(self, tmp_path,
                                                  monkeypatch):
@@ -220,13 +218,13 @@ class TestVerify:
 
         def failing(record, *args, **kwargs):
             calls.append(record.n)
-            raise roots.NoConvergence("no", n=record.n)
+            raise roots.CertificationFailure("no", n=record.n)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
         run_state = cli._Runner(cli.RunConfig(n_max=3))
         errors = []
         for _ in range(2):
-            with pytest.raises(roots.NoConvergence) as exc:
+            with pytest.raises(roots.CertificationFailure) as exc:
                 run_state.rootset(2)
             errors.append(exc.value)
         assert calls == [2] and errors[0] is errors[1]

@@ -1,5 +1,5 @@
-"""Guards on the package source: every function, module constant and
-module-level import it defines is used by it."""
+"""Guards on the package source: every function, class, module constant
+and module-level import it defines is used by it."""
 
 import ast
 from pathlib import Path
@@ -10,10 +10,11 @@ SRC = Path(yvpoly.__file__).parent
 
 
 def _unused(sources: dict) -> list:
-    """The top-level functions, methods of top-level classes and names
-    assigned at module level in sources ({file name: source}) that no name,
-    attribute or import in any of them refers to outside the function's own
-    def or the name's own assignment; and the names that module-level
+    """The top-level functions and classes, methods of top-level classes and
+    names assigned at module level in sources ({file name: source}) that no
+    name, attribute or import in any of them refers to outside the
+    function's or class's own def or the name's own assignment; and the
+    names that module-level
     imports bind and nothing else in their module reads. Dunders are
     exempt, and so are cmd_*, which the CLI finds by name, __future__
     imports, and imports re-exported through __all__."""
@@ -29,7 +30,7 @@ def _unused(sources: dict) -> list:
     unused = []
     for name, tree in trees.items():
         defs = [(node.name, node) for node in tree.body
-                if isinstance(node, ast.FunctionDef)]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 defs += [(m.name, m) for m in node.body
@@ -75,7 +76,9 @@ def test_finder_sees_unused_helpers():
                 "SLACK = 2 ** 16  # read nowhere\n"
                 "STEP: float = 2.0 ** -20\n"
                 "LIMIT, SPARE = 3, (\n    LIMIT)\n"
-                "__all__ = []\n",
+                "__all__ = []\n"
+                "class Orphan(C):\n    def spawn(self):\n"
+                "        return Orphan()\n",
         "b.py": "from a import C, STEP\n\nC().method()\n",
         "c.py": "from __future__ import annotations\n"
                 "import bisect\n"
@@ -91,8 +94,10 @@ def test_finder_sees_unused_helpers():
     }
     # b.py's STEP is imported and never read; it still counts as a use of
     # a.py's STEP
+    # Orphan refers to itself only, inside its own def
     assert _unused(sources) == ["a.py:4 recursive", "a.py:16 SLACK",
                                 "a.py:18 LIMIT", "a.py:18 SPARE",
+                                "a.py:21 Orphan", "a.py:22 spawn",
                                 "b.py:1 STEP", "c.py:2 bisect",
                                 "c.py:6 used", "c.py:6 K"]
 

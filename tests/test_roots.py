@@ -11,6 +11,11 @@ from yvpoly import family, roots
 from yvpoly.family import expected_degree
 
 
+@pytest.fixture(scope="module")
+def records30():
+    return family.generate(30)
+
+
 class TestCubeReduce:
     def test_degree_and_zero_flag(self, records8):
         rp = roots.cube_reduce(records8[4])
@@ -33,8 +38,10 @@ class TestWorkingPrecision:
     def test_scales_with_degree(self):
         assert roots.working_precision(100, 256) >= 400
 
-    def test_scales_with_coefficients(self):
-        assert roots.working_precision(2, 128, coeff_bits=1000) >= 1064
+    def test_four_bits_per_degree_at_n25(self):
+        # y-degree (325 - 1) / 3 = 108; the 900-odd bits of the largest
+        # coefficient ask for none, as R is evaluated on its integers
+        assert roots.working_precision((expected_degree(25) - 1) // 3) == 432
 
 
 class TestFindRoots:
@@ -67,20 +74,19 @@ class TestLadder:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_agrees_with_circle_started_aberth(self, records16, n):
         rp = roots.cube_reduce(records16[n])
-        prec = roots.working_precision(
-            rp.degree, coeff_bits=roots._coeff_bits(rp.y_coeffs))
+        prec = roots.working_precision(rp.degree)
         s = roots._scale_exponent(rp.y_coeffs)
         circle = [mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
                   for u in roots._circle(rp.y_coeffs, s, 0)]
-        # Aberth alone, apart from the ladder under test
-        reference = roots._mp_aberth(rp, circle, prec)
+        # Aberth alone, apart from the float stage and the ladder under test
+        reference = _mp_aberth(rp.y_coeffs, circle, prec)
         diagnostics = {}
         found = roots.find_roots(rp, seed=0, diagnostics=diagnostics)
         assert type(found) is list
         assert not diagnostics["fallback"]
+        assert diagnostics["ladder"][0] == 106
         assert diagnostics["ladder"][-1] == 2 * prec
-        # the top step repeats only while a disc is wide and still shrinks
-        assert diagnostics["ladder"].count(2 * prec) == (2 if n == 16 else 1)
+        assert diagnostics["ladder"].count(2 * prec) == 1
         radii = diagnostics["radii"]
         rs = roots.lift_cube_roots(found, rp, diagnostics=diagnostics)
         with mp.workprec(2 * prec):
@@ -114,6 +120,14 @@ class TestLadder:
             for r in others:
                 assert _discs_holding(r, found, diagnostics["radii"]) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_top_step_repeats_while_discs_narrow(self, records30, seed):
+        # at n = 24 the first top step's discs fail but narrow, so it repeats
+        rs = roots.roots_for_record(records30[24], seed=seed)
+        assert rs.precision_bits == 400 and not rs.fallback
+        assert rs.ladder[0] == 106 and rs.ladder[-3:] == (464, 800, 800)
+        assert roots.certify(rs, records30[24]).passed
+
     def test_every_root_has_a_narrow_disc(self, rootsets12):
         for rs in rootsets12.values():
             assert len(rs.radii) == len(rs.roots)
@@ -133,28 +147,34 @@ class TestLadder:
         with pytest.raises(roots.CertificationFailure) as exc:
             roots.roots_for_record(records8[5])
         assert exc.value.n == 5
-        # one top step on the double seeds, one on the Aberth seeds
+        # one top step from each start's seeds
         assert len(widths) == 2
 
     def test_colliding_seeds_fall_back_and_certify(self, records8,
                                                    monkeypatch):
-        monkeypatch.setattr(roots, "_float_seeds",
-                            _forced_seeds(roots._float_seeds, "colliding"))
+        starts = []
+        monkeypatch.setattr(roots, "_float_seeds", _forced_seeds(
+            roots._float_seeds, "colliding", starts))
         rs = roots.roots_for_record(records8[6], seed=0)
+        assert starts == [0, 1]
         assert rs.fallback and len(rs.roots) == expected_degree(6)
-        assert len(rs.radii) == len(rs.roots)
+        assert rs.ladder[0] == 106 and len(rs.radii) == len(rs.roots)
         assert roots.certify(rs, records8[6]).passed
 
     def test_unpaired_seed_falls_back_and_certifies(self, records8,
-                                                    rootsets8, monkeypatch):
-        monkeypatch.setattr(roots, "_float_seeds",
-                            _forced_seeds(roots._float_seeds, "unpaired"))
+                                                    monkeypatch):
+        second = roots.roots_for_record(records8[6], seed=1)
+        starts = []
+        monkeypatch.setattr(roots, "_float_seeds", _forced_seeds(
+            roots._float_seeds, "unpaired", starts))
         rs = roots.roots_for_record(records8[6], seed=0)
-        # the Aberth roots pair off and climb the ladder from their own bits
-        prec = rs.precision_bits
-        assert rs.fallback and rs.ladder == (prec + 32, 2 * prec)
-        assert rs.representatives == rootsets8[6].representatives
-        assert len(rs.roots) == len(rs.radii) == expected_degree(6)
+        # the second start is the first start from seed + 1
+        assert starts == [0, 1] and rs.fallback and not second.fallback
+        assert rs.ladder[0] == 106
+        assert (rs.roots, rs.ladder, rs.radii, rs.representatives) == \
+            (second.roots, second.ladder, second.radii,
+             second.representatives)
+        assert rs.float_iterations > second.float_iterations
         assert roots.certify(rs, records8[6]).passed
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -184,42 +204,95 @@ class TestLadder:
                         for z in rs.roots if z != 0)
         assert worst < mp.mpf(2) ** (-rs.precision_bits // 2)
 
-    @pytest.mark.parametrize("seeds, n", [("colliding", 6), ("unpaired", 6),
-                                          ("colliding", 12)])
-    def test_fallback_keeps_the_orbit_layout(self, records16, rootsets12,
-                                             seeds, n, monkeypatch):
-        monkeypatch.setattr(roots, "_float_seeds",
-                            _forced_seeds(roots._float_seeds, seeds))
-        rp = roots.cube_reduce(records16[n])
+    @pytest.mark.parametrize("seeds, n", [("nonfinite", 2)] + [
+        (seeds, n) for n in (6, 12, 20)
+        for seeds in ("colliding", "unpaired", "nonfinite")])
+    def test_fallback_keeps_the_orbit_layout(self, records30, seeds, n,
+                                             monkeypatch):
+        rp = roots.cube_reduce(records30[n])
+        second = {}
+        ys_second = roots.find_roots(rp, seed=1, diagnostics=second)
+        starts = []
+        monkeypatch.setattr(roots, "_float_seeds", _forced_seeds(
+            roots._float_seeds, seeds, starts))
         diagnostics = {}
         ys = roots.find_roots(rp, diagnostics=diagnostics)
-        assert diagnostics["fallback"]
+        assert starts == [0, 1] and diagnostics["fallback"]
+        assert diagnostics["ladder"][0] == 106
+        assert ys == ys_second
+        assert diagnostics["representatives"] == second["representatives"]
         rs = _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch)
-        assert rs.representatives == rootsets12[n].representatives
         _assert_layout(rs, ys)
-        assert roots.certify(rs, records16[n]).passed
+        assert roots.certify(rs, records30[n]).passed
 
     @pytest.mark.parametrize("n", [25, 30])
-    def test_past_float_range_certifies(self, n):
-        records = family.generate(n)
-        assert roots._coeff_bits(roots.cube_reduce(records[n]).y_coeffs) > 900
-        rs = roots.roots_for_record(records[n])
+    def test_past_float_range_certifies(self, records30, n):
+        rp = roots.cube_reduce(records30[n])
+        assert _coeff_bits(rp.y_coeffs) > 900
+        rs = roots.roots_for_record(records30[n])
+        assert rs.precision_bits == 4 * rp.degree  # 432 and 620 bits
         assert len(rs.roots) == expected_degree(n)
-        assert roots.certify(rs, records[n]).passed
+        assert roots.certify(rs, records30[n]).passed
 
 
-def _forced_seeds(real, how):
-    """_float_seeds whose seeds do not pair off: "colliding" repeats the
-    first seed in place of the last, "unpaired" moves the topmost seed onto
-    the real axis, so that its mirror loses its match."""
+def _coeff_bits(coeffs):
+    """The bit length of the largest coefficient."""
+    return max(abs(c).bit_length() for c in coeffs)
+
+
+def _mp_aberth(coeffs, xs, prec):
+    """Aberth-Ehrlich in mpmath from the mpc xs, by mpmath's own Horner
+    rule, at prec + 32 bits and past the coefficients' bit length, so that
+    they convert exactly: the reference the float stage and the ladder are
+    held to. A root stops once R(x) is down to its rounding error or its
+    step below 8 eps |x|; returns the roots as mpc."""
+    bits = max(prec, _coeff_bits(coeffs)) + 32
+    with mp.workprec(bits):
+        eps = mp.mpf(2) ** -bits
+        q = [mp.mpf(c) for c in reversed(coeffs)]
+        q_abs = [abs(c) for c in q]
+        bound = 8 * (len(q) - 1) * eps
+        xs = [mp.mpc(x) for x in xs]
+        moving = list(range(len(xs)))
+        for _ in range(roots.MAX_ITERATIONS):
+            still = []
+            for i in moving:
+                x = xs[i]
+                v, dv = mp.polyval(q, x, derivative=True)
+                if abs(v) <= bound * mp.polyval(q_abs, abs(x)):
+                    continue
+                step = v / dv
+                corr = step / (1 - step * mp.fsum(
+                    1 / (x - w) for j, w in enumerate(xs) if j != i))
+                xs[i] = x - corr
+                if abs(corr) > 8 * eps * abs(x):
+                    still.append(i)
+            moving = still
+            if not moving:
+                return xs
+    raise AssertionError("the reference Aberth did not converge")
+
+
+def _forced_seeds(real, how, starts):
+    """_float_seeds whose first start fails: "colliding" repeats the first
+    seed in place of the last, "unpaired" moves the topmost seed onto the
+    real axis, so that its mirror loses its match, "nonfinite" turns every
+    seed to nan, as a diverging Aberth run does; a lone nan seed (n = 2)
+    would pass for a real root. Later calls are real; starts collects every
+    call's seed."""
     def forced(p, seed):
         s, xs, sweeps = real(p, seed)
+        starts.append(seed)
+        if len(starts) > 1:
+            return s, xs, sweeps
         if how == "colliding":
             xs = [xs[0]] + xs[:-1]
-        else:
+        elif how == "unpaired":
             top = max(range(len(xs)), key=lambda k: xs[k].imag)
             xs[top] = complex(xs[top].real, 0)
-        assert roots._mirror_pairs(xs) is None
+        else:
+            xs = [complex(math.nan, math.nan)] * len(xs)
+        assert how == "nonfinite" or roots._mirror_pairs(xs) is None
         return s, xs, sweeps
     return forced
 
@@ -349,8 +422,7 @@ class TestFixedHorner:
             coeffs = rp.y_coeffs
             dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
             d = len(coeffs) - 1
-            prec = roots.working_precision(
-                d, coeff_bits=roots._coeff_bits(coeffs))
+            prec = roots.working_precision(d)
             ys = roots.find_roots(rp)
             with mp.workprec(2 * prec):
                 points = [y.real if y.imag == 0 else y for y in ys]
