@@ -25,16 +25,16 @@ coefficients.
   Euclid run mod 2^61 - 1, so the factor is invertible. Residues are plain
   IntPolys, reduced once per series coefficient and once per relation.
 
-* numeric mode -- tables over certified high-precision root sets: one
-  reciprocal per unordered pair of a root set gives S_p at both ends, and
-  one per pair of consecutive root sets gives C_p in both directions. The
-  terms are fixed-point integers, so the sums add exactly, at bits that
-  come from the tolerance: its bits, HEADROOM_BITS = 64 to spare, and
-  the bits the row length and the closest pair of roots can cost
-  (_table_bits), capped at the roots' own precision. A relation is then
-  judged at each root in integers, and only the worst root becomes an
-  mpf. Each report states its `table_bits`, and its `margin_digits` reads
-  against the 64 headroom bits.
+* numeric mode -- tables over certified high-precision root sets, built
+  by one loop at the base w of each orbit of z -> omega z and z -> conj(z)
+  (_judge says why the bases speak for their orbits): one reciprocal per
+  root t of the host, for S_p, or of its neighbour, for C_p. The terms are
+  fixed-point integers, so the sums add exactly, at bits that come from
+  the tolerance: its bits, HEADROOM_BITS = 64 to spare, and the bits the
+  row length and the closest pair of roots can cost (_table_bits), capped
+  at the roots' own precision. A relation is then judged at each base in
+  integers, and only the worst becomes an mpf. Each report states its
+  `table_bits`, and its `margin_digits` reads against the 64 headroom bits.
 
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the bits) they were built
@@ -45,7 +45,6 @@ rational solutions w_n a CLI run reads from its records.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from fractions import Fraction as F
 from math import comb, frexp, inf, lcm
@@ -57,6 +56,7 @@ from mpmath.libmp import to_fixed
 from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
+from .roots import _closure, _orbits
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
 DEFAULT_TOLERANCE_EXPONENT = 30  # numeric checks pass below 10^-30
@@ -300,78 +300,66 @@ def _to_fixed(roots, bits):
             for z in roots]
 
 
-def _add_powers(near, far, dx, dy, bits):
-    """With d = 1/(x - y) and x - y = (dx + i dy) / 2^bits, add d^p to near
-    and (-d)^p = 1/(y - x)^p to far, p = 1..P_MAX, as fixed-point pairs
-    (real part at 2p - 2, imaginary part at 2p - 1)."""
+def _add_powers(row, dx, dy, bits):
+    """With x - y = (dx + i dy) / 2^bits, add 1/(x - y)^p to row,
+    p = 1..P_MAX, as fixed-point pairs (real part at 2p - 2, imaginary
+    part at 2p - 1)."""
     norm = dx * dx + dy * dy
     re = (dx << 2 * bits) // norm
     im = (-dy << 2 * bits) // norm
-    p_re, p_im, sign = re, im, -1  # sign = (-1)^p
+    p_re, p_im = re, im
     for i in range(0, 2 * P_MAX, 2):
         if i:  # the next power; none is formed past P_MAX
-            p_re, p_im, sign = ((p_re * re - p_im * im) >> bits,
-                                (p_re * im + p_im * re) >> bits, -sign)
-        near[i] += p_re
-        near[i + 1] += p_im
-        far[i] += sign * p_re
-        far[i + 1] += sign * p_im
+            p_re, p_im = ((p_re * re - p_im * im) >> bits,
+                          (p_re * im + p_im * re) >> bits)
+        row[i] += p_re
+        row[i + 1] += p_im
 
 
-def _self_table(rs, tol_bits):
-    """(bits, rows): [S_1..S_5] at each root of rs, one reciprocal per root
-    pair, as fixed-point integers at bits."""
-    bits = TABLES.get((rs,), ("S bits", tol_bits), lambda: _table_bits(
-        tol_bits, len(rs.roots), rs.min_separation, _fixed_bits(rs)))
+def _cross_separation(a, b) -> float:
+    """A lower bound on min |w - t| over w in a, t in b, from doubles, read
+    at the bases of a's orbits, which suffice: the smallest float distance
+    less the rounding term of roots._float_bounds for the largest roots."""
+    ws = [complex(a.roots[orbit[0]]) for orbit in _orbits(a)]
+    ts = [complex(t) for t in b.roots]
+    dist = min((abs(w - t) for w in ws for t in ts), default=inf)
+    return dist - 2.0 ** -49 * max(map(abs, ws + ts), default=0) - 2.0 ** -1070
+
+
+def _table(host, other, tol_bits):
+    """(bits, rows): rows[i] = [X_1..X_5] at the base w = host.roots[i] of
+    each orbit of host (roots._orbits), X_p the sum of 1/(w - t)^p over the
+    roots t != w of other: S_p when other is host, else C_p, as fixed-point
+    integers at bits, which both directions of a cross pair share."""
+    a, b = sorted((host, other), key=lambda rs: rs.n)
+    bits = TABLES.get((a, b), ("bits", tol_bits), lambda: _table_bits(
+        tol_bits, max(len(a.roots), len(b.roots)),
+        a.min_separation if a is b else _cross_separation(a, b),
+        _fixed_bits(a, b)))
 
     def build():
-        roots = _to_fixed(rs.roots, bits)
-        rows = [[0] * (2 * P_MAX) for _ in roots]
-        for i, j in itertools.combinations(range(len(roots)), 2):
-            _add_powers(rows[i], rows[j], roots[i][0] - roots[j][0],
-                        roots[i][1] - roots[j][1], bits)
+        ts, rows = _to_fixed(other.roots, bits), {}
+        for i in (orbit[0] for orbit in _orbits(host)):
+            (wx, wy), = _to_fixed([host.roots[i]], bits)
+            row = rows[i] = [0] * (2 * P_MAX)
+            for j, (tx, ty) in enumerate(ts):
+                if j != i or other is not host:
+                    _add_powers(row, wx - tx, wy - ty, bits)
         return rows
-    return bits, TABLES.get((rs,), ("S", bits), build)
-
-
-def _cross_separation(prev, cur) -> float:
-    """A lower bound on min |w - t| over w in prev, t in cur, from doubles:
-    the smallest float distance less the rounding term of
-    roots._float_bounds for the largest roots."""
-    ws, ts = ([complex(z) for z in rs.roots] for rs in (prev, cur))
-    if not ws or not ts:
-        return inf
-    dist = min(abs(w - t) for w in ws for t in ts)
-    return dist - 2.0 ** -49 * max(map(abs, ws + ts)) - 2.0 ** -1070
-
-
-def _cross_table(prev, cur, host_key, tol_bits):
-    """(bits, rows): [C_1..C_5] at each root of the host, summed over the
-    other set, as fixed-point integers at bits."""
-    if prev is None:  # no roots of Q_{n-1} to sum over
-        return _fixed_bits(cur), [[0] * (2 * P_MAX) for _ in cur.roots]
-    bits = TABLES.get((prev, cur), ("C bits", tol_bits), lambda: _table_bits(
-        tol_bits, max(len(prev.roots), len(cur.roots)),
-        _cross_separation(prev, cur), _fixed_bits(prev, cur)))
-
-    def build():
-        ws, ts = _to_fixed(prev.roots, bits), _to_fixed(cur.roots, bits)
-        w_rows = [[0] * (2 * P_MAX) for _ in ws]
-        t_rows = [[0] * (2 * P_MAX) for _ in ts]
-        for (wx, wy), w_row in zip(ws, w_rows):
-            for (tx, ty), t_row in zip(ts, t_rows):
-                _add_powers(w_row, t_row, wx - tx, wy - ty, bits)
-        return w_rows, t_rows
-    return bits, TABLES.get((prev, cur), ("C", bits), build)[host_key == "cur"]
+    return bits, TABLES.get((host, other), ("rows", bits), build)
 
 
 def _judge(fam, n, host, terms, tol):
     """(ok, worst, index): whether fam holds within tol at every root of
     host, the largest deviation |lhs - rhs| / max(1, |rhs|) among them, as
     an mpf, and the index of a root where it is reached. terms holds
-    (coefficient, bits, rows) per power sum used.
+    (coefficient, bits, rows) per power sum used, rows as _table's.
 
-    Each root is judged in integers at b, the largest bits of the tables:
+    Only the orbits' bases are judged: z -> omega z and z -> conj(z) take
+    S_p and C_p to omega^-p times them and to their conjugates, and every
+    c + k w in FAMILIES has that weight (k = 0 at p = 0 mod 3, c = 0 at
+    p = 2, c = k = 0 at p = 1), so an orbit shares its deviation and |rhs|.
+    Each base is judged in integers at b, the largest bits of the tables:
     with L the lcm of the right-hand side's denominators, the rows shifted
     to b bits and w truncated to b bits, D = L (cs S_p + cc C_p) 2^b
     - L (c + k w) 2^b, and the root passes iff
@@ -382,7 +370,8 @@ def _judge(fam, n, host, terms, tol):
     bits = max(b for _, b, _ in terms)
     one = (scale << bits) ** 2
     worst_d, worst_s, worst_i = 0, 1, 0  # the worst |D|^2 / max(...)^2 so far
-    for i, (wx, wy) in enumerate(_to_fixed(host.roots, bits)):
+    for i in terms[0][2]:  # the bases
+        (wx, wy), = _to_fixed([host.roots[i]], bits)
         re, im = (c << bits) + k * wx, k * wy
         d_re, d_im = -re, -im
         for coeff, b, rows in terms:
@@ -413,14 +402,18 @@ def _tolerance(tolerance):
 @timed
 def _numeric_report(fam, rootsets, n, tol):
     _, _, host_key, _, cs, cc, _ = fam
-    prev, cur = rootsets.get(n - 1), rootsets[n]
-    host = prev if host_key == "prev" else cur
-    if host is None or not host.roots:
+    host, other = rootsets[n - 1], rootsets[n]
+    if host_key == "cur":
+        host, other = other, host
+    if not host.roots:
         return _skipped(fam, n, "numeric")
+    for rs in (host, other):
+        if not TABLES.get((rs,), "layout", lambda: all(_closure(rs))):
+            return _report(fam, n, "numeric", False, {
+                "check": "layout", "roots_n": rs.n})
     tol_bits = _neg_log2(tol)
-    terms = [(cs, *_self_table(host, tol_bits))] if cs else []
-    if cc:
-        terms.append((cc, *_cross_table(prev, cur, host_key, tol_bits)))
+    terms = [(coeff, *_table(host, sums, tol_bits))
+             for coeff, sums in ((cs, host), (cc, other)) if coeff]
     ok, worst, index = _judge(fam, n, host, terms, tol)
     dev = mp.nstr(worst, 8)
     return _report(fam, n, "numeric", ok, {"deviation": dev, "root": index},
@@ -460,6 +453,9 @@ def _verify(suite, records, n, mode, rootsets, tolerance):
         return [_exact_report(fam, records, n) for fam in families]
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")
+    for m in (n - 1, n):
+        if m not in (rootsets or {}):
+            raise ValueError(f"numeric mode: no root set of Q_{m} given")
     tol = _tolerance(tolerance)
     return [_numeric_report(fam, rootsets, n, tol) for fam in families]
 

@@ -419,33 +419,38 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                seed: int = 0, *, diagnostics: dict | None = None) -> list:
     """All roots of R(y), as mpc in _newton_ladder's layout, each alone in
     an inclusion disc of radius at most 2^-prec |y|, so simple; else
-    CertificationFailure. The seed perturbs the starting circle: if the
-    float seeds from it are not all finite, do not pair off or give discs
-    that fail, a second start from the circle of seed + 1 takes the same
-    steps. A dict diagnostics receives the RootSet fields float_iterations,
-    ladder, fallback, radii and representatives."""
+    CertificationFailure, naming the step each start failed at. The seed
+    perturbs the starting circle: if the float seeds from it are not all
+    finite, do not pair off or give discs that fail, a second start from
+    the circle of seed + 1 takes the same steps. A dict diagnostics
+    receives the RootSet fields float_iterations, ladder, fallback, radii
+    and representatives."""
     d = p.degree
     if d < 1:
         return []
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    prec, sweeps = working_precision(d, precision_bits), 0
+    top, sweeps = 2 * working_precision(d, precision_bits), 0
 
     def y(u):  # the seed u, in units of 2^s, as mpf if real
         return mp.ldexp(u, s) if isinstance(u, float) \
             else mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
 
+    failed = []  # the step each start failed at
     for start in (seed, seed + 1):
         s, seeds, spent = _float_seeds(p, start)
         sweeps += spent
-        reps = all(map(cmath.isfinite, seeds)) and _mirror_pairs(seeds)
-        found = reps and _newton_ladder(p.y_coeffs, [y(u) for u in reps],
-                                        2 * prec)
-        if found:
+        if not all(map(cmath.isfinite, seeds)):
+            failed.append(f"seed {start}: seeds not finite")
+        elif (reps := _mirror_pairs(seeds)) is None:
+            failed.append(f"seed {start}: seeds do not pair off")
+        elif found := _newton_ladder(p.y_coeffs, [y(u) for u in reps], top):
             break
+        else:
+            failed.append(f"seed {start}: inclusion discs fail")
     else:
-        raise CertificationFailure(f"inclusion discs fail at n={p.n}",
-                                   iterations=sweeps, n=p.n)
+        raise CertificationFailure(f"n={p.n}, " + "; ".join(failed),
+                                   sweeps, p.n)
     roots, ladder, radii = found
     if diagnostics is not None:
         diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
@@ -570,29 +575,40 @@ def roots_for_record(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
                            diagnostics=diagnostics)
 
 
+def _orbits(rs: RootSet):
+    """The orbits of z -> omega z and z -> conj(z) in RootSet's layout, as
+    ranges of indices into rs.roots from each orbit's base: one or two
+    triples, or zero; None if the nonzero roots do not fall into triples
+    or zero is not last."""
+    zs, count = rs.roots, len(rs.roots) - rs.includes_zero
+    if rs.includes_zero and not (zs and zs[-1] == 0) or count % 3:
+        return None
+    orbits, k = [], 0
+    while k < count:  # a non-real base's triple, then its conjugate's
+        orbits.append(range(k, min(count, k + (6 if mp.im(zs[k]) else 3))))
+        k = orbits[-1].stop
+    return orbits + [range(count, len(zs))] * rs.includes_zero
+
+
 def _closure(rs: RootSet):
-    """(closed under z -> omega z, closed under conjugation), checked
-    triple by triple against the layout RootSet states, at the 2 prec bits
+    """(closed under z -> omega z, closed under conjugation), checked orbit
+    by orbit (_orbits) against the layout RootSet states, at the 2 prec bits
     its images are rounded at. A set so laid out is closed."""
-    zs = list(rs.roots)
-    if rs.includes_zero and not (zs and zs.pop() == 0) or len(zs) % 3:
+    orbits = _orbits(rs)
+    if orbits is None:
         return False, False
-    triples = [zs[k:k + 3] for k in range(0, len(zs), 3)] + [[]]
-
-    def turned(a, b, c):  # b and c are a's two images, in either order
-        p, q = a * omega, a * mp.conj(omega)
-        return [b, c] in ([p, q], [q, p])
-
-    k, mirrored = 0, True
     with mp.workprec(2 * rs.precision_bits):
         omega = mp.exp(2j * mp.pi / 3)
-        rotated = all(turned(*t) for t in triples[:-1])
-        while mirrored and triples[k]:
-            a, b, c = triples[k]
-            pair = mp.im(a) != 0  # then its image is the next triple
-            mirrored = [mp.conj(z) for z in (a, b, c)] == \
-                (triples[k + 1] if pair else [a, c, b])
-            k += 1 + pair
+        bar = mp.conj(omega)
+        nonzero = [[rs.roots[i] for i in orbit] for orbit in orbits
+                   if len(orbit) > 1]
+        # each triple holds its base's two images, in either order, and a
+        # non-real base's conjugates are the next triple
+        rotated = all({b, c} == {a * omega, a * bar} for zs in nonzero
+                      for a, b, c in zip(*[iter(zs)] * 3))
+        mirrored = all([mp.conj(z) for z in zs[:3]] == (
+            zs[3:] if mp.im(zs[0]) else [zs[0], zs[2], zs[1]])
+            for zs in nonzero)
     return rotated, mirrored
 
 

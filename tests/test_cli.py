@@ -175,7 +175,8 @@ class TestVerify:
         witness = reports[1]["witnesses"][0]
         assert (witness["check"], witness["error"], witness["roots_n"]) == \
             ("roots", "CertificationFailure", "2")
-        assert witness["message"] == "inclusion discs fail at n=2"
+        assert witness["message"] == ("n=2, seed 0: inclusion discs fail; "
+                                      "seed 1: inclusion discs fail")
 
     def test_fail_witnesses_name_their_check(self, tmp_path, monkeypatch):
         # every right-hand side shifted by 10^-25: each failed family names

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +41,68 @@ def _at(residue, w):
     for c in reversed(residue.coeffs):
         acc = acc * w + c
     return acc
+
+
+_SUMS = {}  # (id(host), id(other), prec) -> (host, other, sums)
+
+
+def _direct_sums(host, other):
+    """Per root i of host, {p: [S_p, C_p]} for p = 1..5, summed directly at
+    the working precision over the host's other roots and the other set's
+    roots; kept, with the sets, so that their ids stay theirs."""
+    key = (id(host), id(other), mp.prec)
+    if key not in _SUMS:
+        rows = []
+        for i, w in enumerate(host.roots):
+            sums = {p: [] for p in range(1, 6)}
+            for ts in (host.roots, other.roots):
+                terms = [1 / (w - t) for k, t in enumerate(ts)
+                         if ts is not host.roots or k != i]
+                powers = terms
+                for p in range(1, 6):
+                    sums[p].append(mp.fsum(powers))
+                    powers = [a * b for a, b in zip(powers, terms)]
+            rows.append(sums)
+        _SUMS[key] = host, other, rows
+    return _SUMS[key][2]
+
+
+def _image(z, w, omega):
+    """(j, flip) with z = omega^j w, or its conjugate if flip."""
+    images = {(j, flip): (mp.conj(omega ** j * w) if flip else omega ** j * w)
+              for j in range(3) for flip in (False, True)}
+    j, flip = min(images, key=lambda jf: abs(images[jf] - z))
+    assert abs(images[j, flip] - z) <= mp.mpf(2) ** (-mp.prec // 2) * abs(z)
+    return j, flip
+
+
+def _reference(suite, rootsets, n, tol):
+    """{family: (status, worst deviation)} of a suite, judged at every root
+    of the host from _direct_sums: the reference the bases-only judge is
+    held to."""
+    verdicts = {}
+    for fam in relations._families(suite):
+        _, name, host_key, p, cs, cc, rhs = fam
+        host, other = rootsets[n - 1], rootsets[n]
+        if host_key == "cur":
+            host, other = other, host
+        if not host.roots:
+            verdicts[name] = SKIPPED, None
+            continue
+        c, k = (mp.mpf(x.numerator) / x.denominator
+                for x in map(Fraction, rhs(n)))
+        worst = max(abs(cs * s_p + cc * c_p - (c + k * w))
+                    / max(1, abs(c + k * w)) for w, sums in
+                    zip(host.roots, _direct_sums(host, other))
+                    for s_p, c_p in [sums[p]])
+        verdicts[name] = PASS if worst < tol else FAIL, worst
+    return verdicts
+
+
+SUITES = (("relations", relations.verify_theorem),
+          ("corollary", relations.verify_corollary),
+          ("kudryashov", relations.verify_kudryashov),
+          ("poleseries", relations.pole_series_check))
 
 
 class TestResidues:
@@ -110,8 +174,8 @@ class TestResidues:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kernels_agree_at_every_power(self, records8, rootsets8, n):
         # every exact s_p, c_p (p = 1..5, including the unused p = 4),
-        # (-1)^(p-1) G(w) / b0(w)^p at each certified root w, equals the
-        # numeric table, at the default tolerance's bits and at the cap
+        # (-1)^(p-1) G(w) / b0(w)^p at each orbit's base w, equals the
+        # numeric row, at the default tolerance's bits and at the cap
         prec = max(rootsets8[n - 1].precision_bits,
                    rootsets8[n].precision_bits)
         with mp.workprec(prec):
@@ -121,56 +185,64 @@ class TestResidues:
                 c = relations.cross_sum_residue(host.poly, target.poly, 5)
                 assert len(s[0]) == len(c[0]) == 5
                 for tol_bits in (DEFAULT_TOL_BITS, CAPPED):
-                    s_bits, s_rows = relations._self_table(rs, tol_bits)
-                    c_bits, c_rows = relations._cross_table(
-                        rootsets8[n - 1], rootsets8[n], key, tol_bits)
-                    for i, w in enumerate(rs.roots):
+                    tables = (relations._table(rs, rs, tol_bits),
+                              relations._table(rs, rootsets8[target.n],
+                                               tol_bits))
+                    for i in tables[0][1]:  # the bases
+                        w = rs.roots[i]
                         for p in range(5):
-                            for (G, b0_powers), bits, row in (
-                                    (s, s_bits, s_rows[i]),
-                                    (c, c_bits, c_rows[i])):
+                            for (G, b0_powers), (bits, rows) in zip((s, c),
+                                                                    tables):
                                 want = ((-1) ** p * _at(G[p], w)
                                         / _at(b0_powers[p + 1], w))
                                 scale = max(1, abs(want))
-                                assert abs(_entry(row, p + 1, bits) - want) \
-                                    <= tol * scale
+                                assert abs(_entry(rows[i], p + 1, bits)
+                                           - want) <= tol * scale
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_tables_equal_direct_sums(self, records8, rootsets8, n):
-        # at the cap, within 2^-(prec - 16) relative to max(1, |sum|) as
-        # before the bits came from the tolerance; at the default
-        # tolerance, within the absolute bound _table_bits documents
-        prec = max(rootsets8[n - 1].precision_bits,
-                   rootsets8[n].precision_bits)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tables_equal_direct_sums(self, records16, rootsets12, n):
+        # one row per orbit, at its base; each base's row against its
+        # direct sum: at the cap, within 2^-(prec - 16) relative to
+        # max(1, |sum|) as before the bits came from the tolerance; at the
+        # default tolerance, within the absolute bound _table_bits
+        # documents. Every root of the set, at the same bounds, against
+        # its base's row turned: omega^(-j p) row at omega^j w, and its
+        # conjugate at conj(omega^j w)
+        prec = max(rootsets12[n - 1].precision_bits,
+                   rootsets12[n].precision_bits)
         bound = mp.mpf(2) ** -(DEFAULT_TOL_BITS + relations.HEADROOM_BITS - 3)
         with mp.workprec(prec):
-            for key, host, target, rs in _hosts(records8, rootsets8, n):
-                others = rootsets8[target.n].roots
-                sums = {}
-                for i, w in enumerate(rs.roots):
-                    for p in range(1, 6):
-                        sums[i, p] = (
-                            mp.fsum(1 / (w - r) ** p for k, r in
-                                    enumerate(rs.roots) if k != i),
-                            mp.fsum(1 / (w - t) ** p for t in others))
+            omega = mp.exp(2j * mp.pi / 3)
+            for key, host, target, rs in _hosts(records16, rootsets12, n):
+                other = rootsets12[target.n]
+                sums = _direct_sums(rs, other)
+                orbits = roots._orbits(rs)
+                assert sorted(i for orbit in orbits for i in orbit) == \
+                    list(range(len(rs.roots)))
                 for tol_bits in (CAPPED, DEFAULT_TOL_BITS):
-                    tables = (relations._self_table(rs, tol_bits),
-                              relations._cross_table(
-                                  rootsets8[n - 1], rootsets8[n], key,
-                                  tol_bits))
+                    tables = (relations._table(rs, rs, tol_bits),
+                              relations._table(rs, other, tol_bits))
                     for (bits, rows), cap in zip(tables, (
-                            relations._fixed_bits(rs), relations._fixed_bits(
-                                rootsets8[n - 1], rootsets8[n]))):
+                            relations._fixed_bits(rs),
+                            relations._fixed_bits(rs, other))):
                         assert (bits == cap) == (tol_bits == CAPPED)
-                    for (i, p), want in sums.items():
-                        for (bits, rows), sum_ in zip(tables, want):
-                            got = _entry(rows[i], p, bits)
-                            if tol_bits == CAPPED:
-                                assert abs(got - sum_) <= \
-                                    mp.mpf(2) ** -(prec - 16) \
-                                    * max(1, abs(sum_))
-                            else:
-                                assert abs(got - sum_) <= bound
+                        assert list(rows) == [orbit[0] for orbit in orbits]
+                    for orbit in orbits:
+                        w = rs.roots[orbit[0]]
+                        for i in orbit:
+                            j, flip = _image(rs.roots[i], w, omega)
+                            for p in range(1, 6):
+                                for (bits, rows), sum_ in zip(tables,
+                                                              sums[i][p]):
+                                    got = (_entry(rows[orbit[0]], p, bits)
+                                           * omega ** (-j * p))
+                                    got = mp.conj(got) if flip else got
+                                    if tol_bits == CAPPED:
+                                        assert abs(got - sum_) <= \
+                                            mp.mpf(2) ** -(prec - 16) \
+                                            * max(1, abs(sum_))
+                                    else:
+                                        assert abs(got - sum_) <= bound
 
     def test_tables_live_with_their_sources(self, tmp_path, monkeypatch):
         records = family.generate(4)
@@ -382,13 +454,16 @@ class TestNumericMode:
 
     def test_one_table_per_root_set_and_pair(self, tmp_path, monkeypatch):
         # relations, corollary, kudryashov and poleseries read one self
-        # table per root set and one cross table per consecutive pair
+        # table per root set and one cross table per direction of each
+        # consecutive pair
         real_get, builds = relations.TABLES.get, Counter()
 
         def spy(sources, kind, build, *args):
             def counted():
-                if isinstance(kind, tuple) and kind[0] in ("S", "C"):
-                    builds[(kind[0], *map(id, sources))] += 1
+                if isinstance(kind, tuple) and kind[0] == "rows":
+                    host, other = sources
+                    builds[("S" if host is other else "C", id(host),
+                            id(other))] += 1
                 return build()
             return real_get(sources, kind, counted, *args)
 
@@ -397,7 +472,79 @@ class TestNumericMode:
                          "--out", str(tmp_path)]) == 0
         assert set(builds.values()) == {1}
         kinds = Counter(key[0] for key in builds)
-        assert kinds == {"S": 6, "C": 6}  # Q_1..Q_6; (Q_0, Q_1)..(Q_5, Q_6)
+        # S: Q_1..Q_6; C: Q_n over Q_{n-1} for n = 1..6, and Q_{n-1} over
+        # Q_n for n = 2..6 (Q_0 hosts nothing)
+        assert kinds == {"S": 6, "C": 11}
+
+    @pytest.mark.parametrize("shift", ["none", "c", "k"])
+    def test_bases_judge_as_every_root(self, records16, rootsets12,
+                                       monkeypatch, shift):
+        # the shipped judge, at one root per orbit, against a reference
+        # that visits every root of the host: with the right-hand sides as
+        # given; with every c shifted by 10^-25; and with k shifted by
+        # 10^-25 in the rows at p = 2 mod 3, where the shift keeps the
+        # weight and the deviation, about 10^-25 |w| / max(1, |k w|), moves
+        # from orbit to orbit, so the worst must be found among the bases
+        eps = Fraction(1, 10 ** 25)
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            (*fam[:6], lambda n, rhs=fam[6], p=fam[3]: (
+                Fraction(rhs(n)[0]) + (eps if shift == "c" else 0),
+                Fraction(rhs(n)[1])
+                + (eps if shift == "k" and p % 3 == 2 else 0)))
+            for fam in relations.FAMILIES))
+        for n in range(1, 13):
+            prec = max(rootsets12[n - 1].precision_bits,
+                       rootsets12[n].precision_bits)
+            bases = {key: {orbit[0] for orbit in roots._orbits(rs)}
+                     for key, rs in (("prev", rootsets12[n - 1]),
+                                     ("cur", rootsets12[n]))}
+            host_of = {fam[1]: fam[2] for fam in relations.FAMILIES}
+            for exponent in (30, 50):
+                tol = mp.mpf(10) ** -exponent
+                for suite, verifier in SUITES:
+                    reports = verifier(records16, n, mode="numeric",
+                                       rootsets=rootsets12, tolerance=tol)
+                    with mp.workprec(prec):
+                        want = _reference(suite, rootsets12, n, tol)
+                    assert _statuses(reports) == {
+                        name: status for name, (status, _) in want.items()
+                    }, (suite, n, exponent)
+                    for rep in reports:
+                        name = rep.details["family"]
+                        assert all(w["root"] in bases[host_of[name]]
+                                   for w in rep.witnesses)
+                        worst = want[name][1]
+                        if shift == "k" and worst and worst > 1e-40:
+                            got = mp.mpf(rep.details["deviation"])
+                            assert abs(got / worst - 1) < 1e-6
+
+    def test_root_set_out_of_layout_fails(self, records8, rootsets8):
+        # Q_7's roots shuffled: still closed as a set, but not in the
+        # layout the bases are read from, so no verdict is given from them
+        rs = rootsets8[7]
+        order = list(range(len(rs.roots)))
+        random.Random(0).shuffle(order)
+        shuffled = dataclasses.replace(
+            rs, roots=tuple(rs.roots[k] for k in order))
+        rootsets = {**rootsets8, 7: shuffled}
+        for n in (7, 8):
+            for _, verifier in SUITES:
+                for rep in verifier(records8, n, mode="numeric",
+                                    rootsets=rootsets):
+                    assert rep.status == FAIL
+                    assert rep.witnesses == [{
+                        "family": rep.details["family"], "check": "layout",
+                        "roots_n": 7}]
+
+    def test_missing_root_set_is_an_error(self, records8, rootsets8):
+        # not summed over as an empty set
+        for rootsets in ({5: rootsets8[5]}, None):
+            with pytest.raises(ValueError, match="Q_4"):
+                relations.verify_corollary(records8, 5, mode="numeric",
+                                           rootsets=rootsets)
+        with pytest.raises(ValueError, match="Q_5"):
+            relations.verify_kudryashov(records8, 5, mode="numeric",
+                                        rootsets={4: rootsets8[4]})
 
     def test_reports_margin_digits(self, records8, rootsets8):
         for n in range(2, 9):
@@ -472,3 +619,12 @@ class TestDeepExact:
                    for rep in verifier(records, 20, mode="exact")]
         assert len(reports) == len(relations.FAMILIES) == 17
         assert {r.status for r in reports} == {PASS}
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_every_right_hand_side_has_the_weight_of_its_sums(n):
+    # c + k w at p = 0, 1, 2 mod 3 must turn as S_p and C_p do under
+    # z -> omega z, omega^-p, so that _judge may read one root per orbit
+    for _, name, _, p, _, _, rhs in relations.FAMILIES:
+        c, k = rhs(n)
+        assert (k == 0, c == k == 0, c == 0)[p % 3], name

@@ -147,8 +147,25 @@ class TestLadder:
         with pytest.raises(roots.CertificationFailure) as exc:
             roots.roots_for_record(records8[5])
         assert exc.value.n == 5
+        assert str(exc.value) == ("n=5, seed 0: inclusion discs fail; "
+                                  "seed 1: inclusion discs fail")
         # one top step from each start's seeds
         assert len(widths) == 2
+
+    @pytest.mark.parametrize("hows, steps", [
+        (("colliding", "unpaired"), ("seeds do not pair off",) * 2),
+        (("nonfinite", "colliding"),
+         ("seeds not finite", "seeds do not pair off"))])
+    def test_failure_names_each_start_step(self, records8, monkeypatch,
+                                           hows, steps):
+        starts = []
+        monkeypatch.setattr(roots, "_float_seeds", _forced_seeds(
+            roots._float_seeds, hows, starts))
+        with pytest.raises(roots.CertificationFailure) as exc:
+            roots.roots_for_record(records8[6], seed=0)
+        assert starts == [0, 1] and exc.value.n == 6
+        assert str(exc.value) == \
+            f"n=6, seed 0: {steps[0]}; seed 1: {steps[1]}"
 
     def test_colliding_seeds_fall_back_and_certify(self, records8,
                                                    monkeypatch):
@@ -274,17 +291,21 @@ def _mp_aberth(coeffs, xs, prec):
 
 
 def _forced_seeds(real, how, starts):
-    """_float_seeds whose first start fails: "colliding" repeats the first
+    """_float_seeds whose first start fails, or, for a tuple how, whose
+    first len(how) starts fail, each as named: "colliding" repeats the first
     seed in place of the last, "unpaired" moves the topmost seed onto the
     real axis, so that its mirror loses its match, "nonfinite" turns every
     seed to nan, as a diverging Aberth run does; a lone nan seed (n = 2)
     would pass for a real root. Later calls are real; starts collects every
     call's seed."""
+    hows = (how,) if isinstance(how, str) else how
+
     def forced(p, seed):
         s, xs, sweeps = real(p, seed)
         starts.append(seed)
-        if len(starts) > 1:
+        if len(starts) > len(hows):
             return s, xs, sweeps
+        how = hows[len(starts) - 1]
         if how == "colliding":
             xs = [xs[0]] + xs[:-1]
         elif how == "unpaired":
