@@ -17,7 +17,6 @@ cross-multiplication, no gcd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .intpoly import IntPoly, certify_coprime
@@ -75,9 +74,9 @@ def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
     """w_{n+1} = -w_n - (2n+1) / (2 w_n^2 + 2 w_n' + z), not reduced.
 
     Independent of the polynomial-family route: only the fraction for w_n
-    enters. The result is N/(D E) with its integer content removed and a
-    positive leading denominator coefficient; it must equal rational_solution
-    at n+1 as a rational function (RationalSolution's cross-multiplied ==).
+    enters. The result is N/(D E) as formed; for w_n from rational_solution
+    D and E are monic (z D^2 leads E), and == cross-multiplies, so it must
+    equal rational_solution at n+1 as a rational function.
     """
     nn, dd = w.numerator, w.denominator
     z = IntPoly.z()
@@ -87,11 +86,4 @@ def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
     if not e:
         raise DegenerateDenominator(f"Backlund denominator vanishes at n={n}")
     num = -(nn * e + (2 * n + 1) * (d2 * dd))
-    den = dd * e
-    c = gcd(*num.coeffs, *den.coeffs)
-    if den.leading < 0:
-        c = -c
-    if c != 1:
-        num = IntPoly([x // c for x in num.coeffs])
-        den = IntPoly([x // c for x in den.coeffs])
-    return RationalSolution(n + 1, num, den)
+    return RationalSolution(n + 1, num, dd * e)

@@ -14,16 +14,17 @@ where the deviation is worst, an exact one gives the residue's
 coefficients.
 
 * exact mode -- integer arithmetic in Z[a]/(host(a)), the host monic, where
-  a stands simultaneously for every root of the host. Both sums come from
-  one division-free series kernel: `self_sum_residue` divides the Taylor
-  expansion of host'/host - 1/(z - a) at a + u, `cross_sum_residue` that of
-  target'/target. Each keeps its coefficients multiplied by powers of the
-  divisor's constant term b0, host'(a) or target(a), instead of inverting
-  it. A relation is checked with its rational right-hand side and every b0
-  cleared: residue = 0 after multiplying by L b0^p, which is sound because
-  gcd(host, host') = 1 and gcd(host, target) = 1 are proved first by a
-  Euclid run mod 2^61 - 1, so the factor is invertible. Residues are plain
-  IntPolys, reduced once per series coefficient and once per relation.
+  a stands simultaneously for every root of the host. One division-free
+  series kernel, `sum_residue(host, other)`, built once per (host, other)
+  as the numeric rows are, gives both sums: it divides the Taylor expansion
+  of B'/B, B(u) = other(a + u), divided by u for the self sum (other is
+  host), and keeps its coefficients multiplied by powers of b0 = B(0),
+  host'(a) or other(a), instead of inverting it. A relation is checked
+  with its rational right-hand side and every b0 cleared: residue = 0
+  after multiplying by L b0^p, which is sound because gcd(host, host') = 1
+  and gcd(host, other) = 1 are proved first by a Euclid run mod 2^61 - 1,
+  so the factor is invertible. Residues are plain IntPolys, reduced once
+  per series coefficient and once per relation.
 
 * numeric mode -- tables over certified high-precision root sets, built
   by one loop at the base w of each orbit of z -> omega z and z -> conj(z)
@@ -159,62 +160,39 @@ def _series_quotient(a: list, b: list, ctx: QuotientContext) -> tuple:
     return tuple(G), tuple(b0_powers)
 
 
-def cross_sum_residue(host: IntPoly, target: IntPoly, p: int,
-                      ctx: QuotientContext | None = None) -> tuple:
-    """c_1..c_p, c_k = sum over roots t of target of 1/(a - t)^k, in
-    Z[a]/(host), as (G, b0_powers) with c_k = (-1)^(k-1) G[k-1] / b0^k,
-    b0 = target(a) and b0_powers[k] = b0^k.
+def sum_residue(host: IntPoly, other: IntPoly, p: int,
+                ctx: QuotientContext) -> tuple:
+    """(G, b0_powers) in Z[a]/(host): x_k = (-1)^(k-1) G[k-1] / b0^k is the
+    sum of 1/(a - t)^k over the roots t != a of other, k = 1..p, the self
+    sum s_k when other is host, else the cross sum c_k; b0_powers[k] = b0^k.
 
-    T'/T at a + u = sum_k (-1)^k c_{k+1} u^k; gcd(host, target) = 1 is
-    certified first, so target(a) is invertible and no scaling can hide a
-    nonzero residue.
+    B'/B = sum_k (-1)^k x_{k+1} u^k for B(u) = other(a + u), divided by u
+    when other is host, and b0 = B(0), host'(a) or other(a), is proved
+    invertible first: gcd(host, host') = 1 or gcd(host, other) = 1.
     """
-    if ctx is None:
-        ctx = QuotientContext(host)
-    certify_coprime(target, host, "host and target")
-    t = _taylor(target, p + 1, ctx)
-    return _series_quotient([(m + 1) * t[m + 1] for m in range(p)], t[:p],
+    shift = other is host
+    certify_coprime(host.derivative() if shift else other, host,
+                    "host and host'" if shift else "host and target")
+    b = _taylor(other, p + 1 + shift, ctx)[shift:]
+    return _series_quotient([(m + 1) * b[m + 1] for m in range(p)], b[:p],
                             ctx)
-
-
-def self_sum_residue(host: IntPoly, p: int,
-                     ctx: QuotientContext | None = None) -> tuple:
-    """s_1..s_p, s_k = sum over the host's other roots of 1/(a - r)^k, in
-    Z[a]/(host), as (G, b0_powers) with s_k = (-1)^(k-1) G[k-1] / b0^k,
-    b0 = host'(a) and b0_powers[k] = b0^k.
-
-    host'/host - 1/(z - a) at a + u = sum_k (-1)^k s_{k+1} u^k;
-    gcd(host, host') = 1, simplicity of the roots, is certified first.
-    """
-    if not host or host.degree < 1:
-        raise ValueError("host must have degree >= 1")
-    if ctx is None:
-        ctx = QuotientContext(host)
-    certify_coprime(host.derivative(), host, "host and host'")
-    c = _taylor(host, p + 2, ctx)
-    return _series_quotient([(m + 1) * c[m + 2] for m in range(p)],
-                            c[1:p + 1], ctx)
 
 
 @timed
 def _exact_report(fam, records, n):
     _, _, host_key, p, cs, cc, rhs = fam
-    host, target = records[n - 1], records[n]
+    host, other = records[n - 1], records[n]
     if host_key == "cur":
-        host, target = target, host
+        host, other = other, host
     if (host.poly.degree or 0) < 1:
         return _skipped(fam, n, "exact")
     ctx = TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
-    used = []  # (coefficient, (G, b0_powers), name of b0) per sum used
-    try:
-        if cs:
-            used.append((cs, TABLES.get((host,), "S", lambda: (
-                self_sum_residue(host.poly, P_MAX, ctx)),
-                UnexpectedCommonFactor), f"Q_{host.n}'(a)"))
-        if cc:
-            used.append((cc, TABLES.get((host, target), "C", lambda: (
-                cross_sum_residue(host.poly, target.poly, P_MAX, ctx)),
-                UnexpectedCommonFactor), f"Q_{target.n}(a)"))
+    try:  # (coefficient, (G, b0_powers), name of b0) per sum used
+        used = [(coeff, TABLES.get((host, sums), "residues", lambda: (
+            sum_residue(host.poly, sums.poly, P_MAX, ctx)),
+            UnexpectedCommonFactor),
+            f"Q_{sums.n}'(a)" if sums is host else f"Q_{sums.n}(a)")
+            for coeff, sums in ((cs, host), (cc, other)) if coeff]
     except UnexpectedCommonFactor as exc:
         exc.__traceback__ = None  # see Tables
         return _report(fam, n, "exact", False, {
@@ -450,6 +428,9 @@ def _families(suite):
 def _verify(suite, records, n, mode, rootsets, tolerance):
     families = _families(suite)
     if mode == "exact":
+        if not 1 <= n < len(records):
+            raise ValueError(f"exact mode: n = {n} needs 1 <= n < "
+                             f"len(records) = {len(records)}")
         return [_exact_report(fam, records, n) for fam in families]
     if mode != "numeric":
         raise ValueError(f"unknown mode {mode!r}")

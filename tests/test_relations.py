@@ -110,22 +110,22 @@ class TestResidues:
         # sum over roots beta of Q_2 of 1/(alpha - beta), as an element of
         # Z[alpha]/(Q_1): Q_2'(alpha) / Q_2(alpha) = 3 alpha^2 / (alpha^3 + 4)
         q1, q2 = records8[1].poly, records8[2].poly
-        G, b0_powers = relations.cross_sum_residue(q1, q2, 1,
-                                                   QuotientContext(q1))
+        G, b0_powers = relations.sum_residue(q1, q2, 1, QuotientContext(q1))
         # modulo alpha: G_0 = 0 over b0 = 4
         assert len(G) == 1
         assert G[0] == IntPoly()
         assert b0_powers[1] == IntPoly([4])
         # and back, over the root 0 of Q_1 at a root alpha of Q_2: 1 / alpha
-        G, b0_powers = relations.cross_sum_residue(q2, q1, 1)
+        G, b0_powers = relations.sum_residue(q2, q1, 1, QuotientContext(q2))
         assert G[0] == IntPoly([1])
         assert b0_powers[1] == IntPoly([0, 1])
 
     def test_self_sum_quadratic_host(self, records8):
         # Q_2 = z^3 + 4, p = 1: S_1(alpha) = Q_2''(alpha) / (2 Q_2'(alpha))
         # = 3 alpha / (3 alpha^2), kept as G_0 = 3 alpha over b0 = 3 alpha^2
-        ctx = QuotientContext(records8[2].poly)
-        G, b0_powers = relations.self_sum_residue(records8[2].poly, 1, ctx)
+        q2 = records8[2].poly
+        ctx = QuotientContext(q2)
+        G, b0_powers = relations.sum_residue(q2, q2, 1, ctx)
         assert len(G) == 1
         assert G[0] == IntPoly([0, 3])
         assert b0_powers[1] == IntPoly([0, 0, 3])
@@ -181,8 +181,9 @@ class TestResidues:
         with mp.workprec(prec):
             tol = mp.mpf(2) ** -(prec // 2)  # room for cancellation in _at
             for key, host, target, rs in _hosts(records8, rootsets8, n):
-                s = relations.self_sum_residue(host.poly, 5)
-                c = relations.cross_sum_residue(host.poly, target.poly, 5)
+                ctx = QuotientContext(host.poly)
+                s = relations.sum_residue(host.poly, host.poly, 5, ctx)
+                c = relations.sum_residue(host.poly, target.poly, 5, ctx)
                 assert len(s[0]) == len(c[0]) == 5
                 for tol_bits in (DEFAULT_TOL_BITS, CAPPED):
                     tables = (relations._table(rs, rs, tol_bits),
@@ -292,6 +293,15 @@ class TestExactMode:
         statuses = {r.status for r in reports}
         assert SKIPPED in statuses  # Q_0 = 1 has no roots
         assert FAIL not in statuses
+
+    def test_n_out_of_range_is_an_error(self, records8):
+        # n = 0 does not read records[-1] as Q_{-1}, and n past the last
+        # record raises no bare IndexError
+        records = records8[:6]
+        for n in (0, len(records)):
+            for _, verifier in SUITES:
+                with pytest.raises(ValueError, match=f"n = {n} needs"):
+                    verifier(records, n, mode="exact")
 
     def test_detects_wrong_rhs(self, records8):
         # corrupt the target polynomial: identities must fail, not silently pass
@@ -453,28 +463,32 @@ class TestNumericMode:
                 ["T1", "T2", "T3", "T5"]
 
     def test_one_table_per_root_set_and_pair(self, tmp_path, monkeypatch):
-        # relations, corollary, kudryashov and poleseries read one self
-        # table per root set and one cross table per direction of each
-        # consecutive pair
+        # relations, corollary, kudryashov and poleseries read, per route,
+        # one self table per root set or record and one cross table per
+        # direction of each consecutive pair: numeric rows and exact
+        # residues alike, keyed by (host, other)
         real_get, builds = relations.TABLES.get, Counter()
 
         def spy(sources, kind, build, *args):
             def counted():
-                if isinstance(kind, tuple) and kind[0] == "rows":
+                route = kind[0] if isinstance(kind, tuple) else kind
+                if route in ("rows", "residues"):
                     host, other = sources
-                    builds[("S" if host is other else "C", id(host),
+                    builds[(route, "S" if host is other else "C", id(host),
                             id(other))] += 1
                 return build()
             return real_get(sources, kind, counted, *args)
 
         monkeypatch.setattr(relations.TABLES, "get", spy)
-        assert cli.main(["verify", "--n-max", "6", "--mode", "numeric",
+        assert cli.main(["verify", "--n-max", "6", "--mode", "both",
                          "--out", str(tmp_path)]) == 0
         assert set(builds.values()) == {1}
-        kinds = Counter(key[0] for key in builds)
+        kinds = Counter(key[:2] for key in builds)
         # S: Q_1..Q_6; C: Q_n over Q_{n-1} for n = 1..6, and Q_{n-1} over
         # Q_n for n = 2..6 (Q_0 hosts nothing)
-        assert kinds == {"S": 6, "C": 11}
+        assert kinds == {(route, sums): count
+                         for route in ("rows", "residues")
+                         for sums, count in (("S", 6), ("C", 11))}
 
     @pytest.mark.parametrize("shift", ["none", "c", "k"])
     def test_bases_judge_as_every_root(self, records16, rootsets12,
