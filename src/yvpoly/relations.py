@@ -57,7 +57,7 @@ from mpmath.libmp import to_fixed
 from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
-from .roots import _closure, _orbits
+from .roots import _closure, _min_separation, _orbits
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
 DEFAULT_TOLERANCE_EXPONENT = 30  # numeric checks pass below 10^-30
@@ -312,8 +312,8 @@ def _table(host, other, tol_bits):
     a, b = sorted((host, other), key=lambda rs: rs.n)
     bits = TABLES.get((a, b), ("bits", tol_bits), lambda: _table_bits(
         tol_bits, max(len(a.roots), len(b.roots)),
-        a.min_separation if a is b else _cross_separation(a, b),
-        _fixed_bits(a, b)))
+        mp.workprec(2 * a.precision_bits)(_min_separation)(a.roots)
+        if a is b else _cross_separation(a, b), _fixed_bits(a, b)))
 
     def build():
         ts, rows = _to_fixed(other.roots, bits), {}

@@ -27,12 +27,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import from_float, mpf_shift, to_fixed, to_float
 
-from .family import StructureViolation, YvRecord, expected_degree
+from .family import YvRecord, expected_degree
 from .report import VerificationReport, timed
 
 DEFAULT_PRECISION_BITS = 256
@@ -57,18 +56,6 @@ class CertificationFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ReducedPoly:
-    """Compressed coefficients read as a polynomial R(y), y = z^3."""
-    n: int
-    y_coeffs: tuple  # low-to-high, integers; monic
-    zero_root: bool  # true iff a factor z was stripped
-
-    @property
-    def degree(self) -> int:
-        return len(self.y_coeffs) - 1
-
-
-@dataclass(frozen=True)
 class RootSet:
     """The roots of Q_n in one layout: per y-root a triple (b, b omega,
     b conj(omega)) of images of its cube root b rounded once at 2 prec;
@@ -79,14 +66,13 @@ class RootSet:
     precision_bits: int
     residuals: tuple
     max_residual: object
-    min_separation: object
     includes_zero: bool
+    radii: tuple  # of each root's inclusion disc (lift_cube_roots)
     # How the roots were found (see the module docstring).
-    float_iterations: int = 0  # Aberth sweeps in hardware doubles, all starts
-    ladder: tuple = ()  # precision (bits) of each Newton step that passed
-    fallback: bool = False  # whether the second start, from seed + 1, ran
-    representatives: int = 0  # y-roots the ladder stepped, one per pair
-    radii: tuple = ()  # of each root's inclusion disc (lift_cube_roots)
+    float_iterations: int  # Aberth sweeps in hardware doubles, all starts
+    ladder: tuple  # precision (bits) of each Newton step that passed
+    fallback: bool  # whether the second start, from seed + 1, ran
+    representatives: int  # y-roots the ladder stepped, one per pair
 
 
 def working_precision(degree: int,
@@ -94,15 +80,6 @@ def working_precision(degree: int,
     # R is only ever evaluated on its integer coefficients (_fixed_horner),
     # so their size asks for no bits; the roots' closeness grows with d
     return max(precision_bits, 128, 4 * degree)
-
-
-def cube_reduce(r: YvRecord) -> ReducedPoly:
-    if r.compressed[0] != 1:
-        raise StructureViolation(f"Q_{r.n} not monic in compressed form")
-    y_coeffs = tuple(reversed(r.compressed))
-    if r.n >= 1 and y_coeffs[0] == 0:
-        raise StructureViolation(f"R_{r.n}(0) vanishes")
-    return ReducedPoly(n=r.n, y_coeffs=y_coeffs, zero_root=r.has_zero_root)
 
 
 def _horner(coeffs, x):
@@ -281,11 +258,11 @@ def _circle(coeffs, s, seed):
     return xs
 
 
-def _float_seeds(p: ReducedPoly, seed: int):
+def _float_seeds(coeffs, seed: int):
     """Aberth in doubles on R(2^s u); returns (s, roots in u, sweeps)."""
-    s = _scale_exponent(p.y_coeffs)
-    xs = _circle(p.y_coeffs, s, seed)
-    return s, xs, _aberth(_float_newton(p.y_coeffs, s), xs)
+    s = _scale_exponent(coeffs)
+    xs = _circle(coeffs, s, seed)
+    return s, xs, _aberth(_float_newton(coeffs, s), xs)
 
 
 def _mirror_pairs(seeds):
@@ -363,11 +340,12 @@ def _radii(coeffs, points, steps, bits):
     return radii
 
 
-def _inclusion(ys, radii, prec, separation=None):
+def _inclusion(ys, radii, prec):
     """Whether each y of ys has a disc within 2^-prec |y|, none meeting, and
-    min -log10(radius / |y|) but at an exact zero of radius 0, or None."""
+    min -log10(radius / |y|) but at an exact zero of radius 0, or None. The
+    separation of ys is measured at 2 prec bits."""
     with mp.workprec(2 * prec):
-        separation = _min_separation(ys) if separation is None else separation
+        separation = _min_separation(ys)
     logs = [_log2_abs(r) - _log2_abs(y) for y, r in zip(ys, radii) if y or r]
     return (len(radii) == len(ys) and max(logs, default=-math.inf) <= -prec
             and separation > 2 * max(radii, default=0),
@@ -381,7 +359,8 @@ def _newton_ladder(coeffs, xs, top):
     precision the previous one reached, repeated at top while the discs
     fail _inclusion at top/2 bits but are narrower than at the previous top
     step. Returns (roots, each step's precision, their radii), roots being
-    every root as mpc, each pair's upper member followed by its conjugate;
+    every root as mpc, each pair's upper member followed by its conjugate
+    (a representative that crossed the real axis is conjugated back);
     None after R' = 0, y = 0 or discs that fail and no longer narrow."""
     passed, best, level = [], -math.inf, 106
     while True:
@@ -404,7 +383,8 @@ def _newton_ladder(coeffs, xs, top):
         with mp.workprec(top):  # below top, mpc and conj would round
             radii = _radii(coeffs, xs + [mp.conj(x) for x in xs
                                          if isinstance(x, mp.mpc)], steps, top)
-            zs = [(w, r) for y, r in zip(new, radii) for w in
+            ups = [mp.conj(y) if mp.im(y) < 0 else y for y in new]
+            zs = [(w, r) for y, r in zip(ups, radii) for w in
                   ((y, mp.conj(y)) if isinstance(y, mp.mpc) else (y,))]
             roots, radii = [mp.mpc(w) for w, _ in zs], [r for _, r in zs]
             held, digits = _inclusion(roots, radii, top // 2)
@@ -415,22 +395,25 @@ def _newton_ladder(coeffs, xs, top):
         best, xs = digits, new
 
 
-def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
-               seed: int = 0, *, diagnostics: dict | None = None) -> list:
-    """All roots of R(y), as mpc in _newton_ladder's layout, each alone in
-    an inclusion disc of radius at most 2^-prec |y|, so simple; else
-    CertificationFailure, naming the step each start failed at. The seed
-    perturbs the starting circle: if the float seeds from it are not all
-    finite, do not pair off or give discs that fail, a second start from
-    the circle of seed + 1 takes the same steps. A dict diagnostics
-    receives the RootSet fields float_iterations, ladder, fallback, radii
+def find_roots(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
+               seed: int = 0) -> dict:
+    """All roots ys of R(y), Q_n = z^e R(z^3) for the record r, as mpc in
+    _newton_ladder's layout, each alone in an inclusion disc of radius at
+    most 2^-prec |y|, so simple; else CertificationFailure, naming the step
+    each start failed at. The seed perturbs the starting circle: if the
+    float seeds from it are not all finite, do not pair off or give discs
+    that fail, a second start from the circle of seed + 1 takes the same
+    steps. Returns ys with what RootSet records of the search: the working
+    precision_bits, float_iterations, ladder, fallback, the y-discs' radii
     and representatives."""
-    d = p.degree
+    coeffs, d = r.compressed[::-1], len(r.compressed) - 1
+    prec, sweeps = working_precision(d, precision_bits), 0
+    found = dict(ys=[], precision_bits=prec, float_iterations=0, ladder=(),
+                 fallback=False, radii=(), representatives=0)
     if d < 1:
-        return []
+        return found
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    top, sweeps = 2 * working_precision(d, precision_bits), 0
 
     def y(u):  # the seed u, in units of 2^s, as mpf if real
         return mp.ldexp(u, s) if isinstance(u, float) \
@@ -438,38 +421,36 @@ def find_roots(p: ReducedPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
 
     failed = []  # the step each start failed at
     for start in (seed, seed + 1):
-        s, seeds, spent = _float_seeds(p, start)
+        s, seeds, spent = _float_seeds(coeffs, start)
         sweeps += spent
         if not all(map(cmath.isfinite, seeds)):
             failed.append(f"seed {start}: seeds not finite")
         elif (reps := _mirror_pairs(seeds)) is None:
             failed.append(f"seed {start}: seeds do not pair off")
-        elif found := _newton_ladder(p.y_coeffs, [y(u) for u in reps], top):
+        elif stepped := _newton_ladder(coeffs, [y(u) for u in reps],
+                                       2 * prec):
             break
         else:
             failed.append(f"seed {start}: inclusion discs fail")
     else:
-        raise CertificationFailure(f"n={p.n}, " + "; ".join(failed),
-                                   sweeps, p.n)
-    roots, ladder, radii = found
-    if diagnostics is not None:
-        diagnostics.update(float_iterations=sweeps, ladder=tuple(ladder),
-                           fallback=start != seed, radii=tuple(radii),
-                           representatives=len(reps))
-    return roots
+        raise CertificationFailure(f"n={r.n}, " + "; ".join(failed),
+                                   sweeps, r.n)
+    ys, ladder, radii = stepped
+    return dict(found, ys=ys, float_iterations=sweeps, ladder=tuple(ladder),
+                fallback=start != seed, radii=tuple(radii),
+                representatives=len(reps))
 
 
-def _residual(coeffs, abs_coeffs, z, az, zero_root):
-    """|z^e R(z^3)| / (az^e R_abs(az^3)), az = |z|, e = 1 iff zero_root: z's
-    residual as a root of Q_n, by _fixed_horner at the working precision,
-    in real arithmetic for a real z, over a scale summed at 64 bits."""
+def _residual(coeffs, abs_coeffs, z, az):
+    """|R(z^3)| / R_abs(az^3), az = |z|: z's residual as a root of
+    Q_n = z^e R(z^3), whose factor |z|^e cancels, by _fixed_horner at the
+    working precision, in real arithmetic for a real z, over a scale summed
+    at 64 bits."""
     y = z ** 3
     val = abs(_fixed_horner(coeffs, y if mp.im(z) else mp.re(y),
                             mp.mp.prec, False)[0])
     with mp.workprec(64):
         scale = _fixed_horner(abs_coeffs, az ** 3, 64, False)[0]
-    if zero_root:
-        val, scale = val * az, scale * az
     return val / scale if scale > 0 else val
 
 
@@ -514,29 +495,25 @@ def _min_separation(points):
                if _float_bounds(approx[i], approx[j])[0] <= ceiling)
 
 
-def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
-                    precision_bits: int = DEFAULT_PRECISION_BITS, *,
-                    diagnostics: dict | None = None) -> RootSet:
-    """The cube roots of y_roots, in find_roots' layout, laid out as RootSet
-    states; the residual is evaluated once per orbit, at its base root,
-    and copied to the orbit's other roots. diagnostics, as filled in by
-    find_roots, is copied onto the RootSet, a y-disc's radius r becoming
-    (r / |y| + 2^(4 - 2 prec)) |z|, as |(1 + s)^(1/3) - 1| <= t for
-    |s| <= t < 1, plus rounding; zero's radius is 0, as R(0) != 0, and
-    without radii the others are inf."""
-    prec = working_precision(p.degree, precision_bits)
-    diagnostics = dict(diagnostics or {})
-    y_radii = diagnostics.pop("radii", [mp.inf] * len(y_roots))
-    abs_coeffs = [abs(c) for c in p.y_coeffs]
+def lift_cube_roots(found: dict, r: YvRecord) -> RootSet:
+    """The RootSet of the record r from find_roots' result found: the cube
+    roots of its ys laid out as RootSet states, a y below the real axis
+    taking the conjugates of the triple before it, as find_roots lays a
+    pair out; the residual is evaluated once per orbit, at its base root,
+    and copied to the orbit's other roots. A y-disc's radius q becomes
+    (q / |y| + 2^(4 - 2 prec)) |z|, as |(1 + s)^(1/3) - 1| <= t for
+    |s| <= t < 1, plus rounding; zero's radius is 0, as R(0) != 0."""
+    fields = dict(found)
+    ys, y_radii = fields.pop("ys"), fields.pop("radii")
+    prec, coeffs = found["precision_bits"], r.compressed[::-1]
+    abs_coeffs = [abs(c) for c in coeffs]
     with mp.workprec(2 * prec):
         omega = mp.exp(2j * mp.pi / 3)
         omegas = (1, omega, mp.conj(omega))
-        orbits = {}  # y -> (its cube roots, their residual, |z|)
         roots, residuals, radii = [], [], []
-        for y, r in zip(y_roots, y_radii):
-            mirror = orbits.get(mp.conj(y))
-            if mirror is not None:
-                zs, res, size = [mp.conj(z) for z in mirror[0]], *mirror[1:]
+        for y, q in zip(ys, y_radii):
+            if mp.im(y) < 0:  # the mirror's size and residual carry over
+                zs = [mp.conj(z) for z in roots[-3:]]
             else:
                 size = mp.cbrt(abs(y))
                 if mp.im(y) == 0:  # real base, so the images are conjugates
@@ -544,35 +521,25 @@ def lift_cube_roots(y_roots: Sequence, p: ReducedPoly,
                 else:
                     base = size * mp.exp(1j * mp.arg(y) / 3)
                 zs = [base * w for w in omegas]
-                res = _residual(p.y_coeffs, abs_coeffs, base, size,
-                                p.zero_root)
-            orbits[y] = zs, res, size
+                res = _residual(coeffs, abs_coeffs, base, size)
             roots.extend(zs)
             residuals.extend([res] * 3)
             log_size = _log2_abs(size)
-            radii += [_pow2_sum([_log2_abs(r) - 2 * log_size,
+            radii += [_pow2_sum([_log2_abs(q) - 2 * log_size,
                                  4 - 2 * prec + log_size])] * 3
-        if p.zero_root:
+        if r.has_zero_root:
             roots.append(mp.mpc(0))
             residuals.append(mp.mpf(0))
             radii.append(mp.mpf(0))
-        min_sep = _min_separation(roots)
     return RootSet(
-        n=p.n, roots=tuple(roots), precision_bits=prec,
-        residuals=tuple(residuals),
+        n=r.n, roots=tuple(roots), residuals=tuple(residuals),
         max_residual=max(residuals, default=mp.mpf(0)),
-        min_separation=min_sep, includes_zero=p.zero_root,
-        radii=tuple(radii), **diagnostics)
+        includes_zero=r.has_zero_root, radii=tuple(radii), **fields)
 
 
 def roots_for_record(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
                      seed: int = 0) -> RootSet:
-    rp = cube_reduce(r)
-    diagnostics = {}
-    y_roots = find_roots(rp, precision_bits, seed=seed,
-                         diagnostics=diagnostics)
-    return lift_cube_roots(y_roots, rp, precision_bits,
-                           diagnostics=diagnostics)
+    return lift_cube_roots(find_roots(r, precision_bits, seed), r)
 
 
 def _orbits(rs: RootSet):
@@ -636,7 +603,8 @@ def _near_rational(x, tol):
 @timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count; one inclusion disc per root within 2^-prec |z| of it, no two
-    meeting, so each holds one simple root; rotation/conjugation closure
+    meeting by the separation of rs.roots themselves, measured at 2 prec,
+    so each holds one simple root; rotation/conjugation closure
     in RootSet's layout (_closure), so a set closed only in another order
     fails; a guard that no nonzero real root sits near a small rational.
     Details: inclusion_digits, min -log10(radius / |z|) over the nonzero
@@ -646,7 +614,7 @@ def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     if len(rs.roots) != expected:
         rep.fail({"check": "count", "got": len(rs.roots), "want": expected})
     held, rep.details["inclusion_digits"] = _inclusion(
-        rs.roots, rs.radii, rs.precision_bits, rs.min_separation)
+        rs.roots, rs.radii, rs.precision_bits)
     with mp.workprec(rs.precision_bits):
         tol = mp.mpf(2) ** (-rs.precision_bits // 2)
         if not held:

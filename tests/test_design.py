@@ -1,5 +1,6 @@
 """Guards on the package source: every function, class, module constant
-and module-level import it defines is used by it."""
+and module-level import it defines is used by it, and every class field
+it declares is read by it."""
 
 import ast
 from pathlib import Path
@@ -13,11 +14,12 @@ def _unused(sources: dict) -> list:
     """The top-level functions and classes, methods of top-level classes and
     names assigned at module level in sources ({file name: source}) that no
     name, attribute or import in any of them refers to outside the
-    function's or class's own def or the name's own assignment; and the
-    names that module-level
-    imports bind and nothing else in their module reads. Dunders are
-    exempt, and so are cmd_*, which the CLI finds by name, __future__
-    imports, and imports re-exported through __all__."""
+    function's or class's own def or the name's own assignment; the fields,
+    annotated names in the body of a top-level class, that no attribute
+    load in any of them names, so a stored value nothing reads; and the
+    names that module-level imports bind and nothing else in their module
+    reads. Dunders are exempt, and so are cmd_*, which the CLI finds by
+    name, __future__ imports, and imports re-exported through __all__."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     refs = []  # (identifier, file name, line)
     for name, tree in trees.items():
@@ -27,6 +29,9 @@ def _unused(sources: dict) -> list:
                      node.name if isinstance(node, ast.alias) else None)
             if ident:
                 refs.append((ident, name, node.lineno))
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
     unused = []
     for name, tree in trees.items():
         defs = [(node.name, node) for node in tree.body
@@ -48,6 +53,11 @@ def _unused(sources: dict) -> list:
                     where == name and node.lineno <= line <= node.end_lineno)
                     for ident, where, line in refs):
                 unused.append(f"{name}:{node.lineno} {ident_name}")
+        unused += [f"{name}:{m.lineno} {m.target.id}" for node in tree.body
+                   if isinstance(node, ast.ClassDef) for m in node.body
+                   if isinstance(m, ast.AnnAssign)
+                   and isinstance(m.target, ast.Name)
+                   and m.target.id not in loaded]
         exported = [elt.value for node in tree.body
                     if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__"
@@ -78,8 +88,11 @@ def test_finder_sees_unused_helpers():
                 "LIMIT, SPARE = 3, (\n    LIMIT)\n"
                 "__all__ = []\n"
                 "class Orphan(C):\n    def spawn(self):\n"
-                "        return Orphan()\n",
-        "b.py": "from a import C, STEP\n\nC().method()\n",
+                "        return Orphan()\n"
+                "class Record:\n    kept: int\n"
+                "    dropped: int = 0  # stored, read nowhere\n",
+        "b.py": "from a import C, STEP, Record\n\nC().method()\n"
+                "Record().kept\nRecord().dropped = 1\n",
         "c.py": "from __future__ import annotations\n"
                 "import bisect\n"
                 "import os.path\n"
@@ -95,9 +108,11 @@ def test_finder_sees_unused_helpers():
     # b.py's STEP is imported and never read; it still counts as a use of
     # a.py's STEP
     # Orphan refers to itself only, inside its own def
+    # Record's dropped field is stored, never loaded
     assert _unused(sources) == ["a.py:4 recursive", "a.py:16 SLACK",
                                 "a.py:18 LIMIT", "a.py:18 SPARE",
                                 "a.py:21 Orphan", "a.py:22 spawn",
+                                "a.py:26 dropped",
                                 "b.py:1 STEP", "c.py:2 bisect",
                                 "c.py:6 used", "c.py:6 K"]
 

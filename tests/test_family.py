@@ -146,6 +146,15 @@ class TestIntegrity:
         with pytest.raises(family.IntegrityError):
             family.make_record(2, IntPoly([4, 0, 0, 1, 0, 0, 1]))
 
+    def test_non_monic_rejected(self):
+        with pytest.raises(family.IntegrityError, match="not monic"):
+            family.make_record(2, IntPoly([8, 0, 0, 2]))  # 2 z^3 + 8
+
+    def test_vanishing_lowest_coefficient_rejected(self):
+        with pytest.raises(family.IntegrityError,
+                           match="lowest coefficient of Q_3 vanishes"):
+            family.make_record(3, IntPoly([0, 0, 0, 20, 0, 0, 1]))
+
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_zero_polynomial_rejected(self, n):
         with pytest.raises(family.StructureViolation):

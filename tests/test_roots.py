@@ -17,16 +17,19 @@ def records30():
 
 
 class TestCubeReduce:
+    """Q_n read as R(y), y = z^3, whose coefficients, low to high, are the
+    record's compressed ones reversed, as find_roots reads them."""
+
     def test_degree_and_zero_flag(self, records8):
-        rp = roots.cube_reduce(records8[4])
-        assert rp.zero_root
-        assert rp.degree == 3  # (10 - 1) / 3
+        found = roots.find_roots(records8[4])
+        assert roots.lift_cube_roots(found, records8[4]).includes_zero
+        assert len(found["ys"]) == 3  # (10 - 1) / 3
 
     def test_expansion_matches(self, records8):
-        rp = roots.cube_reduce(records8[5])
+        coeffs = records8[5].compressed[::-1]
         # substituting y = z^3 back must reproduce the polynomial
-        expanded = [0] * (3 * rp.degree + 1)
-        for k, c in enumerate(rp.y_coeffs):
+        expanded = [0] * (3 * (len(coeffs) - 1) + 1)
+        for k, c in enumerate(coeffs):
             expanded[3 * k] = c
         assert tuple(expanded) == records8[5].poly.coeffs
 
@@ -73,36 +76,35 @@ class TestFindRoots:
 class TestLadder:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_agrees_with_circle_started_aberth(self, records16, n):
-        rp = roots.cube_reduce(records16[n])
-        prec = roots.working_precision(rp.degree)
-        s = roots._scale_exponent(rp.y_coeffs)
+        coeffs = records16[n].compressed[::-1]
+        prec = roots.working_precision(len(coeffs) - 1)
+        s = roots._scale_exponent(coeffs)
         circle = [mp.mpc(mp.ldexp(u.real, s), mp.ldexp(u.imag, s))
-                  for u in roots._circle(rp.y_coeffs, s, 0)]
+                  for u in roots._circle(coeffs, s, 0)]
         # Aberth alone, apart from the float stage and the ladder under test
-        reference = _mp_aberth(rp.y_coeffs, circle, prec)
-        diagnostics = {}
-        found = roots.find_roots(rp, seed=0, diagnostics=diagnostics)
-        assert type(found) is list
-        assert not diagnostics["fallback"]
-        assert diagnostics["ladder"][0] == 106
-        assert diagnostics["ladder"][-1] == 2 * prec
-        assert diagnostics["ladder"].count(2 * prec) == 1
-        radii = diagnostics["radii"]
-        rs = roots.lift_cube_roots(found, rp, diagnostics=diagnostics)
+        reference = _mp_aberth(coeffs, circle, prec)
+        found = roots.find_roots(records16[n], seed=0)
+        ys, radii = found["ys"], found["radii"]
+        assert type(ys) is list and found["precision_bits"] == prec
+        assert not found["fallback"]
+        assert found["ladder"][0] == 106
+        assert found["ladder"][-1] == 2 * prec
+        assert found["ladder"].count(2 * prec) == 1
+        rs = roots.lift_cube_roots(found, records16[n])
         with mp.workprec(2 * prec):
-            for y in found:
+            for y in ys:
                 assert min(abs(y - r) for r in reference) \
                     < mp.mpf(2) ** -prec * abs(y)
             # the discs are sound: each reference root, polished by mpmath's
             # own Newton steps, lies in exactly one y-disc, and each of its
             # cube roots in exactly one z-disc
             omega = mp.exp(2j * mp.pi / 3)
-            q = list(reversed(rp.y_coeffs))
+            q = list(reversed(coeffs))
             for _ in range(2):
                 reference = [r - mp.fdiv(*mp.polyval(q, r, derivative=True))
                              for r in reference]
             for r in reference:
-                assert _discs_holding(r, found, radii) == 1
+                assert _discs_holding(r, ys, radii) == 1
                 for k in range(3):
                     z = mp.cbrt(abs(r)) * mp.exp(1j * mp.arg(r) / 3) \
                         * omega ** k
@@ -110,15 +112,13 @@ class TestLadder:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_discs_hold_the_roots_of_polyroots(self, records16, n):
-        rp = roots.cube_reduce(records16[n])
-        diagnostics = {}
-        found = roots.find_roots(rp, diagnostics=diagnostics)
+        found = roots.find_roots(records16[n])
         with mp.workdps(180):  # far inside the discs, about 1e-120 |y|
-            others = mp.polyroots(list(reversed(rp.y_coeffs)),
+            others = mp.polyroots(list(records16[n].compressed),
                                   maxsteps=200, extraprec=600)
-            assert len(others) == len(found)
+            assert len(others) == len(found["ys"])
             for r in others:
-                assert _discs_holding(r, found, diagnostics["radii"]) == 1
+                assert _discs_holding(r, found["ys"], found["radii"]) == 1
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_top_step_repeats_while_discs_narrow(self, records30, seed):
@@ -134,7 +134,28 @@ class TestLadder:
             with mp.workprec(rs.precision_bits):
                 assert all(q <= mp.ldexp(abs(z), -rs.precision_bits)
                            for z, q in zip(rs.roots, rs.radii))
-                assert rs.min_separation > 2 * max(rs.radii, default=0)
+            with mp.workprec(2 * rs.precision_bits):  # as certify measures
+                assert roots._min_separation(rs.roots) \
+                    > 2 * max(rs.radii, default=0)
+
+    def test_pairs_are_laid_out_upper_first(self, records8):
+        # started below the real axis, the ladder still lays each pair out
+        # as its upper member and then the conjugate, as the lift reads it
+        found = roots.find_roots(records8[6])
+        lower = [mp.conj(y) if mp.im(y) else mp.re(y) for y in found["ys"]
+                 if mp.im(y) >= 0]
+        top = 2 * found["precision_bits"]
+        ys, _, radii = roots._newton_ladder(records8[6].compressed[::-1],
+                                            lower, top)
+        k = 0
+        with mp.workprec(top):  # conj would round below it
+            while k < len(ys):
+                if mp.im(ys[k]):
+                    assert mp.im(ys[k]) > 0 and ys[k + 1] == mp.conj(ys[k])
+                k += 2 if mp.im(ys[k]) else 1
+        assert any(mp.im(y) for y in ys)
+        rs = roots.lift_cube_roots(dict(found, ys=ys, radii=radii), records8[6])
+        assert roots.certify(rs, records8[6]).passed
 
     def test_wide_discs_fall_back_then_fail(self, records8, monkeypatch):
         widths = []
@@ -196,11 +217,10 @@ class TestLadder:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_orbits_are_exact(self, records16, rootsets12, n, monkeypatch):
-        rp = roots.cube_reduce(records16[n])
-        diagnostics = {}
-        ys = roots.find_roots(rp, diagnostics=diagnostics)
-        assert not diagnostics["fallback"]
-        rs = _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch)
+        found = roots.find_roots(records16[n])
+        ys = found["ys"]
+        assert not found["fallback"]
+        rs = _lift_once_per_orbit(found, records16[n], monkeypatch)
         assert rs.roots == rootsets12[n].roots
         _assert_layout(rs, ys)
         with mp.workprec(2 * rs.precision_bits):
@@ -210,8 +230,7 @@ class TestLadder:
             near_real = [y for y in ys if abs(mp.im(y)) < tol]
             assert all(mp.im(y) == 0 for y in near_real)
             # each pair has one representative, each real root its own
-            assert len(near_real) == \
-                2 * diagnostics["representatives"] - len(ys)
+            assert len(near_real) == 2 * found["representatives"] - len(ys)
             assert sum(1 for z in rs.roots if z != 0 and mp.im(z) == 0) \
                 == len(near_real)
             # Q_n itself by mpmath's Horner, apart from the root layer
@@ -226,28 +245,25 @@ class TestLadder:
         for seeds in ("colliding", "unpaired", "nonfinite")])
     def test_fallback_keeps_the_orbit_layout(self, records30, seeds, n,
                                              monkeypatch):
-        rp = roots.cube_reduce(records30[n])
-        second = {}
-        ys_second = roots.find_roots(rp, seed=1, diagnostics=second)
+        second = roots.find_roots(records30[n], seed=1)
         starts = []
         monkeypatch.setattr(roots, "_float_seeds", _forced_seeds(
             roots._float_seeds, seeds, starts))
-        diagnostics = {}
-        ys = roots.find_roots(rp, diagnostics=diagnostics)
-        assert starts == [0, 1] and diagnostics["fallback"]
-        assert diagnostics["ladder"][0] == 106
-        assert ys == ys_second
-        assert diagnostics["representatives"] == second["representatives"]
-        rs = _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch)
-        _assert_layout(rs, ys)
+        found = roots.find_roots(records30[n])
+        assert starts == [0, 1] and found["fallback"]
+        assert found["ladder"][0] == 106
+        assert found["ys"] == second["ys"]
+        assert found["representatives"] == second["representatives"]
+        rs = _lift_once_per_orbit(found, records30[n], monkeypatch)
+        _assert_layout(rs, found["ys"])
         assert roots.certify(rs, records30[n]).passed
 
     @pytest.mark.parametrize("n", [25, 30])
     def test_past_float_range_certifies(self, records30, n):
-        rp = roots.cube_reduce(records30[n])
-        assert _coeff_bits(rp.y_coeffs) > 900
+        assert _coeff_bits(records30[n].compressed) > 900
         rs = roots.roots_for_record(records30[n])
-        assert rs.precision_bits == 4 * rp.degree  # 432 and 620 bits
+        # 432 and 620 bits
+        assert rs.precision_bits == 4 * (len(records30[n].compressed) - 1)
         assert len(rs.roots) == expected_degree(n)
         assert roots.certify(rs, records30[n]).passed
 
@@ -300,8 +316,8 @@ def _forced_seeds(real, how, starts):
     call's seed."""
     hows = (how,) if isinstance(how, str) else how
 
-    def forced(p, seed):
-        s, xs, sweeps = real(p, seed)
+    def forced(coeffs, seed):
+        s, xs, sweeps = real(coeffs, seed)
         starts.append(seed)
         if len(starts) > len(hows):
             return s, xs, sweeps
@@ -318,13 +334,13 @@ def _forced_seeds(real, how, starts):
     return forced
 
 
-def _lift_once_per_orbit(ys, rp, diagnostics, monkeypatch):
+def _lift_once_per_orbit(found, r, monkeypatch):
     """lift_cube_roots, checking that it evaluates one residual per orbit."""
     calls = []
     real = roots._residual
     monkeypatch.setattr(roots, "_residual",
                         lambda *args: calls.append(1) or real(*args))
-    rs = roots.lift_cube_roots(ys, rp, diagnostics=diagnostics)
+    rs = roots.lift_cube_roots(found, r)
     assert len(calls) == rs.representatives
     return rs
 
@@ -439,12 +455,11 @@ class TestFixedHorner:
         rounded to the bits asked for."""
         ratios = []
         for n in range(2, 13):
-            rp = roots.cube_reduce(records16[n])
-            coeffs = rp.y_coeffs
+            coeffs = records16[n].compressed[::-1]
             dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
             d = len(coeffs) - 1
             prec = roots.working_precision(d)
-            ys = roots.find_roots(rp)
+            ys = roots.find_roots(records16[n])["ys"]
             with mp.workprec(2 * prec):
                 points = [y.real if y.imag == 0 else y for y in ys]
                 points += [y * (1 + mp.mpc(1, 1) * mp.mpf(2) ** -30)
@@ -504,18 +519,18 @@ class TestFloatStage:
     def test_integer_steps_keep_the_exact_seeds(self, records16, monkeypatch):
         """The float stage's integer pass, at FLOAT_STAGE_BITS bits of y,
         gives the (s, seeds, sweeps) of exact steps, n = 2..16, seeds 0-3."""
-        reduced = [roots.cube_reduce(records16[n]) for n in range(2, 17)]
-        shipped = [roots._float_seeds(p, seed)
-                   for seed in range(4) for p in reduced]
+        reduced = [records16[n].compressed[::-1] for n in range(2, 17)]
+        shipped = [roots._float_seeds(coeffs, seed)
+                   for seed in range(4) for coeffs in reduced]
         monkeypatch.setattr(roots, "_float_newton", _exact_float_newton)
-        assert [roots._float_seeds(p, seed)
-                for seed in range(4) for p in reduced] == shipped
+        assert [roots._float_seeds(coeffs, seed)
+                for seed in range(4) for coeffs in reduced] == shipped
 
     def test_far_and_lopsided_iterates(self, records16, monkeypatch):
         """Integer steps alone at |y| = 2^300, past FLOAT_STAGE_BITS, where
         y is kept whole and the step is exact; at an imaginary part 2^-1000
         of the real part, which the pass drops; none at an infinite one."""
-        coeffs = roots.cube_reduce(records16[12]).y_coeffs
+        coeffs = records16[12].compressed[::-1]
         s = roots._scale_exponent(coeffs)
         kernel, fs = roots._int_horner, []
 
@@ -538,11 +553,8 @@ class TestFloatStage:
 
 
 def _with_roots(rs, new_roots):
-    return roots.RootSet(
-        n=rs.n, roots=tuple(new_roots), precision_bits=rs.precision_bits,
-        residuals=rs.residuals[:len(new_roots)],
-        max_residual=rs.max_residual, min_separation=rs.min_separation,
-        includes_zero=rs.includes_zero)
+    return dataclasses.replace(rs, roots=tuple(new_roots), radii=(),
+                               residuals=rs.residuals[:len(new_roots)])
 
 
 def _perturbed(rs):
@@ -562,10 +574,10 @@ class TestScreens:
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_min_separation_equals_full_scan(self, rootsets12, n):
         rs = rootsets12[n]
-        with mp.workprec(2 * rs.precision_bits):
+        with mp.workprec(2 * rs.precision_bits):  # as certify measures it
             brute = min(abs(a - b) for i, a in enumerate(rs.roots)
                         for b in rs.roots[:i])
-        assert rs.min_separation == brute
+            assert roots._min_separation(rs.roots) == brute
 
     def test_min_separation_past_float_range(self):
         points = [mp.mpc(2.5, 1), mp.mpc(mp.mpf("1e400")), mp.mpc(1),
@@ -613,10 +625,8 @@ class TestCertify:
 
     def test_detects_dropped_root(self, records8, rootsets8):
         rs = rootsets8[3]
-        broken = roots.RootSet(
-            n=3, roots=rs.roots[:-1], precision_bits=rs.precision_bits,
-            residuals=rs.residuals[:-1], max_residual=rs.max_residual,
-            min_separation=rs.min_separation, includes_zero=rs.includes_zero)
+        broken = dataclasses.replace(rs, roots=rs.roots[:-1], radii=(),
+                                     residuals=rs.residuals[:-1])
         rep = roots.certify(broken, records8[3])
         assert rep.witnesses == [{"check": "count", "got": 5, "want": 6},
                                  {"check": "inclusion", "radii": 0},
@@ -644,13 +654,29 @@ class TestCertify:
         with mp.workprec(2 * rs.precision_bits):
             moved = list(rs.roots)
             moved[4] = moved[3] + rs.radii[3]  # on the rim of root 3's disc
-            broken = dataclasses.replace(
-                rs, roots=tuple(moved),
-                min_separation=roots._min_separation(moved))
+        broken = dataclasses.replace(rs, roots=tuple(moved))
         assert roots.certify(rs, records8[7]).passed
         rep = roots.certify(broken, records8[7])
         assert {"check": "inclusion", "radii": len(rs.radii)} \
             in rep.witnesses
+
+    def test_detects_moved_orbit(self, records8, rootsets8):
+        # one six-root orbit moved onto the images of a point in another's
+        # base disc: closed in its layout, each root with its stored disc,
+        # and two roots 1e-124 apart where the finder's separation was 1.87
+        rs = rootsets8[7]
+        moved_orbit, host = [o for o in roots._orbits(rs) if len(o) == 6][:2]
+        with mp.workprec(2 * rs.precision_bits):
+            omega = mp.exp(2j * mp.pi / 3)
+            b = rs.roots[host[0]] + rs.radii[host[0]] / 2
+            triple = [b, b * omega, b * mp.conj(omega)]
+            moved = list(rs.roots)
+            moved[moved_orbit.start:moved_orbit.stop] = \
+                triple + [mp.conj(z) for z in triple]
+        broken = dataclasses.replace(rs, roots=tuple(moved))
+        assert roots._closure(broken) == (True, True)
+        rep = roots.certify(broken, records8[7])
+        assert rep.witnesses == [{"check": "inclusion", "radii": 28}]
 
     def test_detects_missing_radii(self, records8, rootsets8):
         rep = roots.certify(dataclasses.replace(rootsets8[7], radii=()),
