@@ -28,7 +28,7 @@ class RunConfig:
     """Every setting of a run, its default and its check. The CLI passes the
     flags a command was given; every other setting keeps its default."""
     n_max: int = 12
-    precision_bits: int = rootsmod.DEFAULT_PRECISION_BITS
+    precision_bits: int = rootsmod.DEFAULT_PRECISION_BITS  # roots only
     tolerance_exponent: int = relations.DEFAULT_TOLERANCE_EXPONENT
     mode: str = "both"  # exact | numeric | both
     output_dir: Path | None = None  # None: $YV_OUT_DIR, else "."
@@ -81,11 +81,10 @@ class _Runner:
         self.config = config
         self.records = family.generate(config.n_max)
 
-    def rootset(self, n: int):
-        """The root set of Q_n, found once. A CertificationFailure is kept
-        and raised again on every later request for this n."""
-        bits, seed, record = (self.config.precision_bits, self.config.seed,
-                              self.records[n])
+    def rootset(self, n: int, bits: int):
+        """The root set of Q_n at bits, found once. A CertificationFailure
+        is kept and raised again on every later request for it."""
+        seed, record = self.config.seed, self.records[n]
         return relations.TABLES.get(
             (record,), ("roots", bits, seed),
             lambda: rootsmod.roots_for_record(record, bits, seed=seed),
@@ -178,11 +177,11 @@ def _rooted_suite(run: _Runner, suite: str):
              "corollary": relations.verify_corollary,
              "kudryashov": relations.verify_kudryashov,
              "poleseries": relations.pole_series_check}[suite]
-    reports = []
+    bits, reports = relations.root_bits(config.tolerance), []
     for n in range(MIN_N_MAX[suite], config.n_max + 1):
         for mode in modes:
             try:
-                rootsets = ({n - 1: run.rootset(n - 1), n: run.rootset(n)}
+                rootsets = ({k: run.rootset(k, bits) for k in (n - 1, n)}
                             if mode == "numeric" else None)
             except rootsmod.CertificationFailure as exc:
                 rep = _root_failure_report(suite, n, exc)
@@ -218,13 +217,8 @@ def _suite_remark(run: _Runner):
                 suite="remark", status=SKIPPED,
                 details={"m": m, "reason": f"needs n_max >= {need}"}))
             continue
-        try:
-            reports.append(series.verify_remark_polynomiality(
-                run.records, m, run.config.n_max))
-        except (series.FitFailure, ValueError) as exc:
-            rep = VerificationReport(suite="remark", details={"m": m})
-            rep.fail({"error": str(exc)})
-            reports.append(rep)
+        reports.append(series.verify_remark_polynomiality(
+            run.records, m, run.config.n_max))
     return reports
 
 
@@ -289,7 +283,7 @@ def cmd_verify(run: _Runner) -> int:
         payload = {
             "config": {
                 "n_max": config.n_max,
-                "precision_bits": config.precision_bits,
+                "precision_bits": relations.root_bits(config.tolerance),
                 "tolerance_exponent": config.tolerance_exponent,
                 "mode": config.mode,
                 "seed": config.seed,
@@ -331,7 +325,7 @@ def cmd_roots(run: _Runner) -> int:
     status = 0
     for r in run.records[1:]:
         try:
-            rs = run.rootset(r.n)
+            rs = run.rootset(r.n, run.config.precision_bits)
         except rootsmod.CertificationFailure as exc:
             exc.__traceback__ = None  # see relations.Tables
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -367,7 +361,7 @@ COMMANDS = ("gen", "verify", "roots", "sums")  # each runs cmd_<name>
 # are RunConfig's
 FLAGS = {
     "--n-max": ("gen verify roots sums", dict(type=int)),
-    "--precision-bits": ("verify roots", dict(type=int)),
+    "--precision-bits": ("roots", dict(type=int)),
     "--tolerance": ("verify", dict(type=int, dest="tolerance_exponent",
                                    metavar="T",
                                    help="numeric pass threshold 10^-T")),

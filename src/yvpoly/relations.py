@@ -224,6 +224,13 @@ def _neg_log2(x) -> int:
     return 1 - (frexp if isinstance(x, float) else mp.frexp)(x)[1]
 
 
+def root_bits(tol) -> int:
+    """The precision of root sets whose tables resolve tol uncapped: the
+    tolerance's bits, HEADROOM_BITS to spare, and HEADROOM_BITS more for
+    the row-length and separation terms of _table_bits."""
+    return _neg_log2(tol) + 2 * HEADROOM_BITS
+
+
 def _fixed_bits(*rootsets):
     """The most fractional bits a table over rootsets is built at: their
     precision plus guard bits.

@@ -37,6 +37,7 @@ from .report import VerificationReport, timed
 DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
 FLOAT_EPS = 2.0 ** -53  # unit roundoff of a hardware double
+SVG_SIZE = 480  # pixels per side of export_svg's scatter
 GUARD_BITS = 8  # fractional bits _fixed_horner keeps past the caller's
 # Bits below |y| that the float stage's integer steps keep of y = 2^s u,
 # so a part far below |y| costs no more than a zero one. Against exact
@@ -651,15 +652,14 @@ def export_csv(rs: RootSet, path) -> None:
             ])
 
 
-def export_svg(rs: RootSet, path, size: int = 480) -> None:
+def export_svg(rs: RootSet, path) -> None:
     """Self-contained scatter of the root set, equal-aspect axes."""
     with mp.workprec(64):
         radius = max((abs(z) for z in rs.roots), default=mp.mpf(1))
         span = float(radius) * 1.15 or 1.0
         pts = [(float(mp.re(z)), float(mp.im(z))) for z in rs.roots]
-    half = size / 2
+    size, half = SVG_SIZE, SVG_SIZE / 2
     scale = half / span
-    dot = max(2.0, size / 160)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -670,8 +670,8 @@ def export_svg(rs: RootSet, path, size: int = 480) -> None:
     for x, y in pts:
         cx = half + x * scale
         cy = half - y * scale
-        lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{dot:.1f}" '
-                     f'fill="#1f4e9c"/>')
+        lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" '
+                     f'r="{size / 160:.1f}" fill="#1f4e9c"/>')
     lines.append(f'<text x="8" y="{size - 8}" font-family="sans-serif" '
                  f'font-size="14">n = {rs.n}, {len(rs.roots)} roots</text>')
     lines.append("</svg>")

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from mpmath import mp
 
 import yvpoly
-from yvpoly import cli, family, painleve, relations, roots
+from yvpoly import cli, family, painleve, relations, roots, series
 
 
 def run(argv):
@@ -33,7 +34,7 @@ class TestConfig:
             cli.RunConfig(mode="fuzzy")
 
     @pytest.mark.parametrize("argv", [
-        ["gen", "--n-max", "-1"], ["verify", "--precision-bits", "10"],
+        ["gen", "--n-max", "-1"], ["roots", "--precision-bits", "10"],
         ["verify", "--tolerance", "3"], ["sums", "--m-list", "3,x"],
         ["verify", "--suites", ","], ["sums", "--m-list", "3,,6"]])
     def test_bad_value_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -67,7 +68,8 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["gen", "--seed", "1"], ["gen", "--format", "csv"],
         ["roots", "--tolerance", "40"], ["roots", "--mode", "exact"],
-        ["sums", "--precision-bits", "300"]])
+        ["sums", "--precision-bits", "300"],
+        ["verify", "--precision-bits", "300"]])
     def test_command_rejects_flags_it_does_not_read(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(tmp_path)])
@@ -83,6 +85,20 @@ class TestParser:
         assert len(lines) >= 4
         for words in lines:
             cli.build_parser().parse_args(words[1:])
+
+    def test_readme_flag_list_matches_flags(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split(
+            "Each command takes only the flags it reads:\n\n", 1)[1]
+        block = block.split("\n\n", 1)[0]
+        listed = {}
+        for bullet in block.split("\n- "):
+            command, *flags = re.findall(r"`([^`]+)`", bullet)
+            listed[command] = {flag.split()[0] for flag in flags}
+        assert listed == {
+            command: {flag for flag, (commands, _) in cli.FLAGS.items()
+                      if command in commands.split()}
+            for command in cli.COMMANDS}
 
 
 class TestGen:
@@ -110,9 +126,31 @@ class TestVerify:
 
     def test_numeric_suite(self, tmp_path):
         code = run(["verify", "--n-max", "3", "--mode", "numeric",
-                    "--precision-bits", "192",
                     "--suites", "relations,poleseries", "--out", str(tmp_path)])
         assert code == 0
+
+    def test_tight_tolerance_tables_are_not_capped(self, tmp_path,
+                                                   records8):
+        # the root sets come from the tolerance: at 10^-100 no table is
+        # capped at the roots' precision, so every identity passes
+        code = run(["verify", "--n-max", "8", "--mode", "numeric",
+                    "--tolerance", "100", "--suites",
+                    "relations,corollary,kudryashov,poleseries",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(
+            (tmp_path / "verification_report.json").read_text())
+        bits = relations.root_bits(mp.mpf(10) ** -100)
+        assert payload["config"]["precision_bits"] == bits == 461
+        rootsets = {n: roots.roots_for_record(records8[n], bits)
+                    for n in range(9)}
+        reports = [r for r in payload["reports"] if r["status"] != "skipped"]
+        assert len(reports) == 31
+        for rep in reports:
+            n = rep["n"]
+            assert rep["status"] == "pass"
+            assert int(rep["details"]["table_bits"]) < min(
+                relations._fixed_bits(rootsets[k]) for k in (n - 1, n))
 
     def test_csv_format(self, tmp_path):
         code = run(["verify", "--n-max", "4", "--mode", "exact",
@@ -226,9 +264,23 @@ class TestVerify:
         errors = []
         for _ in range(2):
             with pytest.raises(roots.CertificationFailure) as exc:
-                run_state.rootset(2)
+                run_state.rootset(2, 256)
             errors.append(exc.value)
         assert calls == [2] and errors[0] is errors[1]
+
+    def test_failed_remark_fit_is_a_fail_report(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(series, "inverse_power_sums", lambda record, m: {
+            k: Fraction(2) ** record.n for k in range(1, m + 1)})
+        assert run(["verify", "--n-max", "20", "--suites", "remark",
+                    "--out", str(tmp_path)]) == 1
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [(r["status"], r["details"]["m"]) for r in reports] == [
+            ("fail", "12"), ("skipped", "15")]
+        assert reports[0]["witnesses"] == [
+            {"check": "fit", "class": str(cls), "degree_bound": "5"}
+            for cls in range(3)]
 
     def test_pii_and_backlund_share_each_solution(self, tmp_path,
                                                   monkeypatch):

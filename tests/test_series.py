@@ -132,6 +132,11 @@ class TestSeriesAtZero:
         assert all(w["check"] == "newton" and w["m"] >= 4
                    for w in rep.witnesses)
 
+    def test_missing_resonance_record_is_a_value_error(self, records8):
+        # at n = 10 = 1 mod 3 the order-3 coefficient reads records[10]
+        with pytest.raises(ValueError, match="records up to 10 required"):
+            series.series_at_zero(records8, 10, 4)
+
 
 class TestRemark:
     @pytest.mark.parametrize("m", [3, 6])
@@ -151,6 +156,18 @@ class TestRemark:
     def test_insufficient_samples(self, records8):
         with pytest.raises(ValueError):
             series.verify_remark_polynomiality(records8, 12, 8)
+
+    def test_failed_fit_is_a_fail_report(self, monkeypatch):
+        # sums 2^n fit no polynomial in any residue class of n; m = 12
+        # needs n_max >= 20
+        records = generate(20)
+        monkeypatch.setattr(series, "inverse_power_sums", lambda record, m: {
+            k: Fraction(2) ** record.n for k in range(1, m + 1)})
+        rep = series.verify_remark_polynomiality(records, 12, 20)
+        assert not rep.passed
+        assert rep.witnesses == [
+            {"check": "fit", "class": cls, "degree_bound": 5}
+            for cls in range(3)]
 
 
 class TestSumsTable:
