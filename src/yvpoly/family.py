@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
+from .intpoly import (IntegrityError, IntPoly, NonIntegerQuotient,
+                      NonZeroRemainder)
 from .report import FAIL, PASS, VerificationReport, timed
-
-
-class IntegrityError(Exception):
-    """A proven property of the family failed computationally."""
 
 
 class StructureViolation(IntegrityError):

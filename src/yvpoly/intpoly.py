@@ -38,11 +38,15 @@ KARATSUBA_THRESHOLD = 8
 DIVISION_CUTOFF = 60
 
 
-class NonZeroRemainder(ArithmeticError):
+class IntegrityError(Exception):
+    """A proven property failed computationally."""
+
+
+class NonZeroRemainder(IntegrityError):
     """Exact division left a nonzero remainder."""
 
 
-class NonIntegerQuotient(ArithmeticError):
+class NonIntegerQuotient(IntegrityError):
     """Exact division would require a non-integer coefficient."""
 
 
@@ -50,9 +54,9 @@ class ZeroConstantTerm(ValueError):
     """Operation requires a nonzero constant term."""
 
 
-class UnexpectedCommonFactor(Exception):
+class UnexpectedCommonFactor(IntegrityError):
     """Coprimality of two polynomials that must be coprime could not be
-    certified: integrity failure. `gcd_degree` is the degree of their gcd
+    certified. `gcd_degree` is the degree of their gcd
     mod p, an upper bound on the degree of the true gcd (None when no
     certificate could be formed)."""
 

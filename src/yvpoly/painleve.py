@@ -23,10 +23,6 @@ from .intpoly import IntPoly, certify_coprime
 from .report import VerificationReport, timed
 
 
-class DegenerateDenominator(Exception):
-    """The Backlund denominator expression vanished identically."""
-
-
 @dataclass(frozen=True, eq=False)  # no hash: == cross-multiplies
 class RationalSolution:
     n: int
@@ -76,14 +72,14 @@ def backlund_next(w: RationalSolution, n: int) -> RationalSolution:
     Independent of the polynomial-family route: only the fraction for w_n
     enters. The result is N/(D E) as formed; for w_n from rational_solution
     D and E are monic (z D^2 leads E), and == cross-multiplies, so it must
-    equal rational_solution at n+1 as a rational function.
+    equal rational_solution at n+1 as a rational function. E = D^2 (2w^2 +
+    2w' + z) != 0 for D != 0: at infinity z outranks 2w^2 + 2w' unless w
+    grows, and then 2w^2 outranks 2w' + z.
     """
     nn, dd = w.numerator, w.denominator
     z = IntPoly.z()
     d2 = dd * dd
     # (2 w^2 + 2 w' + z) * D^2
     e = 2 * (nn * nn) + 2 * (nn.derivative() * dd - nn * dd.derivative()) + z * d2
-    if not e:
-        raise DegenerateDenominator(f"Backlund denominator vanishes at n={n}")
     num = -(nn * e + (2 * n + 1) * (d2 * dd))
     return RationalSolution(n + 1, num, dd * e)

@@ -165,8 +165,7 @@ def _aberth(newton, xs):
     """Aberth-Ehrlich simultaneous correction of the complex xs in place,
     in doubles.
 
-    newton(x) returns p(x)/p'(x), or None once p(x) is down to its
-    rounding error. A root stops moving then, or once its step falls
+    newton(x) returns p(x)/p'(x). A root stops moving once its step falls
     below 8 FLOAT_EPS |x|; stopped roots still repel the others. Returns
     the sweeps, at most MAX_ITERATIONS.
     """
@@ -183,8 +182,6 @@ def _aberth(newton, xs):
                 xs[i] = xi + 8 * FLOAT_EPS * (1 + abs(xi))
                 still.append(i)
                 continue
-            if step is None:
-                continue
             s = sum(1 / (xi - xj) for xj in xs if xj != xi)
             denom = 1 - step * s
             corr = step if denom == 0 else step / denom
@@ -196,8 +193,8 @@ def _aberth(newton, xs):
 
 
 def _horner_newton(coeffs, eps):
-    """newton(x) for _aberth by Horner's rule in complex doubles; None
-    within the rounding bound 8 d eps sum |a_k| |x|^k."""
+    """newton(x) for _float_newton by Horner's rule in complex doubles;
+    None within the rounding bound 8 d eps sum |a_k| |x|^k."""
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     abs_coeffs = [abs(c) for c in coeffs]
     bound = 8 * len(dcoeffs) * eps

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .intpoly import newton_power_sums
 from .relations import TABLES
-from .report import VerificationReport, timed
+from .report import SKIPPED, VerificationReport, timed
 
 
 def inverse_power_sums(record, max_m: int) -> dict:
@@ -108,17 +108,6 @@ def verify_difference_relations(records: Sequence, n_max: int) -> VerificationRe
 # ---------------------------------------------------------------------------
 # Series at the origin
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[:order + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[:order + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def _ode_rhs(a, n: int, m: int) -> Fraction:
     """Order-m right-hand side of P_II for the series a, from a[:m] alone.
 
@@ -127,13 +116,21 @@ def _ode_rhs(a, n: int, m: int) -> Fraction:
     + (n + s) z^2, whose z^m coefficient reads (m (m-1) - 6 s^2) a[m] = rhs.
     Where that factor vanishes (m = 0, 1 for s = 0; m = 3 otherwise) the
     recursion cannot fix a[m], and rhs = 0 is a solvability condition.
+    Only [z^k] u^2 for k < m and [z^(m-2)] u^3 are formed.
     """
     s = (0, -1, 1)[n % 3]
+    terms = [(i, c) for i, c in enumerate(a[:m]) if c]
+    sq = [Fraction(0)] * m  # [z^k] u^2
+    for i, c in terms:
+        for j, d in terms:
+            if i + j >= m:
+                break
+            sq[i + j] += c * d
     rhs = Fraction(a[m - 3] if m >= 3 else 0)
-    if m >= 2:
-        rhs += 2 * _series_mul(_series_mul(a, a, m - 2), a, m - 2)[m - 2]
+    rhs += 2 * sum(sq[k] * a[m - 2 - k] for k in range(m - 1)
+                   if sq[k] and a[m - 2 - k])
     if s and m >= 1:
-        rhs += 6 * s * _series_mul(a, a, m - 1)[m - 1]
+        rhs += 6 * s * sq[m - 1]
     return rhs + (n + s if m == 2 else 0)
 
 
@@ -251,12 +248,13 @@ def verify_remark_polynomiality(records: Sequence, m: int,
     Fits the minimal-degree exact interpolant (degree at most m/3 + 1)
     through the leading samples and demands exact prediction of every
     held-out sample. A class with no such polynomial fails the report
-    with a "fit" witness.
+    with a "fit" witness; an n_max below remark_min_n_max(m) skips it.
     """
     if m < 3 or m % 3 != 0:
         raise ValueError("m must be a positive multiple of 3")
     if n_max < remark_min_n_max(m):
-        raise ValueError(f"m={m} needs n_max >= {remark_min_n_max(m)}")
+        return VerificationReport(suite="remark", status=SKIPPED, details={
+            "m": m, "reason": f"needs n_max >= {remark_min_n_max(m)}"})
     degree_bound = m // 3 + 1
     rep = VerificationReport(suite="remark", details={"m": m})
     for cls in range(3):

@@ -12,6 +12,7 @@ from mpmath import mp
 
 import yvpoly
 from yvpoly import cli, family, painleve, relations, roots, series
+from yvpoly.intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 
 
 def run(argv):
@@ -110,6 +111,24 @@ class TestGen:
         assert blob["n"] == 3
         out = capsys.readouterr().out
         assert "degree" in out
+
+    @pytest.mark.parametrize("owner, name, error", [
+        (IntPoly, "exact_div",
+         NonZeroRemainder("nonzero remainder in exact division")),
+        (family, "_scaled",
+         NonIntegerQuotient("coefficient 3 of z^0 has no integral scaled "
+                            "form"))], ids=["exact_div", "scaled"])
+    def test_inexact_step_is_an_integrity_failure(self, owner, name, error,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        # a recurrence division the paper proves exact, made to fail
+        def inexact(*args):
+            raise error
+
+        monkeypatch.setattr(owner, name, inexact)
+        code = run(["gen", "--n-max", "4", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"integrity failure: {error}\n"
 
 
 class TestVerify:
@@ -362,28 +381,6 @@ class TestVerify:
             (suite, n, mode, "pass")
             for suite in ("relations", "corollary", "kudryashov")
             for n in range(1, 4) for mode in ("exact", "numeric")]
-
-    def test_degenerate_backlund_is_a_fail_report(self, tmp_path,
-                                                  monkeypatch):
-        real = painleve.backlund_next
-
-        def degenerate(w, n):
-            if n == 2:
-                raise painleve.DegenerateDenominator(
-                    f"Backlund denominator vanishes at n={n}")
-            return real(w, n)
-
-        monkeypatch.setattr(painleve, "backlund_next", degenerate)
-        code = run(["verify", "--n-max", "4", "--suites", "backlund",
-                    "--out", str(tmp_path)])
-        assert code == 1
-        reports = json.loads(
-            (tmp_path / "verification_report.json").read_text())["reports"]
-        assert [(r["n"], r["status"]) for r in reports] == [
-            (1, "pass"), (2, "pass"), (3, "fail"), (4, "pass")]
-        witness = reports[2]["witnesses"][0]
-        assert witness["error"] == "DegenerateDenominator"
-        assert witness["message"] == "Backlund denominator vanishes at n=2"
 
     def test_suite_times_on_stderr(self, tmp_path, capsys):
         code = run(["verify", "--n-max", "3", "--mode", "exact",

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from yvpoly import cli, family
 from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
@@ -168,3 +170,12 @@ class TestBacklund:
         for n in range(0, 6):
             w = backlund_next(w, n)
         assert w == rational_solution(records8, 6)
+
+    @given(st.lists(st.integers(-9, 9), max_size=6).map(IntPoly),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+           .map(IntPoly).filter(bool), st.integers(0, 8))
+    def test_denominator_never_vanishes(self, num, den, n):
+        # D^2 (2w^2 + 2w' + z) != 0 for D != 0: at infinity z outranks
+        # 2w^2 + 2w' unless w grows, and then 2w^2 outranks 2w' + z
+        stepped = backlund_next(RationalSolution(n, num, den), n)
+        assert stepped.denominator

@@ -154,8 +154,10 @@ class TestRemark:
             series.verify_remark_polynomiality(records16, 4, 16)
 
     def test_insufficient_samples(self, records8):
-        with pytest.raises(ValueError):
-            series.verify_remark_polynomiality(records8, 12, 8)
+        rep = series.verify_remark_polynomiality(records8, 12, 8)
+        assert (rep.suite, rep.status) == ("remark", "skipped")
+        assert list(rep.details.items()) == [
+            ("m", 12), ("reason", "needs n_max >= 20")]
 
     def test_failed_fit_is_a_fail_report(self, monkeypatch):
         # sums 2^n fit no polynomial in any residue class of n; m = 12
