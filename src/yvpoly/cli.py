@@ -304,7 +304,8 @@ def _finder_line(rs, rep) -> str:
             f"{rs.representatives} of {y_roots} y-roots, fallback "
             f"{'yes' if rs.fallback else 'no'}, inclusion digits "
             f"{rep.details['inclusion_digits'] or '-'}, "
-            f"max residual {mp.nstr(rs.max_residual, 3)}")
+            f"max residual "
+            f"{mp.nstr(max(rs.residuals, default=mp.mpf(0)), 3)}")
 
 
 def cmd_roots(run: _Runner) -> int:
@@ -387,10 +388,10 @@ def main(argv=None) -> int:
     command = settings.pop("command")
     try:  # a bad option value is a one-line usage error, not a traceback
         config = RunConfig(**settings)
-    except ValueError as exc:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"yvpoly {command}: error: {exc}", file=sys.stderr)
         return 2
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     try:
         # found by name, as instrumentation may rebind cmd_<name>
         return globals()[f"cmd_{command}"](_Runner(config))

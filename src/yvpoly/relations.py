@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction as F
-from math import comb, frexp, inf, lcm
+from math import comb, frexp, lcm
 from typing import Sequence
 
 import mpmath as mp
@@ -57,7 +57,7 @@ from mpmath.libmp import to_fixed
 from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
-from .roots import _closure, _orbits
+from .roots import _closure, _orbits, _separation
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
 DEFAULT_TOLERANCE_EXPONENT = 30  # numeric checks pass below 10^-30
@@ -301,20 +301,6 @@ def _add_powers(row, dx, dy, bits):
         row[i + 1] += p_im
 
 
-def _separation(a, b) -> float:
-    """A lower bound on min |w - t| over w in a, t in b, t != w when a is b,
-    from doubles, read at the bases of a's orbits, which suffice: the
-    smallest float distance less the rounding term of roots._float_bounds
-    for the largest roots."""
-    same = a is b
-    ts = [complex(t) for t in b.roots]
-    bases = [orbit[0] for orbit in _orbits(a)]
-    ws = [ts[i] if same else complex(a.roots[i]) for i in bases]
-    dist = min((abs(w - t) for i, w in zip(bases, ws)
-                for j, t in enumerate(ts) if j != i or not same), default=inf)
-    return dist - 2.0 ** -49 * max(map(abs, ws + ts), default=0) - 2.0 ** -1070
-
-
 def _table(host, other, tol_bits):
     """(bits, rows): rows[i] = [X_1..X_5] at the base w = host.roots[i] of
     each orbit of host (roots._orbits), X_p the sum of 1/(w - t)^p over the
@@ -322,8 +308,9 @@ def _table(host, other, tol_bits):
     integers at bits, which both directions of a cross pair share."""
     a, b = sorted((host, other), key=lambda rs: rs.n)
     bits = TABLES.get((a, b), ("bits", tol_bits), lambda: _table_bits(
-        tol_bits, max(len(a.roots), len(b.roots)), _separation(a, b),
-        _fixed_bits(a, b)))
+        tol_bits, max(len(a.roots), len(b.roots)),
+        _separation(a.roots, [orbit[0] for orbit in _orbits(a)],
+                    None if a is b else b.roots), _fixed_bits(a, b)))
 
     def build():
         ts, rows = _to_fixed(other.roots, bits), {}

@@ -23,7 +23,6 @@ evaluated by _fixed_horner, whose docstring derives the discs' error bound.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -66,7 +65,6 @@ class RootSet:
     roots: tuple  # mp.mpc values
     precision_bits: int
     residuals: tuple
-    max_residual: object
     includes_zero: bool
     radii: tuple  # of each root's inclusion disc (lift_cube_roots)
     # How the roots were found (see the module docstring).
@@ -316,10 +314,11 @@ def _radii(coeffs, points, steps, bits):
     Fiorentino, Numer. Algorithms 23 (2000)); the move by c and its
     rounding add |c| + 2^(1-bits) |y|. |R(y)| <= |v| + E <= 2 max(|v|, E),
     E = 2 d 2^-bits A(|y|) <= 2 d (d + 1) 2^-bits max |a_k| |y|^k the
-    kernel's bound. Distances are _float_bounds', or measured where that
-    is not positive; float log2s are raised by 2^-40 (1 + |l|) each."""
+    kernel's bound. Distances are in doubles less _rounding, or measured where
+    that is not positive; float log2s are raised by 2^-40 (1 + |l|) each."""
     d = len(coeffs) - 1
     approx = [complex(y) for y in points]
+    rounding = _rounding(approx)
     top = [abs(a).bit_length() for a in coeffs]  # |a_k| < 2^top[k]
     radii = []
     with mp.workprec(53):
@@ -329,7 +328,7 @@ def _radii(coeffs, points, steps, bits):
             err = 1 + math.log2(d * (d + 1)) - bits + max(
                 e + k * t for k, e in enumerate(top))
             terms = [math.log2(d), max(_log2_abs(v), err) + 1] + [
-                -math.log2(lo) if (lo := _float_bounds(a, b)[0]) > 0
+                -math.log2(lo) if 0 < (lo := abs(a - b) - rounding) < math.inf
                 else -_log2_abs(y - points[j])
                 for j, b in enumerate(approx) if j != i]
             log_r = math.fsum(l + 2.0 ** -40 * (1 + abs(l)) for l in terms)
@@ -338,15 +337,34 @@ def _radii(coeffs, points, steps, bits):
     return radii
 
 
-def _inclusion(ys, radii, prec):
-    """Whether each y of ys has a disc within 2^-prec |y|, none meeting, and
-    min -log10(radius / |y|) but at an exact zero of radius 0, or None. The
-    separation of ys is measured at 2 prec bits."""
-    with mp.workprec(2 * prec):
-        separation = _min_separation(ys)
+def _rounding(approx):
+    """2^-49 max |a| + 2^-1070 (subnormals): a bound on the rounding of the
+    complex doubles approx and of the float distances between them."""
+    return 2.0 ** -49 * max(map(abs, approx), default=0) + 2.0 ** -1070
+
+
+def _separation(points, bases, others=None):
+    """A lower bound on |points[i] - t| over i in bases and t in others,
+    or t = points[j], j != i, when others is None, from doubles: the
+    smallest float distance less _rounding of the points compared. Not
+    positive where the doubles cannot tell two points apart, and -inf
+    when one lies past their range."""
+    ts = [complex(t) for t in (points if others is None else others)]
+    ws = [ts[i] if others is None else complex(points[i]) for i in bases]
+    rounding = _rounding(ws + ts)
+    if rounding == math.inf:
+        return -math.inf
+    return min((abs(w - t) for i, w in zip(bases, ws) for j, t in enumerate(ts)
+                if j != i or others is not None), default=math.inf) - rounding
+
+
+def _inclusion(ys, radii, prec, bases):
+    """Whether each y of ys has a disc within 2^-prec |y|, none meeting by
+    _separation of ys from the indices bases, which must see every pair,
+    and min -log10(radius / |y|) but at an exact zero of radius 0, or None."""
     logs = [_log2_abs(r) - _log2_abs(y) for y, r in zip(ys, radii) if y or r]
     return (len(radii) == len(ys) and max(logs, default=-math.inf) <= -prec
-            and separation > 2 * max(radii, default=0),
+            and _separation(ys, bases) > 2 * max(radii, default=0),
             round(-max(logs) * math.log10(2), 2) if logs else None)
 
 
@@ -385,7 +403,9 @@ def _newton_ladder(coeffs, xs, top):
             zs = [(w, r) for y, r in zip(ups, radii) for w in
                   ((y, mp.conj(y)) if isinstance(y, mp.mpc) else (y,))]
             roots, radii = [mp.mpc(w) for w, _ in zs], [r for _, r in zs]
-            held, digits = _inclusion(roots, radii, top // 2)
+            # each lower member is the exact conjugate of the one before
+            held, digits = _inclusion(roots, radii, top // 2, [
+                i for i, y in enumerate(roots) if mp.im(y) >= 0])
         if held:
             return roots, passed, radii
         if not digits > best:
@@ -408,10 +428,10 @@ def find_roots(r: YvRecord, precision_bits: int = DEFAULT_PRECISION_BITS,
     prec, sweeps = working_precision(d, precision_bits), 0
     found = dict(ys=[], precision_bits=prec, float_iterations=0, ladder=(),
                  fallback=False, radii=(), representatives=0)
-    if d < 1:
-        return found
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
+    if d < 1:
+        return found
 
     def y(u):  # the seed u, in units of 2^s, as mpf if real
         return mp.ldexp(u, s) if isinstance(u, float) \
@@ -452,47 +472,6 @@ def _residual(coeffs, abs_coeffs, z, az):
     return val / scale if scale > 0 else val
 
 
-def _float_bounds(a, b):
-    """(lo, hi) around |x - y|, from the complex approximations a, b of
-    x, y: wide enough for the rounding of a, b and of |a - b|."""
-    dist = abs(a - b)
-    if not math.isfinite(dist):
-        return 0.0, math.inf
-    err = 2.0 ** -50 * (abs(a) + abs(b)) + 2.0 ** -1070  # last: subnormals
-    return dist - err, dist + err
-
-
-def _min_separation(points):
-    """min |p_i - p_j| at the current precision, equal to a full scan:
-    only pairs whose float lower bound does not exceed the smallest float
-    upper bound, found by sweeps over the points sorted by real part, are
-    measured. Since |a - b| >= |re a - re b|, a pair whose real parts lie
-    farther apart than w + err has float lower bound above w, err being
-    at least twice the rounding term of _float_bounds for any pair."""
-    if len(points) < 2:
-        return mp.inf
-    approx = [complex(z) for z in points]
-    if not all(abs(a) < 2.0 ** 1000 for a in approx):
-        return min(abs(a - b) for a, b in itertools.combinations(points, 2))
-    order = sorted(range(len(approx)), key=lambda k: approx[k].real)
-    keys = [approx[k].real for k in order]
-    err = 2.0 ** -48 * max(map(abs, approx)) + 2.0 ** -1069
-
-    def sweep(width):  # pairs with real parts within width(); may shrink
-        for i, ki in enumerate(order):
-            for j in range(i + 1, len(order)):
-                if keys[j] - keys[i] > width():
-                    break
-                yield ki, order[j]
-
-    ceiling = math.inf
-    for i, j in sweep(lambda: ceiling):
-        ceiling = min(ceiling, _float_bounds(approx[i], approx[j])[1])
-    return min(abs(points[i] - points[j])
-               for i, j in sweep(lambda: ceiling + err)
-               if _float_bounds(approx[i], approx[j])[0] <= ceiling)
-
-
 def lift_cube_roots(found: dict, r: YvRecord) -> RootSet:
     """The RootSet of the record r from find_roots' result found: the cube
     roots of its ys laid out as RootSet states, a y below the real axis
@@ -531,7 +510,6 @@ def lift_cube_roots(found: dict, r: YvRecord) -> RootSet:
             radii.append(mp.mpf(0))
     return RootSet(
         n=r.n, roots=tuple(roots), residuals=tuple(residuals),
-        max_residual=max(residuals, default=mp.mpf(0)),
         includes_zero=r.has_zero_root, radii=tuple(radii), **fields)
 
 
@@ -601,25 +579,29 @@ def _near_rational(x, tol):
 @timed
 def certify(rs: RootSet, r: YvRecord) -> VerificationReport:
     """Count; one inclusion disc per root within 2^-prec |z| of it, no two
-    meeting by the separation of rs.roots themselves, measured at 2 prec,
-    so each holds one simple root; rotation/conjugation closure
-    in RootSet's layout (_closure), so a set closed only in another order
-    fails; a guard that no nonzero real root sits near a small rational.
-    Details: inclusion_digits, min -log10(radius / |z|) over the nonzero
-    roots."""
+    meeting by _separation of rs.roots themselves, from each orbit's base
+    (_orbits) in a closed set and from every root otherwise, so each holds
+    one simple root, and two roots the doubles cannot tell apart meet;
+    rotation/conjugation closure in RootSet's layout (_closure), so a set
+    closed only in another order fails; a guard that no nonzero real root
+    sits near a small rational. Details: inclusion_digits, min
+    -log10(radius / |z|) over the nonzero roots."""
     rep = VerificationReport(suite="roots", n=rs.n)
     expected = expected_degree(r.n)
     if len(rs.roots) != expected:
         rep.fail({"check": "count", "got": len(rs.roots), "want": expected})
+    closed = _closure(rs)
+    bases = ([orbit[0] for orbit in _orbits(rs)] if all(closed)
+             else range(len(rs.roots)))
     held, rep.details["inclusion_digits"] = _inclusion(
-        rs.roots, rs.radii, rs.precision_bits)
+        rs.roots, rs.radii, rs.precision_bits, bases)
     with mp.workprec(rs.precision_bits):
         tol = mp.mpf(2) ** (-rs.precision_bits // 2)
         if not held:
             rep.fail({"check": "inclusion", "radii": len(rs.radii)})
-        for check, closed in zip(("omega_closure", "conjugation_closure"),
-                                 _closure(rs)):
-            if not closed:
+        for check, ok in zip(("omega_closure", "conjugation_closure"),
+                             closed):
+            if not ok:
                 rep.fail({"check": check})
         for z in rs.roots:
             if z == 0 or abs(mp.im(z)) >= tol:

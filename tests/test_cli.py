@@ -130,6 +130,17 @@ class TestGen:
         assert code == 1
         assert capsys.readouterr().err == f"integrity failure: {error}\n"
 
+    def test_out_that_cannot_be_made_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        assert run(["gen", "--n-max", "3", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("yvpoly gen: error: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "a file, not a directory"
+
 
 class TestVerify:
     def test_exact_suites_pass(self, tmp_path, capsys):

@@ -6,9 +6,14 @@ import random
 from mpmath import mp
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yvpoly import family, roots
 from yvpoly.family import expected_degree
+
+
+PART = st.floats(-1e6, 1e6)  # a coordinate of _separation's points
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,13 @@ class TestFindRoots:
     def test_residuals_tiny(self, rootsets8, n):
         rs = rootsets8[n]
         with mp.workprec(rs.precision_bits):
-            assert rs.max_residual < mp.mpf(2) ** (-rs.precision_bits // 2)
+            assert max(rs.residuals) < mp.mpf(2) ** (-rs.precision_bits // 2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_precision_floor_at_degree_zero(self, records8, n):
+        # Q_0 = 1 and Q_1 = z have no y-roots to find; 52 bits still fails
+        with pytest.raises(ValueError, match="precision_bits must be >= 53"):
+            roots.roots_for_record(records8[n], 52)
 
     def test_zero_root_only_when_expected(self, rootsets8):
         for n in range(1, 9):
@@ -134,9 +145,8 @@ class TestLadder:
             with mp.workprec(rs.precision_bits):
                 assert all(q <= mp.ldexp(abs(z), -rs.precision_bits)
                            for z, q in zip(rs.roots, rs.radii))
-            with mp.workprec(2 * rs.precision_bits):  # as certify measures
-                assert roots._min_separation(rs.roots) \
-                    > 2 * max(rs.radii, default=0)
+            assert roots._separation(rs.roots, range(len(rs.roots))) \
+                > 2 * max(rs.radii, default=0)
 
     def test_pairs_are_laid_out_upper_first(self, records8):
         # started below the real axis, the ladder still lays each pair out
@@ -572,17 +582,38 @@ def _duplicated(rs):
 
 class TestScreens:
     @pytest.mark.parametrize("n", [4, 8, 12])
-    def test_min_separation_equals_full_scan(self, rootsets12, n):
+    def test_separation_bounds_full_scan(self, rootsets12, n):
         rs = rootsets12[n]
-        with mp.workprec(2 * rs.precision_bits):  # as certify measures it
-            brute = min(abs(a - b) for i, a in enumerate(rs.roots)
+        bases = [orbit[0] for orbit in roots._orbits(rs)]
+        bound = roots._separation(rs.roots, bases)
+        with mp.workprec(2 * rs.precision_bits):
+            exact = min(abs(a - b) for i, a in enumerate(rs.roots)
                         for b in rs.roots[:i])
-            assert roots._min_separation(rs.roots) == brute
+            assert exact - mp.mpf(2) ** -40 < bound <= exact
+        doubled = _duplicated(rs)
+        assert roots._separation(doubled, range(len(doubled))) <= 0
 
-    def test_min_separation_past_float_range(self):
-        points = [mp.mpc(2.5, 1), mp.mpc(mp.mpf("1e400")), mp.mpc(1),
-                  mp.mpc(2, 1)]
-        assert roots._min_separation(points) == mp.mpf("0.5")
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(PART, PART, st.integers(-2 ** 20, 2 ** 20)),
+                    min_size=2, max_size=12),
+           st.lists(st.integers(0, 11), max_size=3), st.integers(1, 11))
+    def test_separation_is_a_tight_lower_bound(self, parts, repeats, split):
+        with mp.workprec(200):
+            points = [mp.mpc(re + mp.ldexp(k, -70), im)
+                      for re, im, k in parts]
+            points += [points[r % len(points)] for r in repeats]
+            slack = mp.ldexp(1 + max(map(abs, points)), -40)
+            exact = min(abs(a - b) for i, a in enumerate(points)
+                        for b in points[:i])
+            bound = roots._separation(points, range(len(points)))
+            assert bound <= exact and exact - bound <= slack
+            k = 1 + split % (len(points) - 1)
+            crossed = min(abs(a - b) for a in points[:k] for b in points[k:])
+            bound = roots._separation(points[:k], range(k), points[k:])
+            assert bound <= crossed and crossed - bound <= slack
+        far = points + [mp.mpc(mp.mpf("1e400"))]
+        assert not roots._separation(far, range(len(far))) > 0
+        assert not roots._separation(points, range(1), far[1:]) > 0
 
     def test_near_rational_screen_equals_full_loop(self, rootsets12):
         def full_loop(x, tol):  # certify's guard before the double screen
@@ -688,6 +719,19 @@ class TestCertify:
         rs = rootsets8[7]
         rep = roots.certify(_with_roots(rs, _duplicated(rs)), records8[7])
         assert rep.witnesses == [{"check": "inclusion", "radii": 0}, *CLOSURE]
+
+    @pytest.mark.parametrize("kept, lost", [(3, 4), (4, 5)])
+    def test_detects_duplicated_root_with_its_disc(self, records8, rootsets8,
+                                                   kept, lost):
+        # an unclosed set is measured from every root: root 3 is an orbit's
+        # base, but from the bases alone two copies of root 4 go unseen
+        rs = rootsets8[7]
+        doubled = list(rs.roots)
+        doubled[lost] = doubled[kept]
+        broken = dataclasses.replace(rs, roots=tuple(doubled))
+        rep = roots.certify(broken, records8[7])
+        assert rep.witnesses == [{"check": "inclusion", "radii": 28},
+                                 *CLOSURE]
 
 
 class TestExports:
