@@ -24,7 +24,13 @@ coefficients.
   after multiplying by L b0^p, which is sound because gcd(host, host') = 1
   and gcd(host, other) = 1 are proved first by a Euclid run mod 2^61 - 1,
   so the factor is invertible. Residues are plain IntPolys, reduced once
-  per series coefficient and once per relation.
+  per series coefficient and once per relation. A row that reads one sum,
+  a C or K row, keeps its residue with that sum's table as a pin, under
+  its coefficient, p and cleared right-hand side. A row that reads both
+  sums passes, with `derived_from` naming the two, when the rows of
+  FAMILIES with its p that read each sum alone have zero residues and
+  right-hand sides that combine to its own; otherwise, and always for T1
+  and T6, it multiplies out its own residue.
 
 * numeric mode -- tables over certified high-precision root sets, built
   by one loop at the base w of each orbit of z -> omega z and z -> conj(z)
@@ -178,6 +184,46 @@ def sum_residue(host: IntPoly, other: IntPoly, p: int,
                             ctx)
 
 
+def _pin(table, coeff, p, cleared, ctx) -> IntPoly:
+    """The residue of a row that reads one sum X, coeff X_p = c + k a with
+    cleared = (L, L c, L k): (-1)^(p-1) L coeff G_{p-1} - (L c + L k a) b0^p
+    from X's table (G, b0_powers, pins), kept in pins."""
+    G, b0_powers, pins = table
+    if (coeff, p, cleared) not in pins:
+        scale, c, k = cleared
+        pins[coeff, p, cleared] = ctx.reduce(
+            (-1) ** (p - 1) * scale * coeff * G[p - 1]
+            - IntPoly((c, k)) * b0_powers[p])
+    return pins[coeff, p, cleared]
+
+
+def _derived_from(fam, n, used, ctx):
+    """The pins that prove fam, a row reading S_p and C_p, at n, or None.
+
+    Each sum's pin is the row of FAMILIES with the same p that reads it
+    alone: for S_p the row hosted by fam's host, for C_p the row with fam's
+    host key at n. A pin with residue 0 proves its sum equal to its row's
+    right-hand side over its coefficient, as b0 is invertible (see
+    sum_residue), so fam holds if those combine to fam's right-hand side.
+    """
+    _, _, host_key, p, _, _, rhs = fam
+    h = n - (host_key == "prev")  # fam's host is Q_h
+    total, names = [F(0), F(0)], []
+    for i, (coeff, table, _) in enumerate(used):  # S_p, then C_p
+        row = next((f for f in FAMILIES if f[3] == p and f[4 + i]
+                    and not f[5 - i] and (not i or f[2] == host_key)), None)
+        if row is None:
+            return None
+        m = n if i else h + (row[2] == "prev")
+        scale, *pinned = cleared = _cleared_rhs(row[6], m)
+        if _pin(table, row[4 + i], p, cleared, ctx):
+            return None
+        total = [t + F(coeff * v, scale * row[4 + i])
+                 for t, v in zip(total, pinned)]
+        names.append(f"{row[1]}@Q_{n - 1},Q_{n}" if i else f"{row[1]}@Q_{h}")
+    return sorted(names) if total == list(map(F, rhs(n))) else None
+
+
 @timed
 def _exact_report(fam, records, n):
     _, _, host_key, p, cs, cc, rhs = fam
@@ -187,9 +233,9 @@ def _exact_report(fam, records, n):
     if (host.poly.degree or 0) < 1:
         return _skipped(fam, n, "exact")
     ctx = TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
-    try:  # (coefficient, (G, b0_powers), name of b0) per sum used
+    try:  # (coefficient, (G, b0_powers, pins), name of b0) per sum used
         used = [(coeff, TABLES.get((host, sums), "residues", lambda: (
-            sum_residue(host.poly, sums.poly, P_MAX, ctx)),
+            *sum_residue(host.poly, sums.poly, P_MAX, ctx), {}),
             UnexpectedCommonFactor),
             f"Q_{sums.n}'(a)" if sums is host else f"Q_{sums.n}(a)")
             for coeff, sums in ((cs, host), (cc, other)) if coeff]
@@ -198,15 +244,19 @@ def _exact_report(fam, records, n):
         return _report(fam, n, "exact", False, {
             "error": "UnexpectedCommonFactor", "message": str(exc),
             "gcd_degree": exc.gcd_degree})
-    # cs S_p + cc C_p - (c + k a), times L and b0^p of each sum used:
-    # lhs / factor = sum coeff G_{p-1} / b0^p, factor the product of b0^p
-    scale, c, k = _cleared_rhs(rhs, n)
-    lhs, factor = IntPoly(), IntPoly.one()
-    for coeff, (G, b0_powers), _ in used:
-        lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
-        factor = factor * b0_powers[p]
-    residue = ctx.reduce((-1) ** (p - 1) * scale * lhs
-                         - IntPoly((c, k)) * factor)
+    scale, c, k = cleared = _cleared_rhs(rhs, n)
+    if len(used) == 1:
+        residue = _pin(used[0][1], used[0][0], p, cleared, ctx)
+    elif derived := _derived_from(fam, n, used, ctx):
+        return _report(fam, n, "exact", True, {}, derived_from=derived)
+    else:  # cs S_p + cc C_p - (c + k a), times L and both b0^p:
+        # lhs / factor = sum coeff G_{p-1} / b0^p, factor = the b0^p product
+        lhs, factor = IntPoly(), IntPoly.one()
+        for coeff, (G, b0_powers, _), _ in used:
+            lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
+            factor = factor * b0_powers[p]
+        residue = ctx.reduce((-1) ** (p - 1) * scale * lhs
+                             - IntPoly((c, k)) * factor)
     scaled_by = "·".join([str(scale)] + [f"{name}^{p}" for *_, name in used])
     return _report(fam, n, "exact", not residue, {
         "residue": list(map(str, residue.coeffs)),

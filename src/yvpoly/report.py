@@ -77,7 +77,8 @@ def timed(make):
 def combine(suite: str, n, reports) -> VerificationReport:
     """Aggregate: passes iff every sub-report passes (skips ignored), and
     keeps the smallest `margin_digits` and the largest `table_bits` among
-    the sub-reports that have one."""
+    the sub-reports that have one, and the sorted union of their
+    `derived_from`."""
     reports = list(reports)
     status = PASS
     if any(r.status == FAIL for r in reports):
@@ -90,5 +91,8 @@ def combine(suite: str, n, reports) -> VerificationReport:
         values = [r.details[key] for r in reports if key in r.details]
         if values:
             agg.details[key] = pick(values)
+    derived = {d for r in reports for d in r.details.get("derived_from", ())}
+    if derived:
+        agg.details["derived_from"] = sorted(derived)
     agg.elapsed = sum(r.elapsed for r in reports)
     return agg

@@ -380,6 +380,26 @@ class TestVerify:
         assert [(r["n"], r["status"]) for r in reports] == [
             (n, "pass") for n in range(1, 10) for _ in range(2)]
 
+    def test_relations_alone_name_their_pins(self, tmp_path):
+        # with no corollary or kudryashov suite run, the T rows prove their
+        # C and K pins themselves, and each combined exact report names the
+        # pins of its six derived rows
+        code = run(["verify", "--n-max", "4", "--mode", "exact",
+                    "--suites", "relations", "--out", str(tmp_path)])
+        assert code == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+
+        def pins(n):
+            hosts = [(n, (6, 7, 8))] + [(n - 1, (2, 3, 5))] * (n > 1)
+            return sorted(name for h, cs in hosts for name in (
+                [f"C{c}@Q_{n - 1},Q_{n}" for c in cs]
+                + [f"K{p}@Q_{h}" for p in (2, 3, 5)]))
+
+        assert [(r["n"], r["status"], r["details"]["derived_from"])
+                for r in reports] == [(n, "pass", pins(n))
+                                      for n in range(1, 5)]
+
     def test_relation_reports_name_their_route(self, tmp_path):
         code = run(["verify", "--n-max", "3", "--mode", "both",
                     "--suites", "relations,corollary,kudryashov",

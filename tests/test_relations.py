@@ -344,6 +344,32 @@ class TestExactMode:
         assert all(isinstance(c, str) for c in witness["residue"])
         assert any(int(c) for c in witness["residue"])
 
+    def test_derived_rows_agree_with_their_chains(self, records16,
+                                                 monkeypatch):
+        # every row decided as shipped, then with FAMILIES cut to its
+        # relations rows, so no pin is found and every T row runs its
+        # product chain; on the true records and with Q_2 corrupted
+        bad = list(records16[:13])
+        bad[2] = type(records16[2])(
+            n=2, poly=IntPoly([5, 0, 0, 1]), compressed=(1, 5), x_n=5, p_n=0)
+
+        def decide(records):
+            return [(n, r.details["family"], r.status,
+                     "derived_from" in r.details)
+                    for n in range(1, 13) for _, verifier in SUITES
+                    for r in verifier(records, n, mode="exact")]
+
+        shipped = [decide(records) for records in (records16[:13], bad)]
+        derivable = {"T2", "T3", "T5", "T7", "T8", "T10"}
+        assert all(derived == (name in derivable and status == PASS)
+                   for rows in shipped for _, name, status, derived in rows)
+        assert (3, "T2", FAIL, False) in shipped[1]
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            fam for fam in relations.FAMILIES if fam[0] == "relations"))
+        for records, rows in zip((records16[:13], bad), shipped):
+            assert [row[:3] for row in rows if row[1][0] == "T"] \
+                == [row[:3] for row in decide(records)]
+
     def test_every_factor_is_certified(self, monkeypatch):
         # fresh records, so no cached table hides a certificate
         records = family.generate(6)
@@ -383,6 +409,39 @@ class TestExactMode:
                              relations.verify_kudryashov):
                 reports = verifier(records8, n, mode="exact")
                 assert all(r.status == FAIL for r in reports), \
+                    _statuses(reports)
+
+    @pytest.mark.parametrize("weights", [(1, 2, 0), (0, 0, 1)])
+    def test_pins_follow_their_right_hand_sides(self, records8, monkeypatch,
+                                                weights):
+        # a run on these records fills their pins; then each right-hand
+        # side is shifted by (x cs + y cc + z cs cc) / 144, cs and cc its
+        # coefficients of S_p and C_p: with (1, 2, 0) every row is false
+        # while each T row's still combines its pins', with (0, 0, 1) only
+        # the T rows are false, and their pins hold. No pin of the first
+        # run may decide the rerun on these records, and no true pin a
+        # false T row.
+        for n in range(1, 9):
+            for _, verifier in SUITES[:3]:
+                assert {r.status for r in verifier(
+                    records8, n, mode="exact")} <= {PASS, SKIPPED}
+        x, y, z = weights
+        shifts = {}
+
+        def shifted(fam):
+            *head, cs, cc, rhs = fam
+            shift = shifts[fam[1]] = Fraction(x * cs + y * cc + z * cs * cc,
+                                              144)
+            return (*head, cs, cc,
+                    lambda n: (Fraction(rhs(n)[0]) + shift, rhs(n)[1]))
+
+        monkeypatch.setattr(relations, "FAMILIES",
+                            tuple(map(shifted, relations.FAMILIES)))
+        for n in range(2, 9):
+            for _, verifier in SUITES:
+                reports = verifier(records8, n, mode="exact")
+                assert all(r.status == (FAIL if shifts[r.details["family"]]
+                                        else PASS) for r in reports), \
                     _statuses(reports)
 
 
