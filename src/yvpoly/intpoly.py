@@ -2,8 +2,9 @@
 
 Coefficients are plain Python ints (arbitrary precision); ``coeffs[i]`` holds
 the coefficient of z**i and the zero polynomial has an empty tuple.
-Multiplication switches from schoolbook to Karatsuba above a size threshold,
-splitting each sequence into its even and odd entries; a product of a
+Multiplication switches from schoolbook to Toom-3 above a size threshold,
+splitting each sequence into its entries at each residue mod 3, and forms
+five third-size products where schoolbook forms nine; a product of a
 polynomial with itself takes a squaring path that forms about half the leaf
 products. Polynomials whose support lives in a single residue class mod 3
 (the common case in this project) are multiplied through their compressed
@@ -23,19 +24,22 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# Leaf products of kbit coefficients are dear, so Karatsuba pays from few
-# terms on. Sweep under the even/odd split, medians of 7 interleaved
-# in-process rounds at leaf sizes 4/6/8/12/16/24/32: generate(36) took
-# 0.89/0.85/0.83/0.84/0.91/0.96/1.02 s, and pII_residual for n = 0..16
-# (coefficients up to 353 bits) 0.17/0.14/0.13/0.13/0.14/0.16/0.15 s.
-KARATSUBA_THRESHOLD = 8
+# Leaf products of kbit coefficients are dear, so Toom-3 pays from few
+# terms on. Sweep, medians of 8 interleaved in-process rounds at leaf sizes
+# 6/9/12/18/24: generate(36) took 0.391/0.382/0.367/0.383/0.419 s, and
+# pII_residual for n = 0..16 (coefficients up to 353 bits)
+# 0.073/0.065/0.065/0.064/0.064 s.
+TOOM_THRESHOLD = 12
 
 # Nonzero lower divisor terms (the tail of _divisor) above which _divmod_seq
-# forms the quotient first. Summed over generate(36)'s 35 divisions, best of
-# 5 each in 5 sweeps, cutoffs 20/90/120/180 took 0.90-1.00/0.96-1.02/
-# 0.95-1.05/1.09-1.22x the time at 60. The exact relations' z-form hosts
-# cross over near 60 too (Q_18 has 57 terms, Q_19 62): their choices stay.
-DIVISION_CUTOFF = 60
+# forms the quotient first. Time quotient-first / loop, medians of 9
+# interleaved rounds, best of 3 each: the exact relations' reductions by the
+# z-form hosts Q_17..Q_22 (tails 51/57/62/70/77/83) 1.06/0.98/0.95/0.86/
+# 0.83/0.81, generate(36)'s divisions at tails 51/57/62/70/77/83/100/197
+# 1.39/1.29/1.21/1.12/1.03/0.99/0.89/0.58. The hosts, where the relation
+# route spends its time, cross over between 51 and 57; generation's tails
+# 57..77 then cost it 0.9 ms.
+DIVISION_CUTOFF = 54
 
 
 class IntegrityError(Exception):
@@ -108,46 +112,74 @@ def _school_sqr(a: Sequence[int]) -> list:
     return out
 
 
-def _karatsuba_join(z0: list, z1: list, z2: list, length: int) -> list:
-    """a b from the even/odd split a = a0(y^2) + y a1(y^2), b likewise:
-    a0 b0 + y^2 a1 b1 at the even powers and a0 b1 + a1 b0 at the odd ones,
-    from the three products z0 = a0 b0, z1 = (a0 + a1)(b0 + b1), z2 = a1 b1."""
-    even = z0 + [0] * ((length + 1) // 2 - len(z0))
-    for i, c in enumerate(z2):
-        z1[i] -= z0[i] + c
-        even[i + 1] += c
-    for i in range(len(z2), length // 2):
-        z1[i] -= z0[i]
-    out = [0] * length
-    out[0::2] = even
-    out[1::2] = z1[:length // 2]  # entries past it are zero
+def _points(a: Sequence[int]):
+    """The stride-3 parts of a = a0(y^3) + y a1(y^3) + y^2 a2(y^3), as the
+    polynomial a0 + t a1 + t^2 a2 in t, evaluated at t = 0, 1, -1, -2 and
+    infinity, each as long as a0. The values at 1 and -1 are one list,
+    rewritten in place, so each value must be used before the next is
+    drawn, and only one point's sums are held at a time."""
+    a0, a1, a2 = a[0::3], a[1::3], a[2::3]
+    yield a0
+    p = _add_seq(_add_seq(a0, a2), a1)
+    yield p
+    for i, c in enumerate(a1):
+        p[i] -= c << 1
+    yield p
+    for i, c in enumerate(a2):
+        p[i] += c
+    p = [(c << 1) - d for c, d in zip(p, a0)]  # 2 (a(-1) + a2) - a0
+    yield p
+    del p
+    yield a2
+
+
+def _toom_join(r0: list, r1: list, rm1: list, rm2: list, rinf: list,
+               length: int) -> list:
+    """a b from the five products r(t) = a(t) b(t) of the stride-3 parts at
+    t = 0, 1, -1, -2 and infinity. Bodrato's sequence (one exact division by
+    3, two exact halvings) recovers r = c0 + c1 t + ... + c4 t^4 entry by
+    entry, and t^3 = y^3 moves c3 and c4 one entry up onto c0 and c1. The
+    results overwrite r0, r1 and rm1 as they are read, so the join holds
+    no second copy of the product."""
+    c3 = c4 = 0
+    for i, (x0, x1, xm1, xm2, x4) in enumerate(zip(
+            r0, r1, rm1, rm2, rinf + [0] * (len(r0) - len(rinf)))):
+        c2 = xm1 - x0
+        c1 = (x1 - xm1) >> 1
+        r0[i] = x0 + c3
+        c3 = ((c2 - (xm2 - x1) // 3) >> 1) + (x4 << 1)
+        r1[i] = c1 - c3 + c4
+        rm1[i] = c2 + c1 - x4
+        c4 = x4
+    r0.append(c3)
+    r1.append(c4)
+    out = [0] * length  # entries past it are zero
+    out[0::3] = r0[:(length + 2) // 3]
+    out[1::3] = r1[:(length + 1) // 3]
+    out[2::3] = rm1[:length // 3]
     return out
 
 
 def _mul_seq(a: Sequence[int], b: Sequence[int]) -> list:
-    """a * b by Karatsuba on the even/odd split. On a coefficient ramp both
-    halves span the whole ramp, so the sums the middle product multiplies
-    stay the size of their parts; low/high halves would add the small half
-    to the big one and make the middle product as dear as the big one."""
+    """a * b by Toom-3 on the stride-3 split. On a coefficient ramp every
+    part spans the whole ramp, so the evaluated sums stay the size of their
+    parts; low/middle/high thirds would add the small parts to the big one
+    and make every evaluated product as dear as the big one."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
+    if min(len(a), len(b)) <= TOOM_THRESHOLD:
         return _school_mul(a, b)
-    a0, a1, b0, b1 = a[0::2], a[1::2], b[0::2], b[1::2]
-    return _karatsuba_join(_mul_seq(a0, b0),
-                           _mul_seq(_add_seq(a0, a1), _add_seq(b0, b1)),
-                           _mul_seq(a1, b1), len(a) + len(b) - 1)
+    return _toom_join(*[_mul_seq(p, q) for p, q in zip(_points(a), _points(b))],
+                      len(a) + len(b) - 1)
 
 
 def _sqr_seq(a: Sequence[int]) -> list:
-    """_mul_seq(a, a) by three half-size squarings."""
+    """_mul_seq(a, a) by five third-size squarings."""
     if not a:
         return []
-    if len(a) <= KARATSUBA_THRESHOLD:
+    if len(a) <= TOOM_THRESHOLD:
         return _school_sqr(a)
-    a0, a1 = a[0::2], a[1::2]
-    return _karatsuba_join(_sqr_seq(a0), _sqr_seq(_add_seq(a0, a1)),
-                           _sqr_seq(a1), 2 * len(a) - 1)
+    return _toom_join(*[_sqr_seq(p) for p in _points(a)], 2 * len(a) - 1)
 
 
 def _stride3_class(coeffs: Sequence[int]):
@@ -192,7 +224,7 @@ def _divmod_seq(num: Sequence[int], divisor: tuple) -> tuple:
 
     Above DIVISION_CUTOFF lower terms of den, the loop updates only the
     entries from deg(den) up, the ones later quotient coefficients read,
-    and the remainder is num - q den by one Karatsuba product. The entries
+    and the remainder is num - q den by one Toom-3 product. The entries
     it skips pair the low coefficients of q and den, the largest here.
     """
     dd, lead, tail, den = divisor

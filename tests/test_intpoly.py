@@ -55,13 +55,17 @@ class TestArithmetic:
     def test_commutativity(self, a, b):
         assert a * b == b * a
 
-    @given(a=st.lists(st.integers(-9, 9), min_size=60, max_size=90).map(IntPoly),
-           b=st.lists(st.integers(-9, 9), min_size=60, max_size=90).map(IntPoly))
-    @settings(max_examples=20)
+    @given(a=st.integers(0, 120).flatmap(lambda n: st.lists(
+        st.integers(-2**300, 2**300), min_size=n, max_size=n)),
+           b=st.integers(0, 120).flatmap(lambda n: st.lists(
+        st.integers(-2**300, 2**300), min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
     def test_karatsuba_matches_schoolbook(self, a, b):
-        from yvpoly.intpoly import _mul_seq, _school_mul
-        if a and b:
-            assert _mul_seq(a.coeffs, b.coeffs) == _school_mul(a.coeffs, b.coeffs)
+        """The product kernel (Toom-3 since it replaced Karatsuba) and its
+        squaring path against schoolbook, at every length up to 120."""
+        from yvpoly.intpoly import _mul_seq, _school_mul, _sqr_seq
+        assert _mul_seq(a, b) == (_school_mul(a, b) if a and b else [])
+        assert _sqr_seq(a) == (_school_mul(a, a) if a else [])
 
     @given(a=st.integers(0, 80).flatmap(lambda n: st.lists(
         st.integers(-10**30, 10**30) | st.just(0), min_size=n, max_size=n)))
@@ -70,7 +74,7 @@ class TestArithmetic:
         from yvpoly.intpoly import _mul_seq, _sqr_seq
         assert _sqr_seq(a) == _mul_seq(a, a)
 
-    @given(coeffs=st.integers(0, 40).flatmap(lambda n: st.lists(
+    @given(coeffs=st.integers(0, 120).flatmap(lambda n: st.lists(
         st.integers(-10**20, 10**20), min_size=n, max_size=n)),
            shift=st.integers(0, 2), stride=st.sampled_from([1, 3]))
     @settings(max_examples=60)
@@ -101,8 +105,14 @@ def _ramp(length, rng, zero_runs=False):
 
 
 class TestEvenOddKaratsuba:
+    """The product kernel, Toom-3 on the stride-3 split since it replaced
+    the even/odd Karatsuba this class is named for, against schoolbook.
+    Shapes straddle TOOM_THRESHOLD in each length class mod 3, so that
+    every part length and every unbalanced split reaches the join."""
+
     LENGTHS = [(1, 200), (200, 1), (9, 9), (10, 10), (17, 16), (33, 64),
-               (64, 33), (9, 200), (101, 99)]
+               (64, 33), (9, 200), (101, 99), (12, 12), (13, 13), (14, 40),
+               (13, 200), (200, 13), (37, 38), (39, 39), (223, 211)]
 
     @pytest.mark.parametrize("la,lb", LENGTHS)
     def test_mul_matches_schoolbook_on_ramps(self, la, lb):
@@ -113,7 +123,8 @@ class TestEvenOddKaratsuba:
             assert _mul_seq(a, b) == _school_mul(a, b)
             assert _mul_seq(a[::-1], b) == _school_mul(a[::-1], b)
 
-    @pytest.mark.parametrize("length", [1, 8, 9, 10, 31, 32, 33, 200])
+    @pytest.mark.parametrize("length", [1, 8, 9, 10, 31, 32, 33, 200,
+                                        12, 13, 14, 37, 38, 39, 223])
     def test_sqr_matches_schoolbook_on_ramps(self, length):
         from yvpoly.intpoly import _school_mul, _sqr_seq
         rng = random.Random(length)
@@ -121,6 +132,20 @@ class TestEvenOddKaratsuba:
             a = _ramp(length, rng, zero_runs)
             assert _sqr_seq(a) == _school_mul(a, a)
             assert _sqr_seq(a[::-1]) == _school_mul(a[::-1], a[::-1])
+
+    @pytest.mark.parametrize("zeroed", [(1,), (2,), (1, 2)])
+    def test_zero_parts(self, zeroed):
+        """a[1::3], a[2::3] or both all zero: a point's product, or two
+        points', is zero or equal to another's."""
+        from yvpoly.intpoly import _mul_seq, _school_mul, _sqr_seq
+        rng = random.Random(str(zeroed))
+        for la, lb in [(40, 40), (13, 90), (91, 14), (120, 119)]:
+            a, b = _ramp(la, rng), _ramp(lb, rng)
+            for k in zeroed:
+                a[k::3] = [0] * len(a[k::3])
+            assert _mul_seq(a, b) == _school_mul(a, b)
+            assert _mul_seq(b, a) == _school_mul(a, b)
+            assert _sqr_seq(a) == _school_mul(a, a)
 
 
 def _school_divmod(num, den):
