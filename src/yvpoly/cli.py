@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath as mp
@@ -23,49 +22,56 @@ from .intpoly import IntegrityError
 from .report import (FAIL, SKIPPED, VerificationReport, combine, stringify,
                      timed)
 
-@dataclass
+
 class RunConfig:
     """Every setting of a run, its default and its check. The CLI passes the
     flags a command was given; every other setting keeps its default."""
-    n_max: int = 12
-    precision_bits: int = rootsmod.DEFAULT_PRECISION_BITS  # roots only
-    tolerance_exponent: int = relations.DEFAULT_TOLERANCE_EXPONENT
-    mode: str = "both"  # exact | numeric | both
-    output_dir: Path | None = None  # None: $YV_OUT_DIR, else "."
-    report_format: str = "json"
-    seed: int = 0
-    timing: bool = False  # write each report's elapsed time
-    suites: str | list = "all"  # comma-separated or "all"; a list once checked
-    m_list: str | list = "3,6,9"  # comma-separated; a list once checked
+    n_max: int
+    precision_bits: int  # roots only
+    tolerance_exponent: int
+    mode: str  # exact | numeric | both
+    output_dir: Path  # given, else $YV_OUT_DIR, else "."
+    report_format: str
+    seed: int
+    timing: bool  # write each report's elapsed time
+    suites: list  # given comma-separated, or "all"
+    m_list: list  # given comma-separated
 
-    def __post_init__(self):
-        if self.n_max < 0:
+    def __init__(self, n_max=12,
+                 precision_bits=rootsmod.DEFAULT_PRECISION_BITS,
+                 tolerance_exponent=relations.DEFAULT_TOLERANCE_EXPONENT,
+                 mode="both", output_dir=None, report_format="json", seed=0,
+                 timing=False, suites="all", m_list="3,6,9"):
+        if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.precision_bits < 53:
+        if precision_bits < 53:
             raise ValueError("precision_bits must be >= 53")
-        if self.tolerance_exponent < 6:
+        if tolerance_exponent < 6:
             raise ValueError("tolerance_exponent must be >= 6")
-        if self.mode not in ("exact", "numeric", "both"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.report_format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.report_format!r}")
-        self.output_dir = Path(self.output_dir
-                               or os.environ.get("YV_OUT_DIR") or ".")
-        if isinstance(self.suites, str):
-            self.suites = (list(SUITE_RUNNERS) if self.suites == "all" else
-                           [s.strip() for s in self.suites.split(",")
-                            if s.strip()])
-        unknown = [s for s in self.suites if s not in SUITE_RUNNERS]
+        if mode not in ("exact", "numeric", "both"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if report_format not in ("json", "csv"):
+            raise ValueError(f"unknown format {report_format!r}")
+        if isinstance(suites, str):
+            suites = (list(SUITE_RUNNERS) if suites == "all" else
+                      [s.strip() for s in suites.split(",") if s.strip()])
+        unknown = [s for s in suites if s not in SUITE_RUNNERS]
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
-        if not self.suites:
+        if not suites:
             raise ValueError("no suites given")
-        if isinstance(self.m_list, str):
-            self.m_list = self.m_list.split(",")
-        for m in self.m_list:
+        if isinstance(m_list, str):
+            m_list = m_list.split(",")
+        for m in m_list:
             if not str(m).strip().isdecimal() or int(m) < 1:
                 raise ValueError(f"--m-list: {m!r} is not an integer >= 1")
-        self.m_list = [int(m) for m in self.m_list]
+        self.n_max, self.precision_bits = n_max, precision_bits
+        self.tolerance_exponent, self.mode = tolerance_exponent, mode
+        self.output_dir = Path(output_dir or os.environ.get("YV_OUT_DIR")
+                               or ".")
+        self.report_format, self.seed = report_format, seed
+        self.timing, self.suites = timing, suites
+        self.m_list = [int(m) for m in m_list]
 
     @property
     def tolerance(self):
@@ -73,9 +79,8 @@ class RunConfig:
 
 
 class _Runner:
-    """One invocation's records. The root sets and rational solutions w_n
-    read from them are built once, in relations.TABLES, and dropped with
-    the records."""
+    """One invocation's records. The root sets read from them are built
+    once, in relations.TABLES, and dropped with the records."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -89,12 +94,6 @@ class _Runner:
             (record,), ("roots", bits, seed),
             lambda: rootsmod.roots_for_record(record, bits, seed=seed),
             rootsmod.CertificationFailure)
-
-    def solution(self, n: int):
-        """w_n, built once from Q_{n-1} and Q_n."""
-        return relations.TABLES.get(
-            self.records[max(n - 1, 0):n + 1], "w",
-            lambda: painleve.rational_solution(self.records, n))
 
 
 def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
@@ -143,7 +142,7 @@ def _suite_wronskian(run: _Runner):
 
 
 def _suite_pii(run: _Runner):
-    return [painleve.pII_residual(run.solution(n))
+    return [painleve.pII_residual(painleve.rational_solution(run.records, n))
             for n in range(run.config.n_max + 1)]
 
 
@@ -156,7 +155,8 @@ def _backlund_report(w, n: int, want) -> VerificationReport:
 
 
 def _suite_backlund(run: _Runner):
-    return [_backlund_report(run.solution(n), n, run.solution(n + 1))
+    w = functools.partial(painleve.rational_solution, run.records)
+    return [_backlund_report(w(n), n, w(n + 1))
             for n in range(run.config.n_max)]
 
 

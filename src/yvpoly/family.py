@@ -15,13 +15,12 @@ Q_n' Q_{n-2} - Q_n Q_{n-2}' = (2n-1) Q_{n-1}^2 held in the step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
 from .intpoly import (IntegrityError, IntPoly, NonIntegerQuotient,
                       NonZeroRemainder)
-from .report import FAIL, PASS, VerificationReport, timed
+from .report import FAIL, PASS, Frozen, VerificationReport, timed
 
 
 class StructureViolation(IntegrityError):
@@ -40,14 +39,17 @@ def expected_valuation(n: int) -> int:
     return n * (n + 1) // 3
 
 
-@dataclass(frozen=True)
-class YvRecord:
+class YvRecord(Frozen):
     n: int
     poly: IntPoly
     compressed: tuple  # a_0 .. a_{[n(n+1)/6]}, a_0 = 1 (leading first)
     x_n: int
     p_n: int
-    wronskian: bool | None = None  # the identity at n - 1 held; None: unproved
+    wronskian: bool | None  # the identity at n - 1 held; None: unproved
+
+    def __init__(self, n, poly, compressed, x_n, p_n, wronskian=None):
+        vars(self).update(n=n, poly=poly, compressed=compressed, x_n=x_n,
+                          p_n=p_n, wronskian=wronskian)
 
     @property
     def has_zero_root(self) -> bool:

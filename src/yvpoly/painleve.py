@@ -4,8 +4,10 @@ w_n is kept as a numerator/denominator pair of integer polynomials, the
 denominator Q_{n-1} Q_n. Identity checks (the P_II residual, the Backlund
 recurrence) are exact polynomial computations; no floating point. Each
 forms its products once: the numerator of w_n is 2 (p'q) - (pq)' with pq
-the denominator, the P_II residual of N/D is D (a' - zND - nD^2) - 2aD' -
-2N^3 with a = N'D - ND', and the Backlund step reuses D^2 in D^3.
+the denominator; the P_II residual of N/D, D (a' - zND - nD^2) - 2aD' -
+2N^3 with a = N'D - ND', is expanded to D U + 2N (D' - N)(D' + N), U =
+D (N'' - zN - nD) - 2N'D' - ND'', six products; and the Backlund step
+reuses D^2 in D^3.
 
 The pair is in lowest terms since consecutive Q_n are coprime with simple
 roots (Fukutani-Okamoto-Umemura); `rational_solution` proves it for each n
@@ -16,18 +18,20 @@ cross-multiplication, no gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .intpoly import IntPoly, certify_coprime
-from .report import VerificationReport, timed
+from .relations import TABLES
+from .report import Frozen, VerificationReport, timed
 
 
-@dataclass(frozen=True, eq=False)  # no hash: == cross-multiplies
-class RationalSolution:
+class RationalSolution(Frozen):  # no hash: == cross-multiplies
     n: int
     numerator: IntPoly
     denominator: IntPoly
+
+    def __init__(self, n, numerator, denominator):
+        vars(self).update(n=n, numerator=numerator, denominator=denominator)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSolution):
@@ -39,11 +43,17 @@ class RationalSolution:
 
 
 def rational_solution(records: Sequence, n: int) -> RationalSolution:
-    """w_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n, certified in lowest terms."""
+    """w_n = Q_{n-1}'/Q_{n-1} - Q_n'/Q_n, certified in lowest terms, built
+    once per pair of records and dropped with them (relations.TABLES)."""
+    if n < 0 or n >= len(records):
+        raise ValueError(f"records up to {n} required")
+    return TABLES.get(records[max(n - 1, 0):n + 1], "w",
+                      lambda: _build_solution(records, n))
+
+
+def _build_solution(records: Sequence, n: int) -> RationalSolution:
     if n == 0:
         return RationalSolution(0, IntPoly.zero(), IntPoly.one())
-    if n < 1 or n >= len(records):
-        raise ValueError(f"records up to {n} required")
     p, q = records[n - 1].poly, records[n].poly
     den = p * q
     num = 2 * (p.derivative() * q) - den.derivative()  # p'q - pq'
@@ -55,11 +65,12 @@ def rational_solution(records: Sequence, n: int) -> RationalSolution:
 def pII_residual(w: RationalSolution) -> VerificationReport:
     """Numerator of w'' - 2w^3 - zw - n over D^3; pass iff identically zero."""
     nn, dd = w.numerator, w.denominator
-    d1 = dd.derivative()
-    a = nn.derivative() * dd - nn * d1  # w' * D^2
-    # a'D - 2aD' - 2N^3 - zND^2 - nD^3 with D factored out of three terms
-    bracket = a.derivative() - IntPoly.z() * (nn * dd) - w.n * (dd * dd)
-    residual = dd * bracket - 2 * (a * d1) - 2 * (nn * nn * nn)
+    n1, d1 = nn.derivative(), dd.derivative()
+    # a'D - 2aD' - 2N^3 - zND^2 - nD^3, a = N'D - ND' = w' D^2, expanded
+    # and regrouped: D U + 2N (D' - N)(D' + N)
+    u = (dd * (n1.derivative() - IntPoly.z() * nn - w.n * dd)
+         - 2 * (n1 * d1) - nn * d1.derivative())
+    residual = dd * u + 2 * (nn * ((d1 - nn) * (d1 + nn)))
     rep = VerificationReport(suite="pii", n=w.n)
     if residual:
         rep.fail({"residual_degree": residual.degree})

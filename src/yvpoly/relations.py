@@ -46,8 +46,9 @@ coefficients.
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the bits) they were built
 from, and dropped when those objects are collected. The same memo, TABLES,
-holds each record's inverse power sums for `series`, and the root sets and
-rational solutions w_n a CLI run reads from its records.
+holds each record's inverse power sums for `series`, the rational solution
+w_n that `painleve.rational_solution` builds once from Q_{n-1} and Q_n for
+every caller, and the root sets a CLI run reads from its records.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -30,14 +29,36 @@ def stringify(value: Any):
     return str(value)
 
 
-@dataclass
+class Frozen:
+    """Read-only fields: a subclass's __init__ stores them once through
+    vars(self), and assigning or deleting one raises AttributeError. Two
+    instances of one class are equal when their fields are."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
 class VerificationReport:
     suite: str
-    n: int | None = None
-    status: str = PASS
-    details: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    elapsed: float = 0.0
+    n: int | None
+    status: str
+    details: dict
+    witnesses: list
+    elapsed: float
+
+    def __init__(self, suite, n=None, status=PASS, details=None,
+                 witnesses=None, elapsed=0.0):
+        self.suite, self.n, self.status = suite, n, status
+        self.details = {} if details is None else details
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -25,13 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import from_float, mpf_shift, to_fixed, to_float
 
 from .family import YvRecord, expected_degree
-from .report import VerificationReport, timed
+from .report import Frozen, VerificationReport, timed
 
 DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
@@ -55,8 +54,7 @@ class CertificationFailure(RuntimeError):
         self.n = n
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Frozen):
     """The roots of Q_n in one layout: per y-root a triple (b, b omega,
     b conj(omega)) of images of its cube root b rounded once at 2 prec;
     the triples of a conjugate pair of y-roots adjacent, the second the
@@ -72,6 +70,14 @@ class RootSet:
     ladder: tuple  # precision (bits) of each Newton step that passed
     fallback: bool  # whether the second start, from seed + 1, ran
     representatives: int  # y-roots the ladder stepped, one per pair
+
+    def __init__(self, n, roots, precision_bits, residuals, includes_zero,
+                 radii, float_iterations, ladder, fallback, representatives):
+        vars(self).update(
+            n=n, roots=roots, precision_bits=precision_bits,
+            residuals=residuals, includes_zero=includes_zero, radii=radii,
+            float_iterations=float_iterations, ladder=ladder,
+            fallback=fallback, representatives=representatives)
 
 
 def working_precision(degree: int,

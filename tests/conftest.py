@@ -3,6 +3,12 @@ import pytest
 from yvpoly import family
 
 
+def replaced(obj, **changes):
+    """A new instance of obj's class with obj's fields, changes applied:
+    the records are read-only, so a test builds a corrupted copy."""
+    return type(obj)(**{**vars(obj), **changes})
+
+
 @pytest.fixture(scope="session")
 def records16():
     return family.generate(16)

@@ -26,6 +26,18 @@ class TestConfig:
         assert cfg.precision_bits == 256
         assert float(cfg.tolerance) == pytest.approx(1e-30)
 
+    def test_every_default(self, monkeypatch):
+        monkeypatch.delenv("YV_OUT_DIR", raising=False)
+        assert vars(cli.RunConfig()) == {
+            "n_max": 12, "precision_bits": 256, "tolerance_exponent": 30,
+            "mode": "both", "output_dir": Path("."), "report_format": "json",
+            "seed": 0, "timing": False, "suites": list(cli.SUITE_RUNNERS),
+            "m_list": [3, 6, 9]}
+
+    def test_unknown_setting_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            cli.RunConfig(bogus=1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cli.RunConfig(n_max=-1)
@@ -314,16 +326,17 @@ class TestVerify:
 
     def test_pii_and_backlund_share_each_solution(self, tmp_path,
                                                   monkeypatch):
-        real, calls = painleve.rational_solution, []
+        # each w_n, n >= 1, is certified once, when it is built
+        real, calls = painleve.certify_coprime, []
 
-        def spy(records, n):
-            calls.append(n)
-            return real(records, n)
+        def spy(num, den, what):
+            calls.append(what)
+            return real(num, den, what)
 
-        monkeypatch.setattr(painleve, "rational_solution", spy)
+        monkeypatch.setattr(painleve, "certify_coprime", spy)
         assert run(["verify", "--n-max", "5", "--suites", "pii,backlund",
                     "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == list(range(6))
+        assert sorted(calls) == [f"w_{n}" for n in range(1, 6)]
 
     def test_combined_reports_carry_margin_digits(self, tmp_path):
         code = run(["verify", "--n-max", "4", "--mode", "both",

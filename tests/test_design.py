@@ -3,9 +3,16 @@ and module-level import it defines is used by it, and every class field
 it declares is read by it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import mpmath
+import pytest
+
 import yvpoly
+from yvpoly import painleve, roots
 
 SRC = Path(yvpoly.__file__).parent
 
@@ -121,3 +128,28 @@ def test_every_function_is_used_in_the_package():
     sources = {path.name: path.read_text()
                for path in sorted(SRC.glob("*.py"))}
     assert _unused(sources) == []
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # every run pays for `import yvpoly.cli`; -S keeps site and every .pth
+    # file out, so only the package and mpmath are imported
+    path = os.pathsep.join([str(SRC.parent),
+                            str(Path(mpmath.__file__).parents[1])])
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, yvpoly.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, check=True).stdout.split()
+    assert "yvpoly.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis",
+                "tokenize"}.intersection(loaded)
+
+
+def test_records_are_read_only(records8):
+    for obj in (records8[2], roots.roots_for_record(records8[2]),
+                painleve.rational_solution(records8, 2)):
+        with pytest.raises(AttributeError):
+            obj.n = 3
+        with pytest.raises(AttributeError):
+            del obj.n
+        assert obj.n == 2

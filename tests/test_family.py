@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from yvpoly import cli, family
 from yvpoly.intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 
+from conftest import replaced
 from table1 import COMPRESSED
 
 
@@ -236,7 +236,7 @@ class TestWronskianProof:
     def test_false_verdict_is_a_fail_report(self, records16, tmp_path,
                                             monkeypatch, capsys, verdict):
         bad = list(records16)
-        bad[5] = dataclasses.replace(bad[5], wronskian=verdict)
+        bad[5] = replaced(bad[5], wronskian=verdict)
         monkeypatch.setattr(family, "generate", lambda n_max: bad[:n_max + 1])
         code = cli.main(["verify", "--n-max", "6", "--suites", "wronskian",
                          "--out", str(tmp_path)])

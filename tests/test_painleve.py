@@ -1,10 +1,11 @@
-import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from yvpoly import cli, family
+from yvpoly import cli, family, relations
 from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from yvpoly.painleve import (
     RationalSolution,
@@ -13,11 +14,13 @@ from yvpoly.painleve import (
     rational_solution,
 )
 
+from conftest import replaced
+
 
 def corrupted(records, n, factor):
     """records with Q_n replaced by Q_n * factor, past make_record's checks."""
     bad = list(records)
-    bad[n] = dataclasses.replace(records[n], poly=records[n].poly * factor)
+    bad[n] = replaced(records[n], poly=records[n].poly * factor)
     return bad
 
 
@@ -98,6 +101,18 @@ class TestBacklundNormalisation:
 
 
 class TestSolutions:
+    def test_built_once_per_pair_of_records(self):
+        gc.collect()
+        before, records = len(relations.TABLES._entries), family.generate(4)
+        w = rational_solution(records, 3)
+        assert rational_solution(list(records), 3) is w
+        assert rational_solution(records, 2) is not w
+        gone = weakref.ref(w)
+        del records, w
+        gc.collect()
+        assert gone() is None
+        assert len(relations.TABLES._entries) == before
+
     def test_w1_is_minus_inverse_z(self, records8):
         w = rational_solution(records8, 1)
         assert w == RationalSolution(1, IntPoly([-1]), IntPoly.z())
@@ -157,6 +172,24 @@ class TestResidualFailures:
         w5 = rational_solution(records8, 5)
         self.check_fails_at_textbook_degree(
             RationalSolution(5, w5.numerator + IntPoly.one(), w5.denominator))
+
+    @given(st.integers(0, 5),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+           .map(IntPoly).filter(bool),
+           st.lists(st.integers(-9, 9), max_size=8).map(IntPoly),
+           st.integers(-2, 2))
+    def test_witness_degree_is_textbook_degree(self, records8, k, factor,
+                                               shift, dn):
+        # N/D = w_k times factor/factor, plus shift/D, at parameter k + dn:
+        # from the solution itself (residual 0) to a random fraction. On
+        # a random N/D alone the top degree comes from one of -zND^2,
+        # -nD^3 and -2N^3, and the rest of the residual goes unseen.
+        w = rational_solution(records8, k)
+        num, den = w.numerator * factor + shift, w.denominator * factor
+        expected = textbook_residual(RationalSolution(k + dn, num, den))
+        rep = pII_residual(RationalSolution(k + dn, num, den))
+        assert rep.witnesses == (
+            [{"residual_degree": expected.degree}] if expected else [])
 
 
 class TestBacklund:

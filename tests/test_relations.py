@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import weakref
@@ -12,6 +11,8 @@ from yvpoly import cli, family, relations, roots
 from yvpoly.intpoly import IntPoly
 from yvpoly.quotient import QuotientContext
 from yvpoly.report import FAIL, PASS, SKIPPED
+
+from conftest import replaced
 
 
 def _statuses(reports):
@@ -597,7 +598,7 @@ class TestNumericMode:
         rs = rootsets8[7]
         order = list(range(len(rs.roots)))
         random.Random(0).shuffle(order)
-        shuffled = dataclasses.replace(
+        shuffled = replaced(
             rs, roots=tuple(rs.roots[k] for k in order))
         rootsets = {**rootsets8, 7: shuffled}
         for n in (7, 8):

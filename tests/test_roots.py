@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from yvpoly import family, roots
 from yvpoly.family import expected_degree
+
+from conftest import replaced
 
 
 PART = st.floats(-1e6, 1e6)  # a coordinate of _separation's points
@@ -563,7 +564,7 @@ class TestFloatStage:
 
 
 def _with_roots(rs, new_roots):
-    return dataclasses.replace(rs, roots=tuple(new_roots), radii=(),
+    return replaced(rs, roots=tuple(new_roots), radii=(),
                                residuals=rs.residuals[:len(new_roots)])
 
 
@@ -656,7 +657,7 @@ class TestCertify:
 
     def test_detects_dropped_root(self, records8, rootsets8):
         rs = rootsets8[3]
-        broken = dataclasses.replace(rs, roots=rs.roots[:-1], radii=(),
+        broken = replaced(rs, roots=rs.roots[:-1], radii=(),
                                      residuals=rs.residuals[:-1])
         rep = roots.certify(broken, records8[3])
         assert rep.witnesses == [{"check": "count", "got": 5, "want": 6},
@@ -672,7 +673,7 @@ class TestCertify:
         rs = rootsets8[7]
         order = list(range(len(rs.roots)))
         random.Random(0).shuffle(order)
-        shuffled = dataclasses.replace(
+        shuffled = replaced(
             rs, roots=tuple(rs.roots[k] for k in order),
             residuals=tuple(rs.residuals[k] for k in order),
             radii=tuple(rs.radii[k] for k in order))
@@ -685,7 +686,7 @@ class TestCertify:
         with mp.workprec(2 * rs.precision_bits):
             moved = list(rs.roots)
             moved[4] = moved[3] + rs.radii[3]  # on the rim of root 3's disc
-        broken = dataclasses.replace(rs, roots=tuple(moved))
+        broken = replaced(rs, roots=tuple(moved))
         assert roots.certify(rs, records8[7]).passed
         rep = roots.certify(broken, records8[7])
         assert {"check": "inclusion", "radii": len(rs.radii)} \
@@ -704,13 +705,13 @@ class TestCertify:
             moved = list(rs.roots)
             moved[moved_orbit.start:moved_orbit.stop] = \
                 triple + [mp.conj(z) for z in triple]
-        broken = dataclasses.replace(rs, roots=tuple(moved))
+        broken = replaced(rs, roots=tuple(moved))
         assert roots._closure(broken) == (True, True)
         rep = roots.certify(broken, records8[7])
         assert rep.witnesses == [{"check": "inclusion", "radii": 28}]
 
     def test_detects_missing_radii(self, records8, rootsets8):
-        rep = roots.certify(dataclasses.replace(rootsets8[7], radii=()),
+        rep = roots.certify(replaced(rootsets8[7], radii=()),
                             records8[7])
         assert {"check": "inclusion", "radii": 0} in rep.witnesses
         assert rep.details["inclusion_digits"] is None
@@ -728,7 +729,7 @@ class TestCertify:
         rs = rootsets8[7]
         doubled = list(rs.roots)
         doubled[lost] = doubled[kept]
-        broken = dataclasses.replace(rs, roots=tuple(doubled))
+        broken = replaced(rs, roots=tuple(doubled))
         rep = roots.certify(broken, records8[7])
         assert rep.witnesses == [{"check": "inclusion", "radii": 28},
                                  *CLOSURE]
