@@ -15,8 +15,8 @@ Q_n' Q_{n-2} - Q_n Q_{n-2}' = (2n-1) Q_{n-1}^2 held in the step.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from itertools import zip_longest
-from typing import Sequence
 
 from .intpoly import (IntegrityError, IntPoly, NonIntegerQuotient,
                       NonZeroRemainder)

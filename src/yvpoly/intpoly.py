@@ -21,8 +21,8 @@ form. Both kernels keep the big-integer products small on such a ramp.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 # Leaf products of kbit coefficients are dear, so Toom-3 pays from few
 # terms on. Sweep, medians of 8 interleaved in-process rounds at leaf sizes

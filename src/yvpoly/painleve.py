@@ -18,7 +18,7 @@ cross-multiplication, no gcd.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .intpoly import IntPoly, certify_coprime
 from .relations import TABLES

@@ -4,8 +4,8 @@ Every relation family is a linear combination of two power sums at a root
 w of a host polynomial, for p = 1..5: the self sum S_p(w) over the host's
 other roots r of 1/(w - r)^p, and the cross sum C_p(w) over the roots t of
 the neighbouring member of 1/(w - t)^p. The families are one data table,
-FAMILIES, read by one evaluator per route from tables of these sums built
-once per host. The pole series of the rational solutions w_n is no
+FAMILIES; _verify sets each row up once, and one evaluator per route
+judges it from tables of these sums built once per host. The pole series of the rational solutions w_n is no
 separate check: its Laurent coefficients a_0, a_1, a_2 and a_4 at the
 poles, the roots of Q_{n-1}, are the families T1, T2, T3 and T5, which
 `pole_series_check` judges under the suite name "poleseries". A failed
@@ -24,13 +24,14 @@ coefficients.
   after multiplying by L b0^p, which is sound because gcd(host, host') = 1
   and gcd(host, other) = 1 are proved first by a Euclid run mod 2^61 - 1,
   so the factor is invertible. Residues are plain IntPolys, reduced once
-  per series coefficient and once per relation. A row that reads one sum,
-  a C or K row, keeps its residue with that sum's table as a pin, under
-  its coefficient, p and cleared right-hand side. A row that reads both
-  sums passes, with `derived_from` naming the two, when the rows of
-  FAMILIES with its p that read each sum alone have zero residues and
-  right-hand sides that combine to its own; otherwise, and always for T1
-  and T6, it multiplies out its own residue.
+  per series coefficient and once per relation. A C or K row reads one
+  sum and keeps its residue with that sum's table as a pin. A row that
+  reads both sums passes, with `derived_from` naming the two, when the
+  rows of FAMILIES with its p that read each sum alone have zero pins
+  and right-hand sides that combine to its own; otherwise, and always for
+  T1 and T6, its residue is that of pin_S b0_C^p + (-1)^(p-1) L cc
+  G_C[p-1] b0_S^p, pin_S the residue of cs S_p alone at the row's own
+  right-hand side, not kept: L b0_S^p b0_C^p (cs S_p + cc C_p - c - k a).
 
 * numeric mode -- tables over certified high-precision root sets, built
   by one loop at the base w of each orbit of z -> omega z and z -> conj(z)
@@ -53,10 +54,11 @@ every caller, and the root sets a CLI run reads from its records.
 
 from __future__ import annotations
 
+import functools
 import weakref
+from collections.abc import Sequence
 from fractions import Fraction as F
 from math import comb, frexp, lcm
-from typing import Sequence
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -186,9 +188,9 @@ def sum_residue(host: IntPoly, other: IntPoly, p: int,
 
 
 def _pin(table, coeff, p, cleared, ctx) -> IntPoly:
-    """The residue of a row that reads one sum X, coeff X_p = c + k a with
-    cleared = (L, L c, L k): (-1)^(p-1) L coeff G_{p-1} - (L c + L k a) b0^p
-    from X's table (G, b0_powers, pins), kept in pins."""
+    """The residue of coeff X_p = c + k a, X one sum, with cleared =
+    (L, L c, L k): (-1)^(p-1) L coeff G_{p-1} - (L c + L k a) b0^p from X's
+    table (G, b0_powers, pins), kept in pins."""
     G, b0_powers, pins = table
     if (coeff, p, cleared) not in pins:
         scale, c, k = cleared
@@ -226,38 +228,30 @@ def _derived_from(fam, n, used, ctx):
 
 
 @timed
-def _exact_report(fam, records, n):
-    _, _, host_key, p, cs, cc, rhs = fam
-    host, other = records[n - 1], records[n]
-    if host_key == "cur":
-        host, other = other, host
-    if (host.poly.degree or 0) < 1:
-        return _skipped(fam, n, "exact")
+def _exact_report(fam, n, host, used):
+    _, _, _, p, _, _, rhs = fam
     ctx = TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
-    try:  # (coefficient, (G, b0_powers, pins), name of b0) per sum used
+    try:  # (coefficient, (G, b0_powers, pins), name of b0) per sum read
         used = [(coeff, TABLES.get((host, sums), "residues", lambda: (
             *sum_residue(host.poly, sums.poly, P_MAX, ctx), {}),
             UnexpectedCommonFactor),
             f"Q_{sums.n}'(a)" if sums is host else f"Q_{sums.n}(a)")
-            for coeff, sums in ((cs, host), (cc, other)) if coeff]
+            for coeff, sums in used]
     except UnexpectedCommonFactor as exc:
         exc.__traceback__ = None  # see Tables
         return _report(fam, n, "exact", False, {
             "error": "UnexpectedCommonFactor", "message": str(exc),
             "gcd_degree": exc.gcd_degree})
-    scale, c, k = cleared = _cleared_rhs(rhs, n)
-    if len(used) == 1:
-        residue = _pin(used[0][1], used[0][0], p, cleared, ctx)
-    elif derived := _derived_from(fam, n, used, ctx):
+    if len(used) == 2 and (derived := _derived_from(fam, n, used, ctx)):
         return _report(fam, n, "exact", True, {}, derived_from=derived)
-    else:  # cs S_p + cc C_p - (c + k a), times L and both b0^p:
-        # lhs / factor = sum coeff G_{p-1} / b0^p, factor = the b0^p product
-        lhs, factor = IntPoly(), IntPoly.one()
-        for coeff, (G, b0_powers, _), _ in used:
-            lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
-            factor = factor * b0_powers[p]
-        residue = ctx.reduce((-1) ** (p - 1) * scale * lhs
-                             - IntPoly((c, k)) * factor)
+    scale = (cleared := _cleared_rhs(rhs, n))[0]
+    (coeff, first, _), *second = used
+    if second:  # a pin that no other row reads is not kept
+        first = (*first[:2], {})
+    residue = _pin(first, coeff, p, cleared, ctx)
+    for coeff, (G, b0_powers, _), _ in second:  # see the module docstring
+        residue = ctx.reduce(residue * b0_powers[p] + (-1) ** (p - 1)
+                             * scale * coeff * G[p - 1] * first[1][p])
     scaled_by = "·".join([str(scale)] + [f"{name}^{p}" for *_, name in used])
     return _report(fam, n, "exact", not residue, {
         "residue": list(map(str, residue.coeffs)),
@@ -426,20 +420,13 @@ def _tolerance(tolerance):
 
 
 @timed
-def _numeric_report(fam, rootsets, n, tol):
-    _, _, host_key, _, cs, cc, _ = fam
-    host, other = rootsets[n - 1], rootsets[n]
-    if host_key == "cur":
-        host, other = other, host
-    if not host.roots:
-        return _skipped(fam, n, "numeric")
-    for rs in (host, other):
+def _numeric_report(fam, n, host, used, pair, tol):
+    for rs in pair:
         if not TABLES.get((rs,), "layout", lambda: all(_closure(rs))):
             return _report(fam, n, "numeric", False, {
                 "check": "layout", "roots_n": rs.n})
     tol_bits = _neg_log2(tol)
-    terms = [(coeff, *_table(host, sums, tol_bits))
-             for coeff, sums in ((cs, host), (cc, other)) if coeff]
+    terms = [(coeff, *_table(host, sums, tol_bits)) for coeff, sums in used]
     ok, worst, index = _judge(fam, n, host, terms, tol)
     dev = mp.nstr(worst, 8)
     return _report(fam, n, "numeric", ok, {"deviation": dev, "root": index},
@@ -474,19 +461,31 @@ def _families(suite):
 
 
 def _verify(suite, records, n, mode, rootsets, tolerance):
-    families = _families(suite)
+    """The suite's rows at n: SKIPPED if hosted by Q_0, else judged by the
+    route from the host and the (coefficient, source) of each sum read."""
     if mode == "exact":
         if not 1 <= n < len(records):
             raise ValueError(f"exact mode: n = {n} needs 1 <= n < "
                              f"len(records) = {len(records)}")
-        return [_exact_report(fam, records, n) for fam in families]
-    if mode != "numeric":
+        sources, judge = records, _exact_report
+    elif mode == "numeric":
+        for m in (n - 1, n):
+            if m not in (rootsets or {}):
+                raise ValueError(f"numeric mode: no root set of Q_{m} given")
+        sources, judge = rootsets, functools.partial(
+            _numeric_report, pair=(rootsets[n - 1], rootsets[n]),
+            tol=_tolerance(tolerance))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    for m in (n - 1, n):
-        if m not in (rootsets or {}):
-            raise ValueError(f"numeric mode: no root set of Q_{m} given")
-    tol = _tolerance(tolerance)
-    return [_numeric_report(fam, rootsets, n, tol) for fam in families]
+    reports = []
+    for fam in _families(suite):
+        h = n - (fam[2] == "prev")  # the row's host is Q_h
+        host, other = sources[h], sources[2 * n - 1 - h]
+        used = [(coeff, sums) for coeff, sums in ((fam[4], host),
+                                                  (fam[5], other)) if coeff]
+        reports.append(judge(fam, n, host, used) if h
+                       else _skipped(fam, n, mode))
+    return reports
 
 
 def verify_theorem(records: Sequence, n: int, mode: str = "exact",

@@ -5,14 +5,13 @@ from __future__ import annotations
 import functools
 import time
 from fractions import Fraction
-from typing import Any
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-def stringify(value: Any):
+def stringify(value: object):
     """Recursively encode big numbers as decimal strings for serialization."""
     if isinstance(value, bool):
         return value

@@ -380,7 +380,9 @@ def _newton_ladder(coeffs, xs, top):
     of two doubles, up to top bits, each above and at about twice the
     precision the previous one reached, repeated at top while the discs
     fail _inclusion at top/2 bits but are narrower than at the previous top
-    step. Returns (roots, each step's precision, their radii), roots being
+    step; the first top step forms no discs when it moves a root by more
+    than 2^(1 - top/2) of it, as they would be at least that wide and fail.
+    Returns (roots, each step's precision, their radii), roots being
     every root as mpc, each pair's upper member followed by its conjugate
     (a representative that crossed the real axis is conjugated back);
     None after R' = 0, y = 0 or discs that fail and no longer narrow."""
@@ -396,7 +398,8 @@ def _newton_ladder(coeffs, xs, top):
             new = [x - c for x, (_, c) in zip(xs, steps)]
             worst = max(abs(c) / abs(x) for x, (_, c) in zip(xs, steps))
         passed.append(level)
-        if level < top:
+        if level < top or (passed[-2:-1] != [top]
+                           and worst > mp.ldexp(1, 1 - top // 2)):
             # the roots now hold about twice the bits the step corrected, and
             # the next step doubles them again; 64 bits spare for cancellation
             bits = -mp.mag(worst) if worst else top

@@ -9,8 +9,8 @@ coefficient recursion reproduces independently.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .intpoly import newton_power_sums
 from .relations import TABLES

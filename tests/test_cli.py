@@ -426,6 +426,21 @@ class TestVerify:
             for suite in ("relations", "corollary", "kudryashov")
             for n in range(1, 4) for mode in ("exact", "numeric")]
 
+    def test_exact_mode_finds_no_roots(self, tmp_path, monkeypatch):
+        # poleseries judges its T rows on the exact route too, so an exact
+        # run of every suite needs no root set
+        def no_roots(*args, **kwargs):
+            raise AssertionError("an exact run looked for roots")
+
+        monkeypatch.setattr(roots, "roots_for_record", no_roots)
+        assert run(["verify", "--n-max", "5", "--mode", "exact",
+                    "--out", str(tmp_path)]) == 0
+        reports = json.loads(
+            (tmp_path / "verification_report.json").read_text())["reports"]
+        assert [(r["n"], r["details"]["mode"], r["status"]) for r in reports
+                if r["suite"] == "poleseries"] == [
+            (n, "exact", "pass") for n in range(2, 6)]
+
     def test_suite_times_on_stderr(self, tmp_path, capsys):
         code = run(["verify", "--n-max", "3", "--mode", "exact",
                     "--suites", "structure,relations", "--out", str(tmp_path)])

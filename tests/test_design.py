@@ -141,8 +141,8 @@ def test_cli_import_loads_no_introspection_modules():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, check=True).stdout.split()
     assert "yvpoly.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast", "dis",
-                "tokenize"}.intersection(loaded)
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                "typing"}.intersection(loaded)
 
 
 def test_records_are_read_only(records8):

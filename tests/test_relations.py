@@ -100,6 +100,27 @@ def _reference(suite, rootsets, n, tol):
     return verdicts
 
 
+def _chain(fam, records, n):
+    """(residue, scaled_by) of a row that reads both sums, multiplied out as
+    one product chain: cs S_p + cc C_p - (c + k a), times L and both b0^p,
+    with lhs / factor = cs S_p + cc C_p and factor the product of the b0^p.
+    The reference the shipped pin formula is held to."""
+    _, _, host_key, p, cs, cc, rhs = fam
+    host, other = records[n - 1], records[n]
+    if host_key == "cur":
+        host, other = other, host
+    ctx = QuotientContext(host.poly)
+    lhs, factor = IntPoly(), IntPoly.one()
+    for coeff, sums in ((cs, host), (cc, other)):
+        G, b0_powers = relations.sum_residue(host.poly, sums.poly, p, ctx)
+        lhs = lhs * b0_powers[p] + coeff * G[p - 1] * factor
+        factor = factor * b0_powers[p]
+    scale, c, k = relations._cleared_rhs(rhs, n)
+    residue = ctx.reduce((-1) ** (p - 1) * scale * lhs
+                         - IntPoly((c, k)) * factor)
+    return residue, f"{scale}·Q_{host.n}'(a)^{p}·Q_{other.n}(a)^{p}"
+
+
 SUITES = (("relations", relations.verify_theorem),
           ("corollary", relations.verify_corollary),
           ("kudryashov", relations.verify_kudryashov),
@@ -348,8 +369,8 @@ class TestExactMode:
     def test_derived_rows_agree_with_their_chains(self, records16,
                                                  monkeypatch):
         # every row decided as shipped, then with FAMILIES cut to its
-        # relations rows, so no pin is found and every T row runs its
-        # product chain; on the true records and with Q_2 corrupted
+        # relations rows, so no pin is found and every T row computes its
+        # own residue; on the true records and with Q_2 corrupted
         bad = list(records16[:13])
         bad[2] = type(records16[2])(
             n=2, poly=IntPoly([5, 0, 0, 1]), compressed=(1, 5), x_n=5, p_n=0)
@@ -370,6 +391,42 @@ class TestExactMode:
         for records, rows in zip((records16[:13], bad), shipped):
             assert [row[:3] for row in rows if row[1][0] == "T"] \
                 == [row[:3] for row in decide(records)]
+
+    @pytest.mark.parametrize("case", ["true", "corrupted", "shifted"])
+    def test_two_sum_residues_equal_the_chain(self, records16, monkeypatch,
+                                              case):
+        # with FAMILIES cut to its relations rows no pin decides a T row, so
+        # each computes its residue from its pin at its own right-hand side;
+        # that residue, 0 or the witness's, and its scaled_by equal the
+        # product chain's, on the true records, with Q_2 = z^3 + 5, and
+        # with every right-hand side shifted by 1/144
+        records = list(records16[:13])
+        if case == "corrupted":
+            records[2] = type(records16[2])(
+                n=2, poly=IntPoly([5, 0, 0, 1]), compressed=(1, 5), x_n=5,
+                p_n=0)
+        shift = Fraction(case == "shifted", 144)
+        monkeypatch.setattr(relations, "FAMILIES", tuple(
+            (*fam[:6], lambda n, rhs=fam[6]: (Fraction(rhs(n)[0]) + shift,
+                                              rhs(n)[1]))
+            for fam in relations.FAMILIES if fam[0] == "relations"))
+        failed = 0
+        for n in range(1, 13):
+            reports = relations.verify_theorem(records, n, mode="exact")
+            for fam, rep in zip(relations._families("relations"), reports):
+                if fam[2] == "prev" and n == 1:
+                    assert rep.status == SKIPPED
+                    continue
+                residue, scaled_by = _chain(fam, records, n)
+                assert "derived_from" not in rep.details
+                assert rep.passed == (not residue), (n, fam[1])
+                if residue:
+                    failed += 1
+                    witness, = rep.witnesses
+                    assert witness["residue"] == list(map(str,
+                                                          residue.coeffs))
+                    assert witness["scaled_by"] == scaled_by
+        assert failed == {"true": 0, "corrupted": 12, "shifted": 92}[case]
 
     def test_every_factor_is_certified(self, monkeypatch):
         # fresh records, so no cached table hides a certificate

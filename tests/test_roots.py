@@ -134,11 +134,55 @@ class TestLadder:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_top_step_repeats_while_discs_narrow(self, records30, seed):
-        # at n = 24 the first top step's discs fail but narrow, so it repeats
+        # at n = 24 the first top step corrects too much for discs to pass,
+        # so it forms none and repeats
         rs = roots.roots_for_record(records30[24], seed=seed)
         assert rs.precision_bits == 400 and not rs.fallback
         assert rs.ladder[0] == 106 and rs.ladder[-3:] == (464, 800, 800)
+
         assert roots.certify(rs, records30[24]).passed
+
+    def test_first_top_step_forms_no_discs_it_cannot_pass(self, records30,
+                                                          monkeypatch):
+        # at 228 bits, verify's default, the level rule jumps from 276 or
+        # 280 bits straight to the top, 456, whose first step still moves
+        # each root by about 2^-212 of it: no discs are formed there, and
+        # the one _radii pass, at the repeated top step, certifies the set
+        real, tops = roots._radii, []
+
+        def spy(coeffs, points, steps, bits):
+            tops.append(bits)
+            return real(coeffs, points, steps, bits)
+
+        monkeypatch.setattr(roots, "_radii", spy)
+        for n in range(3, 19):
+            for seed in range(4):
+                tops.clear()
+                found = roots.find_roots(records30[n], 228, seed)
+                assert found["ladder"][-2:] == (456, 456), (n, seed)
+                assert tops == [456] and not found["fallback"], (n, seed)
+
+    @pytest.mark.parametrize("widths, fallback", [((2.0 ** -10,), False),
+                                                  ((2.0 ** -10,) * 2, True)])
+    def test_failing_discs_repeat_while_they_narrow(self, records8,
+                                                    monkeypatch, widths,
+                                                    fallback):
+        # at 256 bits the top is reached once, by a step too small to skip
+        # its discs; given radii of widths there, they fail and the top
+        # step repeats, and the start ends when they no longer narrow
+        real, given = roots._radii, list(widths)
+
+        def wide(coeffs, points, steps, bits):
+            if given:
+                return [mp.mpf(given.pop(0))] * len(steps)
+            return real(coeffs, points, steps, bits)
+
+        monkeypatch.setattr(roots, "_radii", wide)
+        found = roots.find_roots(records8[6])
+        assert found["fallback"] == fallback
+        # the ladder of the start that passed: top twice, or once afresh
+        assert found["ladder"].count(512) == 2 - fallback
+        assert found["ladder"][-1] == 512
 
     def test_every_root_has_a_narrow_disc(self, rootsets12):
         for rs in rootsets12.values():
