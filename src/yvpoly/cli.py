@@ -88,16 +88,24 @@ class _Runner:
 
     def rootset(self, n: int, bits: int):
         """The root set of Q_n at bits, found once. A CertificationFailure
-        is kept and raised again on every later request for it."""
+        is kept in its place and raised again on every later request. A
+        caller that handles it drops its traceback, whose frames would
+        otherwise keep the records, and so the entry, alive."""
         seed, record = self.config.seed, self.records[n]
-        return relations.TABLES.get(
-            (record,), ("roots", bits, seed),
-            lambda: rootsmod.roots_for_record(record, bits, seed=seed),
-            rootsmod.CertificationFailure)
+
+        def find():
+            try:
+                return rootsmod.roots_for_record(record, bits, seed=seed)
+            except rootsmod.CertificationFailure as exc:
+                return exc
+        found = relations.TABLES.get((record,), ("roots", bits, seed), find)
+        if isinstance(found, rootsmod.CertificationFailure):
+            raise found
+        return found
 
 
 def _root_failure_report(suite: str, n: int, exc) -> VerificationReport:
-    exc.__traceback__ = None  # see relations.Tables
+    exc.__traceback__ = None  # see _Runner.rootset
     rep = VerificationReport(suite=suite, n=n)
     return rep.fail({
         "check": "roots", "error": type(exc).__name__, "message": str(exc),
@@ -115,10 +123,11 @@ def _structure_report(r) -> VerificationReport:
         rep.fail({"check": "degree", "got": deg})
     if r.compressed[0] != 1:
         rep.fail({"check": "monic"})
-    try:
-        family.cube_compress(r.poly, r.n)
-    except family.StructureViolation as exc:
-        rep.fail({"check": "z3_support", "error": str(exc)})
+    stray = next((i for i, c in enumerate(r.poly.coeffs)
+                  if c and i % 3 != r.has_zero_root), None)
+    if stray is not None:
+        rep.fail({"check": "z3_support",
+                  "error": f"stray z^{stray} term at n={r.n}"})
     return rep
 
 
@@ -271,7 +280,8 @@ def cmd_verify(run: _Runner) -> int:
         payload = {
             "config": {
                 "n_max": config.n_max,
-                "precision_bits": relations.root_bits(config.tolerance),
+                **({"precision_bits": relations.root_bits(config.tolerance)}
+                   if config.mode != "exact" else {}),
                 "tolerance_exponent": config.tolerance_exponent,
                 "mode": config.mode,
                 "seed": config.seed,
@@ -316,7 +326,7 @@ def cmd_roots(run: _Runner) -> int:
         try:
             rs = run.rootset(r.n, run.config.precision_bits)
         except rootsmod.CertificationFailure as exc:
-            exc.__traceback__ = None  # see relations.Tables
+            exc.__traceback__ = None  # see _Runner.rootset
             print(f"n={r.n}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue

@@ -60,13 +60,9 @@ class ZeroConstantTerm(ValueError):
 
 class UnexpectedCommonFactor(IntegrityError):
     """Coprimality of two polynomials that must be coprime could not be
-    certified. `gcd_degree` is the degree of their gcd
-    mod p, an upper bound on the degree of the true gcd (None when no
-    certificate could be formed)."""
-
-    def __init__(self, message, gcd_degree=None):
-        super().__init__(message)
-        self.gcd_degree = gcd_degree
+    certified. The message gives the degree of their gcd mod p, an upper
+    bound on the degree of the true gcd, or says that no certificate could
+    be formed."""
 
 
 def _trim(coeffs: list) -> list:
@@ -375,7 +371,7 @@ def certify_coprime(num: IntPoly, den: IntPoly, what: str) -> None:
     degree = shared + stride * (len(a) - 1)
     if degree:
         raise UnexpectedCommonFactor(
-            f"{what}: gcd mod {p} has degree {degree}", degree)
+            f"{what}: gcd mod {p} has degree {degree}")
 
 
 def newton_power_sums(a: IntPoly, max_m: int) -> list:

@@ -23,7 +23,9 @@ coefficients.
   with its rational right-hand side and every b0 cleared: residue = 0
   after multiplying by L b0^p, which is sound because gcd(host, host') = 1
   and gcd(host, other) = 1 are proved first by a Euclid run mod 2^61 - 1,
-  so the factor is invertible. Residues are plain IntPolys, reduced once
+  so the factor is invertible. Both are theorems for the family, so a
+  failed proof raises UnexpectedCommonFactor, an integrity error, as it
+  does for w_n in painleve. Residues are plain IntPolys, reduced once
   per series coefficient and once per relation. A C or K row reads one
   sum and keeps its residue with that sum's table as a pin. A row that
   reads both sums passes, with `derived_from` naming the two, when the
@@ -46,10 +48,11 @@ coefficients.
 
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the bits) they were built
-from, and dropped when those objects are collected. The same memo, TABLES,
-holds each record's inverse power sums for `series`, the rational solution
-w_n that `painleve.rational_solution` builds once from Q_{n-1} and Q_n for
-every caller, and the root sets a CLI run reads from its records.
+from, and dropped when those objects are collected; a failed build keeps
+nothing. The same memo, TABLES, holds each record's inverse power sums for
+`series`, the rational solution w_n that `painleve.rational_solution`
+builds once from Q_{n-1} and Q_n for every caller, and the root sets a CLI
+run reads from its records.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from math import comb, frexp, lcm
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
+from .intpoly import IntPoly, certify_coprime
 from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
 from .roots import _closure, _orbits, _separation
@@ -102,28 +105,19 @@ FAMILIES = (
 
 class Tables:
     """Values keyed by the identity of the objects they were built from and
-    dropped when one of those is collected. An error of a type the caller
-    names in `replay` is kept in place of the value and raised again on
-    each request; any other error is not kept. A caller that handles a
-    replayed error drops its traceback, whose frames would otherwise keep
-    the sources, and so the entry, alive."""
+    dropped when one of those is collected. Only built values are kept: a
+    build that raises keeps nothing, and the next request builds again."""
 
     def __init__(self):
         self._entries = {}
 
-    def get(self, sources, kind, build, replay=()):
+    def get(self, sources, kind, build):
         key = (kind, *map(id, sources))
         if key not in self._entries:
-            try:
-                self._entries[key] = build()
-            except replay as exc:
-                self._entries[key] = exc
+            self._entries[key] = build()
             for obj in sources:
                 weakref.finalize(obj, self._entries.pop, key, None)
-        value = self._entries[key]
-        if isinstance(value, replay):
-            raise value
-        return value
+        return self._entries[key]
 
 
 TABLES = Tables()
@@ -231,17 +225,11 @@ def _derived_from(fam, n, used, ctx):
 def _exact_report(fam, n, host, used):
     _, _, _, p, _, _, rhs = fam
     ctx = TABLES.get((host,), "ring", lambda: QuotientContext(host.poly))
-    try:  # (coefficient, (G, b0_powers, pins), name of b0) per sum read
-        used = [(coeff, TABLES.get((host, sums), "residues", lambda: (
-            *sum_residue(host.poly, sums.poly, P_MAX, ctx), {}),
-            UnexpectedCommonFactor),
-            f"Q_{sums.n}'(a)" if sums is host else f"Q_{sums.n}(a)")
-            for coeff, sums in used]
-    except UnexpectedCommonFactor as exc:
-        exc.__traceback__ = None  # see Tables
-        return _report(fam, n, "exact", False, {
-            "error": "UnexpectedCommonFactor", "message": str(exc),
-            "gcd_degree": exc.gcd_degree})
+    # (coefficient, (G, b0_powers, pins), name of b0) per sum read
+    used = [(coeff, TABLES.get((host, sums), "residues", lambda: (
+        *sum_residue(host.poly, sums.poly, P_MAX, ctx), {})),
+        f"Q_{sums.n}'(a)" if sums is host else f"Q_{sums.n}(a)")
+        for coeff, sums in used]
     if len(used) == 2 and (derived := _derived_from(fam, n, used, ctx)):
         return _report(fam, n, "exact", True, {}, derived_from=derived)
     scale = (cleared := _cleared_rhs(rhs, n))[0]

@@ -14,6 +14,8 @@ import yvpoly
 from yvpoly import cli, family, painleve, relations, roots, series
 from yvpoly.intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 
+from conftest import replaced
+
 
 def run(argv):
     return cli.main(argv)
@@ -209,6 +211,58 @@ class TestVerify:
             .read_text().splitlines()
         assert lines[0] == "suite,n,status,witnesses,elapsed"
         assert all(float(line.rsplit(",", 1)[1]) > 0 for line in lines[1:])
+
+    @pytest.mark.parametrize("mode, bits", [
+        ("exact", None), ("numeric", 228), ("both", 228)])
+    def test_config_names_the_root_precision_it_used(self, mode, bits,
+                                                      tmp_path):
+        # only a run that finds root sets states their precision
+        assert run(["verify", "--n-max", "4", "--mode", mode,
+                    "--suites", "structure", "--out", str(tmp_path)]) == 0
+        config = json.loads(
+            (tmp_path / "verification_report.json").read_text())["config"]
+        assert config.get("precision_bits") == bits
+        assert list(config) == ["n_max"] + ["precision_bits"] * bool(bits) \
+            + ["tolerance_exponent", "mode", "seed"]
+
+    @pytest.mark.parametrize("coeffs, compressed, witnesses", [
+        ([-80, 0, 0, 20, 0, 0, 0, 0, 0, 1], None,
+         [{"check": "degree", "got": 9}]),
+        (None, (2, 20, -80), [{"check": "monic"}]),
+        ([-80, 0, 1, 20, 0, 0, 1], None,
+         [{"check": "z3_support", "error": "stray z^2 term at n=3"}]),
+        ([-80, 0, 0, 20, 0, 0, 1, 5], None,
+         [{"check": "degree", "got": 7},
+          {"check": "z3_support", "error": "stray z^7 term at n=3"}]),
+    ], ids=["degree", "monic", "stray", "degree_and_stray"])
+    def test_structure_witnesses(self, records8, coeffs, compressed,
+                                 witnesses):
+        # Q_3 = z^6 + 20 z^3 - 80, corrupted: each fault is its own
+        # witness, and a wrong degree hides no stray term
+        q3 = records8[3]
+        assert q3.poly == IntPoly([-80, 0, 0, 20, 0, 0, 1])
+        changes = {"poly": IntPoly(coeffs)} if coeffs else {}
+        if compressed:
+            changes["compressed"] = compressed
+        rep = cli._structure_report(replaced(q3, **changes))
+        assert rep.status == "fail" and rep.witnesses == witnesses
+        assert cli._structure_report(q3).status == "pass"
+
+    def test_repeated_root_host_is_an_integrity_failure(self, records8,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+        # Q_2 replaced by (z - 1)^2 (z + 2): the coprimality a theorem
+        # proves fails, so the run stops as for an inexact division
+        bad = list(records8[:4])
+        bad[2] = replaced(records8[2], poly=IntPoly([2, -3, 0, 1]),
+                          compressed=(1, 0, -3, 2), x_n=2, p_n=0)
+        monkeypatch.setattr(family, "generate", lambda n_max: bad)
+        assert run(["verify", "--n-max", "3", "--mode", "exact",
+                    "--suites", "relations", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("integrity failure: host and host': ")
+        assert err[-1].endswith(" has degree 1")
+        assert not (tmp_path / "verification_report.json").exists()
 
     def test_unknown_suite_rejected(self, tmp_path, capsys):
         code = run(["verify", "--suites", "nonsense", "--out", str(tmp_path)])

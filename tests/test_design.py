@@ -1,8 +1,9 @@
 """Guards on the package source: every function, class, module constant
-and module-level import it defines is used by it, and every class field
-it declares is read by it."""
+and module-level import it defines is used by it, every class field it
+declares is read by it, and one handler catches its integrity errors."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import yvpoly
 from yvpoly import painleve, roots
+from yvpoly.intpoly import IntegrityError
 
 SRC = Path(yvpoly.__file__).parent
 
@@ -153,3 +155,39 @@ def test_records_are_read_only(records8):
         with pytest.raises(AttributeError):
             del obj.n
         assert obj.n == 2
+
+
+def _handlers(tree):
+    """(innermost enclosing function, names in the clause's type, or None
+    for a bare except) per except clause of tree."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                found.append((where, child.type and {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(child.type)
+                    if isinstance(n, (ast.Name, ast.Attribute))}))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+    visit(tree, None)
+    return found
+
+
+def test_only_main_catches_integrity_errors():
+    # a proven property that fails ends the run with `integrity failure:`
+    # and exit 1 (cli.main), never a FAIL report: no other clause names
+    # IntegrityError, a subclass of it the package defines, or a base
+    modules = [importlib.import_module(f"yvpoly.{path.stem}")
+               for path in sorted(SRC.glob("*.py"))]
+    classes = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, IntegrityError)}
+    assert {"NonZeroRemainder", "UnexpectedCommonFactor",
+            "StructureViolation"} <= {c.__name__ for c in classes}
+    names = {c.__name__ for c in classes | set(IntegrityError.__mro__)}
+    catching = [(path.name, where)
+                for path in sorted(SRC.glob("*.py"))
+                for where, caught in _handlers(ast.parse(path.read_text()))
+                if caught is None or caught & names]
+    assert catching == [("cli.py", "main")]

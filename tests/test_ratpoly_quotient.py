@@ -27,9 +27,8 @@ class TestQuotient:
 
     def test_not_invertible(self):
         # z - 1 shares its root with z^2 - 1: the certificate rejects it
-        with pytest.raises(UnexpectedCommonFactor) as exc:
+        with pytest.raises(UnexpectedCommonFactor, match="has degree 1$"):
             certify_coprime(IntPoly([-1, 1]), IntPoly([-1, 0, 1]), "test")
-        assert exc.value.gcd_degree == 1
 
     def test_family_coprimality(self, records16):
         # the certificates the exact route relies on: consecutive Q_n share

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 from yvpoly import cli, family, relations, roots
-from yvpoly.intpoly import IntPoly
+from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor
 from yvpoly.quotient import QuotientContext
 from yvpoly.report import FAIL, PASS, SKIPPED
 
@@ -294,6 +294,56 @@ class TestResidues:
         assert len(relations.TABLES._entries) == before
 
 
+class _Source:
+    """A weakly referenceable stand-in for a record or root set."""
+
+
+class TestTables:
+    def test_failed_build_keeps_nothing(self):
+        tables, source, calls = relations.Tables(), _Source(), []
+
+        def build():
+            calls.append(1)
+            raise ValueError("no")
+
+        for _ in range(2):  # not replayed: each request builds again
+            with pytest.raises(ValueError, match="no"):
+                tables.get((source,), "kind", build)
+        assert len(calls) == 2 and tables._entries == {}
+        collected = weakref.ref(source)
+        del source
+        gc.collect()
+        assert collected() is None
+
+    def test_value_built_once_per_sources_and_kind(self):
+        tables, a, b, built = relations.Tables(), _Source(), _Source(), []
+
+        def build(value):
+            def counted():
+                built.append(value)
+                return value
+            return counted
+
+        for _ in range(2):
+            assert tables.get((a,), "x", build(1)) == 1
+            assert tables.get((a,), "y", build(2)) == 2
+            assert tables.get((a, b), "x", build(3)) == 3
+            assert tables.get((b, a), "x", build(4)) == 4
+        assert built == [1, 2, 3, 4]
+
+    def test_entry_goes_with_any_of_its_sources(self):
+        tables, a, b = relations.Tables(), _Source(), _Source()
+        tables.get((a,), "x", lambda: 1)
+        tables.get((a, b), "x", lambda: 2)
+        tables.get((b,), "x", lambda: 3)
+        del a
+        gc.collect()
+        assert list(tables._entries.values()) == [3]
+        del b
+        gc.collect()
+        assert tables._entries == {}
+
+
 class TestExactMode:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_theorem(self, records8, n):
@@ -333,26 +383,25 @@ class TestExactMode:
         reports = relations.verify_theorem(bad, 3, mode="exact")
         assert any(r.status == FAIL for r in reports)
 
-    def test_repeated_root_host_is_a_fail_report(self, records8):
+    def test_repeated_root_host_raises(self, records8):
         # Q_2 replaced by (z - 1)^2 (z + 2): host'(a) is not invertible, and
-        # the certificate finds the common factor z - 1 of host and host'
+        # the certificate finds the common factor z - 1 of host and host'.
+        # The premise is a theorem, so its failure is an integrity error
         bad = list(records8)
-        bad[2] = type(records8[2])(
-            n=2, poly=IntPoly([2, -3, 0, 1]), compressed=(1, 0, -3, 2),
-            x_n=2, p_n=0)
-        reports = relations.verify_theorem(bad, 3, mode="exact")
-        by_family = {r.details["family"]: r for r in reports}
-        for family_id in ("T1", "T2", "T3", "T5"):  # hosted by bad[2]
-            rep = by_family[family_id]
-            assert rep.status == FAIL
-            witness = rep.witnesses[0]
-            assert witness["error"] == "UnexpectedCommonFactor"
-            assert witness["gcd_degree"] == 1
-        # the error kept in the tables does not keep its host alive
+        bad[2] = replaced(records8[2], poly=IntPoly([2, -3, 0, 1]),
+                          compressed=(1, 0, -3, 2), x_n=2, p_n=0)
+        before = set(relations.TABLES._entries)
+        with pytest.raises(UnexpectedCommonFactor, match="has degree 1"):
+            relations.verify_theorem(bad, 3, mode="exact")
+        # the failed build keeps nothing; only the host's ring, built
+        # before it, is kept, and goes with the host
+        assert set(relations.TABLES._entries) - before == {
+            ("ring", id(bad[2]))}
         host = weakref.ref(bad[2])
         del bad
         gc.collect()
         assert host() is None
+        assert set(relations.TABLES._entries) == before
 
     def test_residue_fail_names_its_scaling(self, records8):
         bad = list(records8)
