@@ -5,7 +5,6 @@ from .intpoly import IntPoly, newton_power_sums
 from .quotient import QuotientContext
 from .family import YvRecord, generate
 from .painleve import RationalSolution, rational_solution
-from .roots import RootSet, roots_for_record
 from .series import inverse_power_sums
 
 __all__ = [
@@ -16,3 +15,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """RootSet and roots_for_record, from the root finder, which loads
+    mpmath: imported on first use, so exact work never pays for either."""
+    if name in ("RootSet", "roots_for_record"):
+        from . import roots
+        return getattr(roots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

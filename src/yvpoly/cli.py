@@ -15,9 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-import mpmath as mp
-
-from . import family, painleve, relations, roots as rootsmod, series
+from . import family, painleve, relations, series
 from .intpoly import IntegrityError
 from .report import (FAIL, SKIPPED, VerificationReport, combine, stringify,
                      timed)
@@ -38,7 +36,7 @@ class RunConfig:
     m_list: list  # given comma-separated
 
     def __init__(self, n_max=12,
-                 precision_bits=rootsmod.DEFAULT_PRECISION_BITS,
+                 precision_bits=family.DEFAULT_PRECISION_BITS,
                  tolerance_exponent=relations.DEFAULT_TOLERANCE_EXPONENT,
                  mode="both", output_dir=None, report_format="json", seed=0,
                  timing=False, suites="all", m_list="3,6,9"):
@@ -75,6 +73,7 @@ class RunConfig:
 
     @property
     def tolerance(self):
+        import mpmath as mp
         return mp.mpf(10) ** -self.tolerance_exponent
 
 
@@ -91,6 +90,7 @@ class _Runner:
         is kept in its place and raised again on every later request. A
         caller that handles it drops its traceback, whose frames would
         otherwise keep the records, and so the entry, alive."""
+        from . import roots as rootsmod
         seed, record = self.config.seed, self.records[n]
 
         def find():
@@ -182,18 +182,24 @@ def _rooted_suite(run: _Runner, suite: str):
              "corollary": relations.verify_corollary,
              "kudryashov": relations.verify_kudryashov,
              "poleseries": relations.pole_series_check}[suite]
-    bits, reports = relations.root_bits(config.tolerance), []
+    if "numeric" in modes:  # the exact route needs no mpmath and no roots
+        from . import roots as rootsmod
+        tol = config.tolerance
+        bits = relations.root_bits(tol)
+    reports = []
     for n in range(MIN_N_MAX[suite], config.n_max + 1):
         for mode in modes:
-            try:
-                rootsets = ({k: run.rootset(k, bits) for k in (n - 1, n)}
-                            if mode == "numeric" else None)
-            except rootsmod.CertificationFailure as exc:
-                rep = _root_failure_report(suite, n, exc)
+            if mode == "exact":
+                rep = combine(suite, n, check(run.records, n, mode=mode))
             else:
-                rep = combine(suite, n, check(
-                    run.records, n, mode=mode, rootsets=rootsets,
-                    tolerance=config.tolerance))
+                try:
+                    rootsets = {k: run.rootset(k, bits) for k in (n - 1, n)}
+                except rootsmod.CertificationFailure as exc:
+                    rep = _root_failure_report(suite, n, exc)
+                else:
+                    rep = combine(suite, n, check(
+                        run.records, n, mode=mode, rootsets=rootsets,
+                        tolerance=tol))
             rep.details["mode"] = mode
             reports.append(rep)
         print(f"suite {suite}: n={n}/{config.n_max} done", file=sys.stderr)
@@ -308,6 +314,7 @@ def cmd_verify(run: _Runner) -> int:
 
 def _finder_line(rs, rep) -> str:
     """How the root finder got rs, for stderr; rep is certify's report."""
+    import mpmath as mp
     y_roots = (len(rs.roots) - rs.includes_zero) // 3
     return (f"n={rs.n}: {rs.float_iterations} float sweeps, ladder "
             f"{'>'.join(map(str, rs.ladder)) or '-'} bits on "
@@ -320,6 +327,7 @@ def _finder_line(rs, rep) -> str:
 
 def cmd_roots(run: _Runner) -> int:
     """extract roots, write CSV and SVG"""
+    from . import roots as rootsmod
     out = run.config.output_dir
     status = 0
     for r in run.records[1:]:

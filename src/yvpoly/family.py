@@ -23,6 +23,10 @@ from .intpoly import (IntegrityError, IntPoly, NonIntegerQuotient,
 from .report import FAIL, PASS, Frozen, VerificationReport, timed
 
 
+# a root set's bits when none are asked for; here so the CLI needs no roots
+DEFAULT_PRECISION_BITS = 256
+
+
 class StructureViolation(IntegrityError):
     """The z^3-support structure (Taneda) does not hold."""
 

@@ -45,6 +45,8 @@ coefficients.
   at the roots' own precision. A relation is then judged at each base in
   integers, and only the worst becomes an mpf. Each report states its
   `table_bits`, and its `margin_digits` reads against the 64 headroom bits.
+  mpmath and the layout helpers of `roots` are imported by
+  `_load_numeric` on this route's first use, so exact runs never load them.
 
 Tables are shared across suites and n. They are keyed by the identity of
 the records or root sets (and, numerically, the bits) they were built
@@ -63,13 +65,9 @@ from collections.abc import Sequence
 from fractions import Fraction as F
 from math import comb, frexp, lcm
 
-import mpmath as mp
-from mpmath.libmp import to_fixed
-
 from .intpoly import IntPoly, certify_coprime
 from .quotient import QuotientContext
 from .report import SKIPPED, VerificationReport, timed
-from .roots import _closure, _orbits, _separation
 
 P_MAX = 5  # highest power any family or checked pole coefficient uses
 DEFAULT_TOLERANCE_EXPONENT = 30  # numeric checks pass below 10^-30
@@ -250,11 +248,28 @@ def _exact_report(fam, n, host, used):
 # Numeric route
 
 HEADROOM_BITS = 64  # table bits past the tolerance's, see _table_bits
+mp = None  # mpmath, once _load_numeric has run
+
+
+def _load_numeric():
+    """Bind mpmath, to_fixed and roots' _closure, _orbits and _separation
+    here on the numeric route's first use; the exact route never loads
+    them. Its ways in, _tolerance and _table, call it; it imports once."""
+    global mp, to_fixed, _closure, _orbits, _separation
+    if mp is None:
+        import mpmath as mp
+        from mpmath.libmp import to_fixed
+
+        from .roots import _closure, _orbits, _separation
 
 
 def _neg_log2(x) -> int:
-    """ceil(-log2 x), exactly, for a float or mpf x > 0."""
-    return 1 - (frexp if isinstance(x, float) else mp.frexp)(x)[1]
+    """ceil(-log2 x), exactly, for a float or mpf x > 0; an mpf is read as
+    man 2^exp, which needs no mpmath."""
+    if isinstance(x, float):
+        return 1 - frexp(x)[1]
+    man, exp = x.man_exp
+    return 1 - exp - int(man).bit_length()
 
 
 def root_bits(tol) -> int:
@@ -339,6 +354,7 @@ def _table(host, other, tol_bits):
     each orbit of host (roots._orbits), X_p the sum of 1/(w - t)^p over the
     roots t != w of other: S_p when other is host, else C_p, as fixed-point
     integers at bits, which both directions of a cross pair share."""
+    _load_numeric()
     a, b = sorted((host, other), key=lambda rs: rs.n)
     bits = TABLES.get((a, b), ("bits", tol_bits), lambda: _table_bits(
         tol_bits, max(len(a.roots), len(b.roots)),
@@ -402,6 +418,7 @@ def _margin(tol, worst) -> float:
 
 def _tolerance(tolerance):
     """The tolerance as an mpf, unrounded; None stands for 10^-30."""
+    _load_numeric()
     if tolerance is None:
         return mp.mpf(10) ** -DEFAULT_TOLERANCE_EXPONENT
     return tolerance if isinstance(tolerance, mp.mpf) else mp.mpf(tolerance)

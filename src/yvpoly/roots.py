@@ -29,10 +29,9 @@ import random
 import mpmath as mp
 from mpmath.libmp import from_float, mpf_shift, to_fixed, to_float
 
-from .family import YvRecord, expected_degree
+from .family import DEFAULT_PRECISION_BITS, YvRecord, expected_degree
 from .report import Frozen, VerificationReport, timed
 
-DEFAULT_PRECISION_BITS = 256
 MAX_ITERATIONS = 400
 FLOAT_EPS = 2.0 ** -53  # unit roundoff of a hardware double
 SVG_SIZE = 480  # pixels per side of export_svg's scatter

@@ -1,6 +1,17 @@
+import gc
+
 import pytest
 
-from yvpoly import family
+from yvpoly import family, relations
+
+
+def table_keys():
+    """The keys of relations.TABLES once unreachable sources are collected.
+    A test compares this set before and after a run: a failed earlier test
+    can keep sources alive until then, so their entries may go meanwhile,
+    and only keys the run added tell what it left behind."""
+    gc.collect()
+    return set(relations.TABLES._entries)
 
 
 def replaced(obj, **changes):

@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import re
@@ -14,7 +13,7 @@ import yvpoly
 from yvpoly import cli, family, painleve, relations, roots, series
 from yvpoly.intpoly import IntPoly, NonIntegerQuotient, NonZeroRemainder
 
-from conftest import replaced
+from conftest import replaced, table_keys
 
 
 def run(argv):
@@ -25,8 +24,16 @@ class TestConfig:
     def test_defaults(self):
         cfg = cli.RunConfig()
         assert cfg.n_max == 12
-        assert cfg.precision_bits == 256
+        assert cfg.precision_bits == roots.DEFAULT_PRECISION_BITS == 256
         assert float(cfg.tolerance) == pytest.approx(1e-30)
+
+    def test_root_bits_of_every_tolerance(self):
+        # root_bits reads the tolerance's mantissa and exponent without
+        # mpmath; it keeps mpmath's frexp value at every accepted --tolerance
+        for exponent in range(6, 401):
+            tol = cli.RunConfig(tolerance_exponent=exponent).tolerance
+            assert relations.root_bits(tol) == \
+                1 - mp.frexp(tol)[1] + 2 * relations.HEADROOM_BITS
 
     def test_every_default(self, monkeypatch):
         monkeypatch.delenv("YV_OUT_DIR", raising=False)
@@ -278,13 +285,13 @@ class TestVerify:
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
-        before = len(relations.TABLES._entries)
+        before = table_keys()
         code = run(["verify", "--n-max", "3", "--mode", "numeric",
                     "--suites", "relations,poleseries",
                     "--out", str(tmp_path)])
         assert code == 1
-        gc.collect()  # the kept error does not keep the run's tables alive
-        assert len(relations.TABLES._entries) == before
+        # the kept error does not keep the run's tables alive
+        assert not table_keys() - before
         reports = json.loads(
             (tmp_path / "verification_report.json").read_text())["reports"]
         status = {(r["suite"], r["n"]): r["status"] for r in reports}
@@ -570,11 +577,10 @@ class TestRoots:
             return real(record, *args, **kwargs)
 
         monkeypatch.setattr(roots, "roots_for_record", failing)
-        before = len(relations.TABLES._entries)
+        before = table_keys()
         code = run(["roots", "--n-max", "3", "--out", str(tmp_path)])
         assert code == 1
-        gc.collect()
-        assert len(relations.TABLES._entries) == before
+        assert not table_keys() - before
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
             "n=1: 1 roots, certified", "n=3: 6 roots, certified"]
@@ -599,8 +605,9 @@ class TestEnvFallback:
 
 
 def test_cli_import_loads_no_sympy():
-    # nor any other package beside mpmath: every top-level module that
-    # importing the CLI adds to mpmath's is the standard library's or yvpoly
+    # nor any other package outside the standard library: every top-level
+    # module that importing the CLI adds, with mpmath already loaded, is the
+    # standard library's or yvpoly
     src = str(Path(yvpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, mpmath; seen = set(sys.modules); import yvpoly.cli; "

@@ -132,19 +132,86 @@ def test_every_function_is_used_in_the_package():
     assert _unused(sources) == []
 
 
+# -S keeps site and every .pth file out, so that only the package, and
+# mpmath where the numeric route asks for it, can be imported
+_PATH = os.pathsep.join([str(SRC.parent),
+                         str(Path(mpmath.__file__).parents[1])])
+_NUMERIC = {"mpmath", "yvpoly.roots"}
+
+
+def _python_s(code, *args):
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": _PATH}, capture_output=True,
+        text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_introspection_modules():
-    # every run pays for `import yvpoly.cli`; -S keeps site and every .pth
-    # file out, so only the package and mpmath are imported
-    path = os.pathsep.join([str(SRC.parent),
-                            str(Path(mpmath.__file__).parents[1])])
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, yvpoly.cli; print(*sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-        text=True, check=True).stdout.split()
+    # every run pays for `import yvpoly.cli`: neither the introspection
+    # modules nor the numeric route's mpmath and root finder
+    loaded = _python_s("import sys, yvpoly.cli; print(*sys.modules)").split()
     assert "yvpoly.cli" in loaded
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                "typing"}.intersection(loaded)
+                "typing", *_NUMERIC}.intersection(loaded)
+
+
+# The exact commands and family-deep's library calls at small n, then a
+# numeric verify; prints the numeric modules loaded after each part.
+_EXACT_THEN_NUMERIC = """
+import contextlib, io, sys
+from yvpoly import cli, family, painleve, relations, series
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([*argv.split(), "--out", out]) for argv in (
+        "gen --n-max 8", "sums --n-max 6", "verify --n-max 6 --mode exact")]
+    records = family.generate(8)
+    family.valuation_checks(records)
+    for r in records:
+        for check in (family.check_divisibility, family.mod4_reduction,
+                      family.verify_irrationality_premises):
+            check(r)
+    for n in range(1, 8):
+        family.wronskian_check(records, n)
+        series.cross_check_series(records, n, M=20)
+        for verifier in (relations.verify_theorem, relations.verify_corollary,
+                         relations.verify_kudryashov):
+            verifier(records, n, mode="exact")
+    series.verify_closed_forms(records, 8, symmetry_max_m=9)
+    series.verify_difference_relations(records, 8)
+    series.verify_remark_polynomiality(records, 12, 8)
+    w = painleve.rational_solution(records, 0)
+    for n in range(6):
+        painleve.pII_residual(w)
+        painleve.backlund_next(w, n)
+        w = painleve.rational_solution(records, n + 1)
+    numeric = {"mpmath", "yvpoly.roots"}
+    exact_loaded = sorted(numeric & set(sys.modules))
+    codes.append(cli.main(["verify", "--n-max", "3", "--mode", "numeric",
+                           "--out", out]))
+print(codes, exact_loaded, sorted(numeric & set(sys.modules)))
+"""
+
+
+def test_exact_runs_load_no_numeric_route(tmp_path):
+    # gen, sums, verify --mode exact and the exact library calls load
+    # neither mpmath nor the root finder; a numeric verify then loads both
+    # in the same process, and passes
+    last = _python_s(_EXACT_THEN_NUMERIC, str(tmp_path)).splitlines()[-1]
+    assert last == f"[0, 0, 0, 0] [] {sorted(_NUMERIC)}"
+
+
+def test_package_api():
+    # RootSet and roots_for_record come from the root finder on first use
+    assert len(yvpoly.__all__) == 10
+    assert yvpoly.RootSet is roots.RootSet
+    assert yvpoly.roots_for_record is roots.roots_for_record
+    star = {}
+    exec("from yvpoly import *", star)
+    assert set(yvpoly.__all__) <= set(star)
+    assert all(star[name] is getattr(yvpoly, name) for name in yvpoly.__all__)
+    with pytest.raises(AttributeError, match="module 'yvpoly' has no "
+                                             "attribute 'no_such_name'"):
+        yvpoly.no_such_name
 
 
 def test_records_are_read_only(records8):

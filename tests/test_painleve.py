@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from yvpoly import cli, family, relations
+from yvpoly import cli, family
 from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor, certify_coprime
 from yvpoly.painleve import (
     RationalSolution,
@@ -14,7 +14,7 @@ from yvpoly.painleve import (
     rational_solution,
 )
 
-from conftest import replaced
+from conftest import replaced, table_keys
 
 
 def corrupted(records, n, factor):
@@ -100,8 +100,7 @@ class TestBacklundNormalisation:
 
 class TestSolutions:
     def test_built_once_per_pair_of_records(self):
-        gc.collect()
-        before, records = len(relations.TABLES._entries), family.generate(4)
+        before, records = table_keys(), family.generate(4)
         w = rational_solution(records, 3)
         assert rational_solution(list(records), 3) is w
         assert rational_solution(records, 2) is not w
@@ -109,7 +108,7 @@ class TestSolutions:
         del records, w
         gc.collect()
         assert gone() is None
-        assert len(relations.TABLES._entries) == before
+        assert not table_keys() - before
 
     def test_w1_is_minus_inverse_z(self, records8):
         w = rational_solution(records8, 1)

@@ -12,7 +12,7 @@ from yvpoly.intpoly import IntPoly, UnexpectedCommonFactor
 from yvpoly.quotient import QuotientContext
 from yvpoly.report import FAIL, PASS, SKIPPED
 
-from conftest import replaced
+from conftest import replaced, table_keys
 
 
 def _statuses(reports):
@@ -270,15 +270,14 @@ class TestResidues:
     def test_tables_live_with_their_sources(self, tmp_path, monkeypatch):
         records = family.generate(4)
         rootsets = {n: roots.roots_for_record(records[n]) for n in range(5)}
-        before = len(relations.TABLES._entries)
+        before = table_keys()
         for n in range(1, 5):
             relations.verify_theorem(records, n, mode="exact")
             relations.verify_theorem(records, n, mode="numeric",
                                      rootsets=rootsets)
-        assert len(relations.TABLES._entries) > before
+        assert table_keys() - before
         del records, rootsets
-        gc.collect()
-        assert len(relations.TABLES._entries) == before
+        assert not table_keys() - before
         # a CLI run's root sets and w_n go with its records
         real_get, kinds = relations.TABLES.get, set()
 
@@ -290,8 +289,7 @@ class TestResidues:
         assert cli.main(["verify", "--n-max", "4", "--out", str(tmp_path),
                          "--suites", "pii,backlund,relations"]) == 0
         assert {"roots", "w"} <= kinds
-        gc.collect()
-        assert len(relations.TABLES._entries) == before
+        assert not table_keys() - before
 
 
 class _Source:
